@@ -554,7 +554,7 @@ class ParamStore:
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         for name, t in self._params.items():
             if name not in state:
-                raise KeyError(f"missing parameter {name!r} in state")
+                raise ValueError(f"missing parameter {name!r} in state")
             arr = np.asarray(state[name], dtype=t.data.dtype)
             if arr.shape != t.data.shape:
                 raise ValueError(f"parameter {name!r}: shape {arr.shape} != {t.data.shape}")

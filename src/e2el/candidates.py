@@ -10,7 +10,8 @@ empirical probabilities.
 Binary index cache: magic ``E2EA``, little-endian u32 s and max span
 length, u32 surface count, then per surface a u16-length-prefixed UTF-8
 surface, u32 entry count, and per entry a u16-length-prefixed entity id
-plus an f64 prior.
+plus an f64 prior. The string, length and error rules are those of
+``binfile``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from . import binfile
 from .corpus import Document
 
 INDEX_MAGIC = b"E2EA"
+INDEX_HEADER = struct.Struct("<III")
 
 
 @dataclass(frozen=True)
@@ -135,48 +138,29 @@ def load_prior_index(path: str, s: int = 30, max_span_length: int = 6) -> AliasI
 
 def save_index(index: AliasIndex, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<III", index.s, index.max_span_length, len(index.entries)))
+        fh.write(INDEX_MAGIC + INDEX_HEADER.pack(index.s, index.max_span_length,
+                                                 len(index.entries)))
         for surface in sorted(index.entries):
-            sb = surface.encode("utf-8")
-            entries = index.entries[surface]
-            fh.write(struct.pack("<H", len(sb)))
-            fh.write(sb)
-            fh.write(struct.pack("<I", len(entries)))
-            for e in entries:
-                eb = e.entity_id.encode("utf-8")
-                fh.write(struct.pack("<H", len(eb)))
-                fh.write(eb)
-                fh.write(struct.pack("<d", e.prior))
+            binfile.write_record(fh, surface, binfile.U32, len(index.entries[surface]), "surface")
+            for e in index.entries[surface]:
+                binfile.write_record(fh, e.entity_id, binfile.F64, e.prior, "candidate")
 
 
 def load_index(path: str) -> AliasIndex:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != INDEX_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {INDEX_MAGIC!r}")
-        s, max_len, n_surfaces = struct.unpack("<III", fh.read(12))
-        entries: dict[str, list[CandidateEntry]] = {}
-        for _ in range(n_surfaces):
-            (slen,) = struct.unpack("<H", fh.read(2))
-            surface = fh.read(slen).decode("utf-8")
-            (n,) = struct.unpack("<I", fh.read(4))
-            lst = []
-            for _ in range(n):
-                (elen,) = struct.unpack("<H", fh.read(2))
-                eid = fh.read(elen).decode("utf-8")
-                (prior,) = struct.unpack("<d", fh.read(8))
-                lst.append(CandidateEntry(eid, prior))
-            entries[surface] = lst
+    reader = binfile.Reader(path, INDEX_MAGIC)
+    s, max_len, n_surfaces = reader.unpack(INDEX_HEADER, "header")
+    entries: dict[str, list[CandidateEntry]] = {}
+    for _ in range(n_surfaces):
+        ((surface, n),) = reader.records(1, binfile.U32, "surface")
+        entries[surface] = reader.records(n, binfile.F64, "candidate", CandidateEntry)
+        if len(entries) % 1024 == 0:
+            reader.release()
+    reader.finish()
     return AliasIndex(entries, s=s, max_span_length=max_len)
 
 
 def load_any_index(path: str) -> AliasIndex:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == INDEX_MAGIC:
-        return load_index(path)
-    return load_prior_index(path)
+    return binfile.load_either(path, INDEX_MAGIC, load_index, load_prior_index)
 
 
 def enumerate_spans(doc: Document, index: AliasIndex) -> list[MentionSpan]:

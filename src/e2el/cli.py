@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,9 +55,8 @@ def dims_from_config(cfg: RunConfig) -> EncoderDims:
 def train_config_from(cfg: RunConfig) -> training.TrainConfig:
     return training.TrainConfig(
         gamma=cfg["train.gamma"], learning_rate=cfg["train.learning_rate"],
-        regime=cfg["train.regime"], use_attention=cfg["model.use_attention"],
-        use_global=cfg["model.use_global"], eval_every=cfg["train.eval_every"],
-        patience=cfg["train.patience"], seed=cfg["seed"],
+        regime=cfg["train.regime"], use_global=cfg["model.use_global"],
+        eval_every=cfg["train.eval_every"], patience=cfg["train.patience"], seed=cfg["seed"],
         improvement=cfg["train.improvement"], max_steps=cfg["train.max_steps"],
         use_coref=cfg["coref.enabled"])
 
@@ -86,7 +84,10 @@ def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, floa
     rows = ad.parameter(state["char_table"])
     chars = CharTable.from_codepoints(state["meta.char_vocab"].astype(np.int64), rows)
     model = build_model(cfg, chars)
-    model.load_state_arrays(state)
+    try:
+        model.load_state_arrays(state)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     delta = float(state["meta.delta"]) if "meta.delta" in state else float("-inf")
     return model, delta
 
@@ -166,15 +167,8 @@ def cmd_annotate(args) -> int:
             spans = candidates.spans_for_gold(doc, index)
             annotations.extend(inference.decode_ed(model, doc, spans))
     else:
-        def score(doc: Document):
-            return model.score_pairs(doc, spans_for_doc(doc, index, cfg))
-
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                per_doc = list(pool.map(score, docs))
-        else:
-            per_doc = [score(doc) for doc in docs]
-        pairs = [p for chunk in per_doc for p in chunk]
+        pairs = [p for doc in docs
+                 for p in model.score_pairs(doc, spans_for_doc(doc, index, cfg))]
         annotations = inference.greedy_decode(pairs, delta)
     inference.write_annotations(annotations, args.out)
     print(json.dumps({"documents": len(docs), "annotations": len(annotations),
@@ -242,7 +236,7 @@ def _toy_check_setup(seed: int, entity_dim: int = 8):
     index = candidates.AliasIndex(entries, s=30, max_span_length=3)
     doc = Document("toy", ["sa", "pad", "sb", "sc"],
                    gold=[(0, 0, "E0"), (2, 2, "E2")])
-    tcfg = training.TrainConfig(gamma=0.2, use_global=True, use_attention=True)
+    tcfg = training.TrainConfig(gamma=0.2, use_global=True)
     spans = training.spans_for_regime(doc, index, tcfg)
     return model, doc, spans, tcfg
 
@@ -328,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--task", choices=("EL", "ED"), default="EL")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--delta", type=float, help="override the checkpoint threshold")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.set_defaults(func=cmd_annotate)

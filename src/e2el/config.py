@@ -23,8 +23,6 @@ DEFAULTS: dict[str, Any] = {
     "encoder.soft_head_space": "v",
     "encoder.dropout_keep": 0.5,
     "encoder.max_tokens": None,
-    "index.max_candidates": 30,
-    "index.max_span_length": 6,
     "train.gamma": 0.2,
     "train.learning_rate": 0.001,
     "train.regime": "all_spans",

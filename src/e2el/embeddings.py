@@ -8,7 +8,8 @@ at small scale from word-entity co-occurrence counts.
 Text format: first line ``<count> <dim>``, then one ``<key> <f1> ... <fdim>``
 per line, space separated, UTF-8 keys without spaces. Binary cache format:
 magic ``E2EV``, little-endian u32 count and dim, then per row a u16 key
-length, the key bytes and ``dim`` 32-bit floats.
+length, the key bytes and ``dim`` 32-bit floats. The string, length and
+error rules are those of ``binfile``. Both formats reject non-finite values.
 """
 
 from __future__ import annotations
@@ -21,16 +22,19 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import autodiff as ad
+from . import binfile
 
 log = logging.getLogger(__name__)
 
 UNK_TOKEN = "<unk>"
 BINARY_MAGIC = b"E2EV"
+BINARY_HEADER = struct.Struct("<II")
 
 
 def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
     """Load a text embedding file into (key -> row index, matrix)."""
     vocab: dict[str, int] = {}
+    linenos: list[int] = []  # each row's line, for the finiteness check after the loop
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -61,8 +65,12 @@ def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed float") from None
             vocab[key] = idx
+            linenos.append(lineno)
     if len(vocab) != count:
         raise ValueError(f"{path}: declared {count} rows, found {len(vocab)}")
+    bad = _non_finite_rows(matrix)
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return vocab, matrix
 
 
@@ -77,44 +85,48 @@ def save_text_embeddings(vocab: Mapping[str, int], matrix: np.ndarray, path: str
 
 
 def load_binary_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        count, dim = struct.unpack("<II", fh.read(8))
-        vocab: dict[str, int] = {}
-        matrix = np.zeros((count, dim), dtype=np.float32)
-        for i in range(count):
-            (klen,) = struct.unpack("<H", fh.read(2))
-            key = fh.read(klen).decode("utf-8")
-            if key in vocab:
-                raise ValueError(f"{path}: duplicate key {key!r} at row {i}")
-            buf = fh.read(4 * dim)
-            if len(buf) != 4 * dim:
-                raise ValueError(f"{path}: truncated row {i}")
-            matrix[i] = np.frombuffer(buf, dtype="<f4")
-            vocab[key] = i
+    reader = binfile.Reader(path, BINARY_MAGIC)
+    count, dim = reader.unpack(BINARY_HEADER, "header")
+    row = struct.Struct(f"<{4 * dim}s")
+    if count * (2 + row.size) > reader.size - reader.pos:
+        raise reader.error(f"{count} rows need more than {reader.size - reader.pos} bytes", "row")
+    vocab: dict[str, int] = {}
+    matrix = np.empty((count, dim), dtype=np.float32)
+
+    def add_row(key: str, payload: bytes) -> None:
+        if key in vocab:
+            raise ValueError(f"{path}: duplicate key {key!r} at row {len(vocab)}")
+        matrix[len(vocab)] = np.frombuffer(payload, dtype="<f4")
+        vocab[key] = len(vocab)
+
+    for start in range(0, count, 1024):  # release the file's pages as the matrix fills
+        reader.records(min(1024, count - start), row, "row", add_row)
+        reader.release()
+    reader.finish()
+    bad = _non_finite_rows(matrix)
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in row {bad[0]} ({list(vocab)[bad[0]]!r})")
     return vocab, matrix
 
 
 def save_binary_embeddings(vocab: Mapping[str, int], matrix: np.ndarray, path: str) -> None:
     rows = sorted(vocab.items(), key=lambda kv: kv[1])
+    row = struct.Struct(f"<{4 * matrix.shape[1]}s")
     with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<II", len(rows), matrix.shape[1]))
+        fh.write(BINARY_MAGIC + BINARY_HEADER.pack(len(rows), matrix.shape[1]))
         for key, idx in rows:
-            kb = key.encode("utf-8")
-            fh.write(struct.pack("<H", len(kb)))
-            fh.write(kb)
-            fh.write(np.asarray(matrix[idx], dtype="<f4").tobytes())
+            binfile.write_record(fh, key, row, matrix[idx].astype("<f4").tobytes(), "row")
+
+
+def _non_finite_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows holding a nan or an inf, found through each row's min and max so
+    that no temporary the size of the matrix is made."""
+    lo, hi = matrix.min(axis=1, initial=0), matrix.max(axis=1, initial=0)
+    return np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
 
 
 def _load_any(path: str) -> tuple[dict[str, int], np.ndarray]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == BINARY_MAGIC:
-        return load_binary_embeddings(path)
-    return load_text_embeddings(path)
+    return binfile.load_either(path, BINARY_MAGIC, load_binary_embeddings, load_text_embeddings)
 
 
 @dataclass

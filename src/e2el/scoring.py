@@ -43,7 +43,6 @@ class ScorerParams:
     att_a: ad.Tensor | None = None  # diagonal bilinear form scoring context words
     att_b: ad.Tensor | None = None  # diagonal bilinear form for the context feature
     use_attention: bool = False
-    use_global: bool = False
 
 
 def init_scorer_params(entity_dim: int, rng: np.random.Generator,
@@ -54,7 +53,6 @@ def init_scorer_params(entity_dim: int, rng: np.random.Generator,
         psi_w=ad.parameter(ad.glorot(rng, (arity,))),
         psi_b=ad.parameter(np.zeros(())),
         use_attention=use_attention,
-        use_global=use_global,
     )
     if use_global:
         params.phi_w = ad.parameter(ad.glorot(rng, (2,)))

@@ -10,7 +10,8 @@ significant improvement.
 Checkpoint format: magic ``E2EL``, little-endian; per entry a u16 name
 length, the UTF-8 name, u8 rank, u32 per dimension, the 32-bit float
 payload and a trailing u32 CRC32 of the payload bytes. Entries run to the
-end of the file.
+end of the file. The string, length and error rules are those of
+``binfile``.
 
 Training log records are JSON lines ``{step, loss, dev_macro_f1, delta}``.
 """
@@ -28,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import inference
+from . import binfile, inference
 from .candidates import AliasIndex, MentionSpan, apply_coreference_heuristic, \
     enumerate_spans, spans_for_gold
 from .corpus import Document
@@ -43,7 +44,6 @@ class TrainConfig:
     gamma: float = 0.2
     learning_rate: float = 0.001
     regime: str = "all_spans"  # or "gold_spans"
-    use_attention: bool = False
     use_global: bool = False
     eval_every: int = 500
     patience: int = 6
@@ -238,41 +238,28 @@ def save_checkpoint(tensors: Mapping[str, np.ndarray], path: str) -> None:
         fh.write(CHECKPOINT_MAGIC)
         for name, arr in tensors.items():
             data = np.asarray(arr, dtype="<f4")  # tobytes() yields C order for any layout
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", data.ndim))
-            for d in data.shape:
-                fh.write(struct.pack("<I", d))
+            binfile.write_record(fh, name, binfile.U8, data.ndim, "tensor")
             payload = data.tobytes()
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+            fh.write(struct.pack(f"<{data.ndim}I", *data.shape) + payload
+                     + binfile.U32.pack(zlib.crc32(payload)))
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """The tensors in file order. A file cut exactly between two entries
+    reads as the entries before the cut: the format has no entry count."""
+    reader = binfile.Reader(path, CHECKPOINT_MAGIC)
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            (nlen,) = struct.unpack("<H", head)
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(4 * count)
-            if len(payload) != 4 * count:
-                raise ValueError(f"{path}: truncated payload for {name!r}")
-            (crc,) = struct.unpack("<I", fh.read(4))
-            if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
-                raise ValueError(f"{path}: CRC mismatch for {name!r}")
-            if name in out:
-                raise ValueError(f"{path}: duplicate tensor {name!r}")
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    while reader.pos < reader.size:
+        ((name, rank),) = reader.records(1, binfile.U8, "tensor")
+        shape = reader.unpack(struct.Struct(f"<{rank}I"), f"shape of {name!r}")
+        payload = reader.take(4 * math.prod(shape), f"payload of {name!r}")
+        (crc,) = reader.unpack(binfile.U32, f"CRC of {name!r}")
+        if crc != zlib.crc32(payload):
+            raise ValueError(f"{path}: CRC mismatch for {name!r}")
+        if name in out:
+            raise ValueError(f"{path}: duplicate tensor {name!r}")
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    reader.finish()
     return out
 
 

@@ -65,14 +65,15 @@ class TestPipeline:
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["micro_f1"] >= 0.95
 
-    def test_annotate_workers_agree(self, pipeline, tmp_path):
+    def test_checkpoint_missing_parameter(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline
-        out2 = str(tmp_path / "ann2.jsonl")
+        capfd.readouterr()
         rc = cli.run_command(["annotate", "--config", paths["config"],
-                              "--in", paths["corpus"], "--out", out2,
-                              "--workers", "3"])
-        assert rc == 0
-        assert read_annotations(out2) == read_annotations(paths["annotations"])
+                              "--in", paths["corpus"], "--out", str(tmp_path / "a.jsonl"),
+                              "--set", "model.use_global=true"])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert paths["checkpoint"] in err and "'phi.w'" in err
 
     def test_annotate_ed_task(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline

@@ -11,7 +11,7 @@ class TestRunConfig:
         p.write_text("{}", encoding="utf-8")
         cfg = RunConfig.load(str(p))
         assert cfg["train.gamma"] == 0.2
-        assert cfg["index.max_candidates"] == 30
+        assert cfg["attention.keep"] == 10
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"

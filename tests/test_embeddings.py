@@ -33,6 +33,11 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=":2"):
             emb.load_text_embeddings(path)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = write_text(tmp_path, ["3 2", "a 1.0 0.0", "", "b nan 1.0", "c 0.0 inf"])
+        with pytest.raises(ValueError, match=r"vecs\.txt:4: non-finite"):
+            emb.load_text_embeddings(path)
+
     def test_count_mismatch(self, tmp_path):
         path = write_text(tmp_path, ["3 1", "a 1.0", "b 2.0"])
         with pytest.raises(ValueError, match="declared 3"):
@@ -60,6 +65,22 @@ class TestBinaryFormat:
         vocab2, matrix2 = emb.load_binary_embeddings(path)
         assert vocab2 == vocab
         assert np.array_equal(matrix2, matrix)
+
+    def test_non_finite_value_names_row(self, tmp_path):
+        matrix = np.ones((3, 2), dtype=np.float32)
+        matrix[1, 0] = np.nan
+        path = str(tmp_path / "vecs.bin")
+        emb.save_binary_embeddings({"a": 0, "b": 1, "c": 2}, matrix, path)
+        with pytest.raises(ValueError, match="non-finite value in row 1") as err:
+            emb.load_binary_embeddings(path)
+        assert path in str(err.value)
+
+    def test_non_finite_check_spares_large_finite_values(self):
+        big = 3.0e38
+        matrix = np.array([[big, big], [-big, -big], [big, -big], [np.inf, 0.0],
+                           [0.0, -np.inf], [np.nan, 1.0], [np.inf, -np.inf]], dtype=np.float32)
+        assert list(emb._non_finite_rows(matrix)) == [3, 4, 5, 6]
+        assert emb._non_finite_rows(np.zeros((2, 0), dtype=np.float32)).size == 0
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"

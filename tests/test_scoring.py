@@ -255,7 +255,7 @@ class TestGlobalScore:
 
 class TestCombineGlobal:
     def make(self, w, b):
-        p = scoring.ScorerParams(psi_w=vec(1.0, 1.0), psi_b=scalar(0.0), use_global=True)
+        p = scoring.ScorerParams(psi_w=vec(1.0, 1.0), psi_b=scalar(0.0))
         p.phi_w = vec(*w)
         p.phi_b = scalar(b)
         return p
