@@ -7,8 +7,12 @@ deep recurrent chains are fine). Arithmetic runs in 32-bit floats by
 default; gradient checking switches the whole graph to 64-bit via
 ``precision("float64")``.
 
-Every forward and backward value is checked for NaN/Inf and raises
-``FloatingPointError`` on the first non-finite entry.
+Every forward and backward value a node holds is checked for NaN/Inf and
+raises ``FloatingPointError`` on the first non-finite entry. Values
+computed off the graph are checked where they are made: the long-range
+attention ranking (``scoring.long_range_feature``) scores every window
+word with numpy and checks that score matrix once, so an overflow in a
+word it then drops still raises.
 """
 
 from __future__ import annotations

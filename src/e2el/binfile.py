@@ -50,8 +50,10 @@ class Reader:
             self.buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         self.path, self.pos, self.size = path, len(magic), len(self.buf)
 
-    def error(self, what: str, field: str) -> ValueError:
-        return ValueError(f"{self.path}: {what} at byte {self.pos} reading {field}")
+    def error(self, what: str, field: str, at: int | None = None) -> ValueError:
+        """The error for `field`, at byte `at` or else at the read position."""
+        return ValueError(f"{self.path}: {what} at byte {self.pos if at is None else at} "
+                          f"reading {field}")
 
     def finish(self) -> None:
         """Reject trailing bytes, then unmap the file."""

@@ -11,7 +11,7 @@ Binary index cache: magic ``E2EA``, little-endian u32 s and max span
 length, u32 surface count, then per surface a u16-length-prefixed UTF-8
 surface, u32 entry count, and per entry a u16-length-prefixed entity id
 plus an f64 prior. The string, length and error rules are those of
-``binfile``.
+``binfile``. Both formats reject a prior outside (0, 1], nan included.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .corpus import Document
 
 INDEX_MAGIC = b"E2EA"
 INDEX_HEADER = struct.Struct("<III")
+MAX_PRIOR = 1.0 + 1e-6  # priors lie in (0, MAX_PRIOR]; the slack absorbs rounding
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def load_prior_index(path: str, s: int = 30, max_span_length: int = 6) -> AliasI
                 prior = float(cols[2])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: prior {cols[2]!r} is not a number") from None
-            if not 0.0 < prior <= 1.0 + 1e-6:
+            if not 0.0 < prior <= MAX_PRIOR:
                 raise ValueError(f"{path}:{lineno}: prior {prior} outside (0, 1]")
             raw.setdefault(surface, {})
             if cols[1] in raw[surface]:
@@ -152,11 +153,27 @@ def load_index(path: str) -> AliasIndex:
     entries: dict[str, list[CandidateEntry]] = {}
     for _ in range(n_surfaces):
         ((surface, n),) = reader.records(1, binfile.U32, "surface")
+        start = reader.pos
         entries[surface] = reader.records(n, binfile.F64, "candidate", CandidateEntry)
+        for entry in entries[surface]:
+            if not 0.0 < entry.prior <= MAX_PRIOR:  # also false for nan
+                raise _bad_prior(reader, surface, entries[surface], entry, start)
         if len(entries) % 1024 == 0:
             reader.release()
     reader.finish()
     return AliasIndex(entries, s=s, max_span_length=max_len)
+
+
+def _bad_prior(reader: binfile.Reader, surface: str, entries: list[CandidateEntry],
+               bad: CandidateEntry, start: int) -> ValueError:
+    """The error for entry `bad` of a surface whose records begin at `start`."""
+    at = start
+    for e in entries:
+        if e is bad:
+            break
+        at += 2 + len(e.entity_id.encode("utf-8")) + binfile.F64.size
+    return reader.error(f"prior {bad.prior} of {bad.entity_id!r} for surface {surface!r} "
+                        f"outside (0, 1]", "candidate", at)
 
 
 def load_any_index(path: str) -> AliasIndex:

@@ -15,6 +15,7 @@ error rules are those of ``binfile``. Both formats reject non-finite values.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -46,6 +47,13 @@ def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
             raise ValueError(f"{path}:1: header must be '<count> <dim>', got {header!r}") from None
         if count < 0 or dim <= 0:
             raise ValueError(f"{path}:1: bad count/dim {count}/{dim}")
+        # a row is at least a 1-byte key and dim 1-byte values, each followed
+        # by one separator byte (the last row may lack its newline)
+        need = 2 * (dim + 1) * count - 1
+        left = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+        if count and need > left:
+            raise ValueError(f"{path}:1: {count} rows of dim {dim} need at least {need} "
+                             f"bytes, the file has {left} after the header")
         matrix = np.zeros((count, dim), dtype=np.float32)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

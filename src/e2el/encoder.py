@@ -13,7 +13,7 @@ vectors and on the context bi-LSTM output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,21 @@ class EncodedDocument:
     doc_id: str
     v: list[ad.Tensor]
     x: list[ad.Tensor]
+    _scaled: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                          repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.v)
+
+    def scaled_context(self, a: np.ndarray) -> np.ndarray:
+        """The context vectors as one (n × d) array, each row scaled by `a`.
+
+        Built once per document and kept for the last `a` seen, compared by
+        value, so an in-place update of `a` builds it afresh.
+        """
+        if self._scaled is None or not np.array_equal(self._scaled[0], a):
+            self._scaled = (a.copy(), np.stack([x.data for x in self.x]) * a)
+        return self._scaled[1]
 
 
 def _run_lstm(inputs: list[ad.Tensor], weights: ad.LstmWeights,

@@ -2,10 +2,13 @@
 
 The local score is an affine combination of the candidate's log prior and
 its dot product with the mention representation (plus, when enabled, a
-long-range context attention feature). The global layer sums the entity
-vectors of confident candidates from *other* mentions of the document and
-rescores each pair by cosine similarity against that vote, combined with
-the local score through a second affine layer.
+long-range context attention feature). The attention ranks the words of
+its window off the graph, with one matrix product per span, and builds
+graph nodes only for the words it keeps; the hard selection leaves the
+dropped words without a gradient in any case. The global layer sums the
+entity vectors of confident candidates from *other* mentions of the
+document and rescores each pair by cosine similarity against that vote,
+combined with the local score through a second affine layer.
 """
 
 from __future__ import annotations
@@ -112,8 +115,16 @@ def long_range_feature(span: MentionSpan, enc: EncodedDocument,
     """One context-attention feature per candidate.
 
     Context words score u(w) = max_e <y_e, A . x_w> with a diagonal A; the
-    top `keep` words are hard-selected, softmaxed into weights, and summed
-    into a context embedding c; each candidate's feature is <y_e, B . c>.
+    top `keep` words are hard-selected (higher score first, then lower
+    position), softmaxed into weights, and summed into a context embedding
+    c; each candidate's feature is <y_e, B . c>.
+
+    The ranking runs off the graph, as one (window × d)·(d × candidates)
+    product over the document's A-scaled context vectors, checked once for
+    non-finite scores, so an overflow raises even in a word that is then
+    dropped. Only the kept words are rebuilt as graph nodes; the hard
+    selection cuts the other words off from the loss, so building them
+    would add nodes but no gradient.
     """
     if not 1 <= keep <= window:
         raise ValueError(f"need window >= keep >= 1, got window={window} keep={keep}")
@@ -123,15 +134,20 @@ def long_range_feature(span: MentionSpan, enc: EncodedDocument,
     if not positions:
         zero = ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
         return [zero for _ in entity_vectors]
+    # einsum, not BLAS: a BLAS product may round two equal rows differently,
+    # and equal words must tie exactly for the tie rule to hold
+    word_scores = np.einsum("wd,cd->wc", enc.scaled_context(params.att_a.data)[positions],
+                            np.stack([y.data for y in entity_vectors]))
+    if not np.all(np.isfinite(word_scores)):
+        raise FloatingPointError("non-finite values in attention word scores")
+    u = word_scores.max(axis=1)
+    kept = [positions[i] for i in np.sort(np.argsort(-u, kind="stable")[:keep])]
     scores = []
-    for k in positions:
+    for k in kept:
         ax = ad.mul(params.att_a, enc.x[k])
         scores.append(ad.max1d(ad.stack([ad.dot(y, ax) for y in entity_vectors])))
-    # hard attention: keep the top-scoring words, ties by position
-    ranked = sorted(range(len(positions)), key=lambda i: (-float(scores[i].data), positions[i]))
-    kept = sorted(ranked[:keep])
-    beta = ad.softmax(ad.stack([scores[i] for i in kept]))
-    c = ad.weighted_sum([enc.x[positions[i]] for i in kept], beta)
+    beta = ad.softmax(ad.stack(scores))
+    c = ad.weighted_sum([enc.x[k] for k in kept], beta)
     bc = ad.mul(params.att_b, c)
     return [ad.dot(y, bc) for y in entity_vectors]
 

@@ -195,6 +195,27 @@ class TestIndexPersistence:
         with pytest.raises(ValueError, match="outside"):
             cand.load_prior_index(str(p))
 
+    @pytest.mark.parametrize("prior", [float("nan"), -0.5, 0.0, 1.5])
+    def test_binary_prior_out_of_range(self, tmp_path, prior):
+        # magic 4 + header 12, surface record 2 + 5 + 4, first candidate 2 + 1 + 8
+        index = cand.AliasIndex({"Paris": [cand.CandidateEntry("A", 0.5),
+                                           cand.CandidateEntry("B", prior)]})
+        out = str(tmp_path / "index.bin")
+        cand.save_index(index, out)
+        with pytest.raises(ValueError) as err:
+            cand.load_index(out)
+        msg = str(err.value)
+        assert msg.startswith(f"{out}: prior ") and "outside (0, 1]" in msg
+        assert "'Paris'" in msg and "'B'" in msg
+        assert msg.endswith("at byte 38 reading candidate")
+
+    def test_binary_prior_bounds_inclusive(self, tmp_path):
+        index = cand.AliasIndex({"a": [cand.CandidateEntry("A", 1.0 + 1e-6)],
+                                 "b": [cand.CandidateEntry("B", 1e-300)]})
+        out = str(tmp_path / "index.bin")
+        cand.save_index(index, out)
+        assert cand.load_index(out).entries == index.entries
+
 
 class TestCandidateRecall:
     def test_hand_countable_fixture(self, tmp_path):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import helpers
-from e2el import cli
+from e2el import candidates, cli
 from e2el.corpus import write_corpus_jsonl, Document
 from e2el.inference import Annotation, read_annotations, write_annotations
 
@@ -74,6 +74,32 @@ class TestPipeline:
         assert rc == 1
         err = capfd.readouterr().err
         assert paths["checkpoint"] in err and "'phi.w'" in err
+
+    def test_annotate_bad_index_prior(self, pipeline, tmp_path, capfd):
+        paths, _ = pipeline
+        bad = str(tmp_path / "bad-index.bin")
+        index = candidates.load_index(paths["index"])
+        surface = sorted(index.entries)[0]
+        index.entries[surface][0] = candidates.CandidateEntry("E", float("nan"))
+        candidates.save_index(index, bad)
+        capfd.readouterr()
+        rc = cli.run_command(["annotate", "--config", paths["config"],
+                              "--in", paths["corpus"], "--out", str(tmp_path / "a.jsonl"),
+                              "--set", f"paths.candidate_index={bad}"])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert bad in err and "prior nan" in err
+
+    def test_annotate_vector_count_beyond_file_size(self, pipeline, tmp_path, capfd):
+        paths, _ = pipeline
+        bad = tmp_path / "words.txt"
+        bad.write_text("1000000000000 16\nw" + " 0.5" * 16 + "\n", encoding="utf-8")
+        capfd.readouterr()
+        rc = cli.run_command(["annotate", "--config", paths["config"],
+                              "--in", paths["corpus"], "--out", str(tmp_path / "a.jsonl"),
+                              "--set", f"paths.word_embeddings={bad}"])
+        assert rc == 1
+        assert f"{bad}:1:" in capfd.readouterr().err
 
     def test_annotate_ed_task(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline

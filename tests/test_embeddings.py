@@ -43,6 +43,21 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="declared 3"):
             emb.load_text_embeddings(path)
 
+    def test_declared_count_beyond_file_size(self, tmp_path):
+        # 10^12 rows of dim 4 would be a 14.6 TiB matrix; each row needs >= 10 bytes
+        path = write_text(tmp_path, ["1000000000000 4", "a 1 2 3 4"])
+        with pytest.raises(ValueError, match=r"vecs\.txt:1: .*1000000000000 rows"):
+            emb.load_text_embeddings(path)
+
+    def test_declared_count_at_minimal_row_size(self, tmp_path):
+        # "k 1 2\n" is 2 * (dim + 1) bytes, so three such rows fit exactly
+        path = write_text(tmp_path, ["3 2", "a 1 2", "b 3 4", "c 5 6"])
+        vocab, matrix = emb.load_text_embeddings(path)
+        assert matrix.tolist() == [[1, 2], [3, 4], [5, 6]]
+        path = write_text(tmp_path, ["4 2", "a 1 2", "b 3 4", "c 5 6"], name="short.txt")
+        with pytest.raises(ValueError, match=r"short\.txt:1: .*4 rows"):
+            emb.load_text_embeddings(path)
+
     def test_large_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         n, d = 10_000, 8

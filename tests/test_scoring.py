@@ -158,6 +158,161 @@ class TestLongRangeFeature:
                                        params=att_params(1))
 
 
+def per_word_long_range_feature(sp, enc, entity_vectors, window, keep, params):
+    """Every window word as graph nodes, ranked from the node values; the
+    reference the off-graph ranking of `long_range_feature` must match."""
+    positions = scoring.context_window(sp, len(enc), window)
+    if not positions:
+        zero = ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
+        return [zero for _ in entity_vectors]
+    scores = []
+    for k in positions:
+        ax = ad.mul(params.att_a, enc.x[k])
+        scores.append(ad.max1d(ad.stack([ad.dot(y, ax) for y in entity_vectors])))
+    ranked = sorted(range(len(positions)), key=lambda i: (-float(scores[i].data), positions[i]))
+    kept = sorted(ranked[:keep])
+    beta = ad.softmax(ad.stack([scores[i] for i in kept]))
+    c = ad.weighted_sum([enc.x[positions[i]] for i in kept], beta)
+    bc = ad.mul(params.att_b, c)
+    return [ad.dot(y, bc) for y in entity_vectors]
+
+
+def reachable(roots):
+    """Ids of the nodes reachable from `roots` through parent links."""
+    seen = {id(r) for r in roots}
+    todo = list(roots)
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return seen
+
+
+def attention_case(rng, dtype):
+    """A random document, span, window and candidate set with trainable
+    inputs; half the cases draw words from a pool of three vectors so that
+    scores tie."""
+    n = int(rng.integers(2, 40))
+    dim = int(rng.choice([1, 3, 8]))
+    start = int(rng.integers(0, n))
+    end = min(n - 1, start + int(rng.integers(0, 3)))
+    if end - start + 1 == n:  # keep at least one context word
+        end = start
+    window = int(rng.integers(2, 60))
+    keep = int(rng.integers(1, window + 1))
+    if rng.random() < 0.5:
+        pool = rng.standard_normal((3, dim))
+        xs = pool[rng.integers(0, 3, size=n)]
+    else:
+        xs = rng.standard_normal((n, dim))
+    n_cands = int(rng.integers(1, 11))
+    ys = rng.standard_normal((n_cands, dim))
+    x = [ad.parameter(r.astype(dtype)) for r in xs]
+    enc = EncodedDocument(doc_id="d", v=x, x=x)
+    params = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0),
+                                  use_attention=True)
+    params.att_a = ad.parameter(rng.standard_normal(dim).astype(dtype))
+    params.att_b = ad.parameter(rng.standard_normal(dim).astype(dtype))
+    y = [ad.parameter(r.astype(dtype)) for r in ys]
+    return span(start, end), enc, y, window, keep, params
+
+
+class TestLongRangeOracle:
+    """The off-graph ranking against the per-word graph it replaced."""
+
+    @staticmethod
+    def run(fn, case, weights):
+        sp, enc, y, window, keep, params = case
+        for t in [params.att_a, params.att_b, *enc.x, *y]:
+            t.grad = None
+        feats = fn(sp, enc, y, window, keep, params)
+        kept = sorted(k for k, xk in enumerate(enc.x) if id(xk) in reachable(feats))
+        ad.backward(ad.dot(ad.constant(weights), ad.stack(feats)))
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                 for t in [params.att_a, params.att_b, *enc.x, *y]]
+        return kept, np.array([f.item() for f in feats]), grads
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_random_cases_agree(self, precision):
+        rng = np.random.default_rng(11)
+        clipped_left = clipped_right = all_kept = 0
+        with ad.precision(precision):
+            dtype = ad.default_dtype()
+            for _ in range(150):
+                case = attention_case(rng, dtype)
+                sp, enc, y, window, keep, _ = case
+                positions = scoring.context_window(sp, len(enc), window)
+                clipped_left += sp.start - window // 2 < 0
+                clipped_right += sp.end + window // 2 > len(enc) - 1
+                all_kept += keep >= len(positions)
+                weights = rng.standard_normal(len(y)).astype(dtype)
+                kept, feats, grads = self.run(scoring.long_range_feature, case, weights)
+                kept_ref, feats_ref, grads_ref = self.run(per_word_long_range_feature,
+                                                          case, weights)
+                assert kept == kept_ref
+                assert len(kept) == min(keep, len(positions))
+                np.testing.assert_allclose(feats, feats_ref, rtol=1e-6, atol=0)
+                if precision == "float64":
+                    for g, g_ref in zip(grads, grads_ref):
+                        np.testing.assert_allclose(g, g_ref, rtol=1e-6, atol=0)
+        assert min(clipped_left, clipped_right, all_kept) >= 10
+
+    def test_tied_scores_keep_lower_positions(self):
+        # six identical words around the span: the two kept are the first two
+        x = [ad.parameter(np.array([1.0, 0.0])) for _ in range(7)]
+        enc = EncodedDocument(doc_id="d", v=x, x=x)
+        feats = scoring.long_range_feature(span(3, 3), enc, [vec(1.0, 0.0)], window=8,
+                                           keep=2, params=att_params(2))
+        assert [k for k, xk in enumerate(x) if id(xk) in reachable(feats)] == [0, 1]
+
+    @pytest.mark.parametrize("n_cands", [1, 2])
+    def test_overflow_in_dropped_word_raises(self, n_cands):
+        # word 4 scores -inf against the first candidate; with keep=1 it would
+        # be dropped, and the second candidate leaves its row maximum finite
+        xs = [[1.0, 1.0], [0.5, 0.5], [0.2, 0.1], [1.0, 0.3], [-1e30, -1e30]]
+        ys = [vec(1e9, 1e9), vec(1.0, 1.0)][:n_cands]
+        with pytest.raises(FloatingPointError, match="attention word scores"):
+            scoring.long_range_feature(span(0, 0), enc_from(xs), ys, window=10, keep=1,
+                                       params=att_params(2))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            per_word_long_range_feature(span(0, 0), enc_from(xs), ys, window=10, keep=1,
+                                        params=att_params(2))
+
+    def test_graph_size_does_not_grow_with_window(self, monkeypatch):
+        # both the nodes built by one call and those reachable from its
+        # features; per-word nodes would make the first grow tenfold
+        rng = np.random.default_rng(5)
+        x = [ad.parameter(r) for r in rng.standard_normal((300, 8))]
+        enc = EncodedDocument(doc_id="d", v=x, x=x)
+        y = [ad.parameter(r) for r in rng.standard_normal((9, 8))]
+        params = att_params(8)
+        params.att_a = ad.parameter(np.ones(8))
+        params.att_b = ad.parameter(np.ones(8))
+        built = [0]
+        init = ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        sizes = []
+        for window in (20, 200):
+            built[0] = 0
+            feats = scoring.long_range_feature(span(150, 151), enc, y, window=window,
+                                               keep=10, params=params)
+            sizes.append((built[0], len(reachable(feats))))
+        assert sizes[0] == sizes[1]
+
+    def test_scaled_context_follows_in_place_updates(self):
+        enc = enc_from([[1.0, 2.0], [3.0, 4.0]])
+        a = np.array([1.0, 1.0], dtype=np.float32)
+        assert np.array_equal(enc.scaled_context(a), [[1.0, 2.0], [3.0, 4.0]])
+        a[1] = 2.0
+        assert np.array_equal(enc.scaled_context(a), [[1.0, 4.0], [3.0, 8.0]])
+
+
 class TestFilterVoters:
     def make_pairs(self, psis):
         return [scoring.ScoredPair(span(i, i), f"E{i}", 1.0, psi)
