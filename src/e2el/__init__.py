@@ -3,7 +3,7 @@
 Pipeline: build an alias index from count files, train the neural scorer
 on annotated documents, tune the decode threshold on validation data,
 annotate new text, and score the annotations with strong or weak matching
-F1. See the README for the command-line entry points.
+F1. ``e2el --help`` and the `cli` module docstring list the entry points.
 """
 
 from .candidates import AliasIndex, CandidateEntry, MentionSpan, build_index, \

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import binfile
-from .corpus import Document
+from .corpus import Document, text_lines
 
 INDEX_MAGIC = b"E2EA"
 INDEX_HEADER = struct.Struct("<III")
@@ -78,25 +78,24 @@ def build_index(count_files: Sequence[str], s: int = 30,
     """Sum counts across files per (surface, entity) and derive priors."""
     counts: dict[str, dict[str, int]] = {}
     for path in count_files:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                cols = line.rstrip("\n").split("\t")
-                if len(cols) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                surface = normalize_surface(cols[0])
-                if not surface:
-                    raise ValueError(f"{path}:{lineno}: empty surface")
-                try:
-                    count = int(cols[2])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: count {cols[2]!r} is not an integer") \
-                        from None
-                if count <= 0:
-                    raise ValueError(f"{path}:{lineno}: count must be positive, got {count}")
-                counts.setdefault(surface, {})
-                counts[surface][cols[1]] = counts[surface].get(cols[1], 0) + count
+        for lineno, line in text_lines(path):
+            if not line.strip():
+                continue
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            surface = normalize_surface(cols[0])
+            if not surface:
+                raise ValueError(f"{path}:{lineno}: empty surface")
+            try:
+                count = int(cols[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: count {cols[2]!r} is not an integer") \
+                    from None
+            if count <= 0:
+                raise ValueError(f"{path}:{lineno}: count must be positive, got {count}")
+            counts.setdefault(surface, {})
+            counts[surface][cols[1]] = counts[surface].get(cols[1], 0) + count
     entries: dict[str, list[CandidateEntry]] = {}
     for surface, by_entity in counts.items():
         total = float(sum(by_entity.values()))
@@ -110,25 +109,24 @@ def build_index(count_files: Sequence[str], s: int = 30,
 def load_prior_index(path: str, s: int = 30, max_span_length: int = 6) -> AliasIndex:
     """Load a prebuilt ``surface<TAB>entity_id<TAB>prior`` file."""
     raw: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            surface = normalize_surface(cols[0])
-            try:
-                prior = float(cols[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: prior {cols[2]!r} is not a number") from None
-            if not 0.0 < prior <= MAX_PRIOR:
-                raise ValueError(f"{path}:{lineno}: prior {prior} outside (0, 1]")
-            raw.setdefault(surface, {})
-            if cols[1] in raw[surface]:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for "
-                                 f"({surface!r}, {cols[1]!r})")
-            raw[surface][cols[1]] = prior
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        surface = normalize_surface(cols[0])
+        try:
+            prior = float(cols[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: prior {cols[2]!r} is not a number") from None
+        if not 0.0 < prior <= MAX_PRIOR:
+            raise ValueError(f"{path}:{lineno}: prior {prior} outside (0, 1]")
+        raw.setdefault(surface, {})
+        if cols[1] in raw[surface]:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for "
+                             f"({surface!r}, {cols[1]!r})")
+        raw[surface][cols[1]] = prior
     entries = {
         surface: sorted((CandidateEntry(e, p) for e, p in by_entity.items()),
                         key=lambda c: (-c.prior, c.entity_id))[:s]

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import candidates, inference, scoring, training
 from .config import RunConfig
-from .corpus import Document, parse_conll_aida, parse_corpus_jsonl
+from .corpus import Document, parse_conll_aida, parse_corpus_jsonl, text_lines
 from .embeddings import CharTable, EntityVectors, WordVectors
 from .encoder import EncoderDims
 from .model import LinkingModel
@@ -32,33 +32,16 @@ log = logging.getLogger("e2el")
 def load_corpus(path: str) -> list[Document]:
     """JSON-lines by default; token-per-line files are detected by their
     -DOCSTART- header."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-        else:
-            return []
+    first = next((line for _, line in text_lines(path) if line.strip()), None)
+    if first is None:
+        return []
     if first.startswith("-DOCSTART-"):
         return parse_conll_aida(path)
     return parse_corpus_jsonl(path)
 
 
-def dims_from_config(cfg: RunConfig) -> EncoderDims:
-    return EncoderDims(
-        word_dim=cfg["dims.word"], char_dim=cfg["dims.char"],
-        char_hidden=cfg["dims.char_hidden"], ctx_hidden=cfg["dims.ctx_hidden"],
-        entity_dim=cfg["dims.entity"], soft_head_space=cfg["encoder.soft_head_space"],
-        dropout_keep=cfg["encoder.dropout_keep"], max_tokens=cfg["encoder.max_tokens"])
-
-
 def train_config_from(cfg: RunConfig) -> training.TrainConfig:
-    return training.TrainConfig(
-        gamma=cfg["train.gamma"], learning_rate=cfg["train.learning_rate"],
-        regime=cfg["train.regime"], use_global=cfg["model.use_global"],
-        eval_every=cfg["train.eval_every"], patience=cfg["train.patience"], seed=cfg["seed"],
-        improvement=cfg["train.improvement"], max_steps=cfg["train.max_steps"],
-        use_coref=cfg["coref.enabled"])
+    return cfg.build(training.TrainConfig)
 
 
 def build_model(cfg: RunConfig, chars: CharTable) -> LinkingModel:
@@ -66,12 +49,10 @@ def build_model(cfg: RunConfig, chars: CharTable) -> LinkingModel:
     entities = EntityVectors.from_file(cfg.require("paths.entity_embeddings"),
                                        frozen=cfg["entities.frozen"])
     return LinkingModel(
-        dims=dims_from_config(cfg), words=words, chars=chars, entities=entities,
+        dims=cfg.build(EncoderDims), words=words, chars=chars, entities=entities,
         seed=cfg["seed"], use_attention=cfg["model.use_attention"],
         use_global=cfg["model.use_global"], attention_window=cfg["attention.window"],
-        attention_keep=cfg["attention.keep"],
-        global_cfg=scoring.GlobalConfig(gamma_prime=cfg["global.gamma_prime"],
-                                        voter_dedup=cfg["global.voter_dedup"]))
+        attention_keep=cfg["attention.keep"], global_cfg=cfg.build(scoring.GlobalConfig))
 
 
 def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, float]:
@@ -90,13 +71,6 @@ def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, floa
         raise ValueError(f"{path}: {exc}") from None
     delta = float(state["meta.delta"]) if "meta.delta" in state else float("-inf")
     return model, delta
-
-
-def spans_for_doc(doc: Document, index: candidates.AliasIndex, cfg: RunConfig):
-    spans = candidates.enumerate_spans(doc, index)
-    if cfg["coref.enabled"]:
-        spans = candidates.apply_coreference_heuristic(spans, doc)
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +141,9 @@ def cmd_annotate(args) -> int:
             spans = candidates.spans_for_gold(doc, index)
             annotations.extend(inference.decode_ed(model, doc, spans))
     else:
+        coref = cfg["coref.enabled"]
         pairs = [p for doc in docs
-                 for p in model.score_pairs(doc, spans_for_doc(doc, index, cfg))]
+                 for p in model.score_pairs(doc, training.el_spans(doc, index, coref))]
         annotations = inference.greedy_decode(pairs, delta)
     inference.write_annotations(annotations, args.out)
     print(json.dumps({"documents": len(docs), "annotations": len(annotations),
@@ -190,9 +165,9 @@ def cmd_select_threshold(args) -> int:
     model, _ = model_from_checkpoint(cfg, cfg.require("paths.checkpoint"))
     index = candidates.load_any_index(cfg.require("paths.candidate_index"))
     docs = load_corpus(args.dev)
-    pairs = []
-    for doc in docs:
-        pairs.extend(model.score_pairs(doc, spans_for_doc(doc, index, cfg)))
+    coref = cfg["coref.enabled"]
+    pairs = [p for doc in docs
+             for p in model.score_pairs(doc, training.el_spans(doc, index, coref))]
     gold = {doc.doc_id: list(doc.gold) for doc in docs}
     delta = inference.select_threshold(pairs, gold, mode=args.mode)
     report = inference.evaluate(inference.greedy_decode(pairs, delta), gold, mode=args.mode)
@@ -236,7 +211,7 @@ def _toy_check_setup(seed: int, entity_dim: int = 8):
     index = candidates.AliasIndex(entries, s=30, max_span_length=3)
     doc = Document("toy", ["sa", "pad", "sb", "sc"],
                    gold=[(0, 0, "E0"), (2, 2, "E2")])
-    tcfg = training.TrainConfig(gamma=0.2, use_global=True)
+    tcfg = training.TrainConfig(gamma=0.2)
     spans = training.spans_for_regime(doc, index, tcfg)
     return model, doc, spans, tcfg
 

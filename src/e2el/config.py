@@ -1,13 +1,48 @@
-"""Run configuration: one JSON file of flat dotted keys plus CLI overrides."""
+"""Run configuration: one JSON file of flat dotted keys plus CLI overrides.
+
+`OWNED` maps 19 keys to a field of `TrainConfig`, `EncoderDims` or
+`GlobalConfig`, which owns the key's default, type and (in ``__post_init__``)
+range. Every other key has a literal default in `DEFAULTS` and its type (a
+null default takes a string). Values are type-checked when set, and `load`
+builds every owner, so a bad value fails before any input file is read.
+"""
 
 from __future__ import annotations
 
 import json
 import os
+import typing
 from typing import Any
 
+from .encoder import EncoderDims
+from .scoring import GlobalConfig
+from .training import TrainConfig
+
+# dotted key -> (owning dataclass, field)
+OWNED: dict[str, tuple[type, str]] = {
+    "seed": (TrainConfig, "seed"),
+    "dims.word": (EncoderDims, "word_dim"),
+    "dims.char": (EncoderDims, "char_dim"),
+    "dims.char_hidden": (EncoderDims, "char_hidden"),
+    "dims.ctx_hidden": (EncoderDims, "ctx_hidden"),
+    "dims.entity": (EncoderDims, "entity_dim"),
+    "encoder.soft_head_space": (EncoderDims, "soft_head_space"),
+    "encoder.dropout_keep": (EncoderDims, "dropout_keep"),
+    "encoder.max_tokens": (EncoderDims, "max_tokens"),
+    "train.gamma": (TrainConfig, "gamma"),
+    "train.learning_rate": (TrainConfig, "learning_rate"),
+    "train.regime": (TrainConfig, "regime"),
+    "train.eval_every": (TrainConfig, "eval_every"),
+    "train.patience": (TrainConfig, "patience"),
+    "train.improvement": (TrainConfig, "improvement"),
+    "train.max_steps": (TrainConfig, "max_steps"),
+    "global.gamma_prime": (GlobalConfig, "gamma_prime"),
+    "global.voter_dedup": (GlobalConfig, "voter_dedup"),
+    "coref.enabled": (TrainConfig, "use_coref"),
+}
+OWNERS = tuple(dict.fromkeys(owner for owner, _ in OWNED.values()))
+
 DEFAULTS: dict[str, Any] = {
-    "seed": 0,
     "paths.word_embeddings": None,
     "paths.entity_embeddings": None,
     "paths.candidate_index": None,
@@ -15,29 +50,12 @@ DEFAULTS: dict[str, Any] = {
     "paths.dev_corpus": None,
     "paths.checkpoint": None,
     "paths.train_log": None,
-    "dims.word": 300,
-    "dims.char": 50,
-    "dims.char_hidden": 50,
-    "dims.ctx_hidden": 150,
-    "dims.entity": 300,
-    "encoder.soft_head_space": "v",
-    "encoder.dropout_keep": 0.5,
-    "encoder.max_tokens": None,
-    "train.gamma": 0.2,
-    "train.learning_rate": 0.001,
-    "train.regime": "all_spans",
-    "train.eval_every": 500,
-    "train.patience": 6,
-    "train.improvement": 1e-4,
-    "train.max_steps": None,
     "model.use_attention": False,
     "model.use_global": False,
     "attention.window": 200,
     "attention.keep": 10,
-    "global.gamma_prime": 0.0,
-    "global.voter_dedup": False,
-    "coref.enabled": True,
     "entities.frozen": True,
+    **{key: getattr(owner(), name) for key, (owner, name) in OWNED.items()},
 }
 
 # inputs whose existence is checked as soon as the config names them
@@ -45,27 +63,64 @@ INPUT_PATH_KEYS = ("paths.word_embeddings", "paths.entity_embeddings",
                    "paths.candidate_index", "paths.train_corpus", "paths.dev_corpus")
 
 
+def _kind(key: str) -> tuple[type, bool]:
+    """(value type, whether null is allowed) of a key."""
+    if key not in OWNED:
+        default = DEFAULTS[key]
+        return (str, True) if default is None else (type(default), False)
+    hint = typing.get_type_hints(OWNED[key][0])[OWNED[key][1]]
+    if type(None) in typing.get_args(hint):  # T | None
+        return typing.get_args(hint)[0], True
+    return hint, False
+
+
+_KINDS: dict[str, tuple[type, bool]] = {key: _kind(key) for key in DEFAULTS}
+_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_value(key: str, value: Any) -> None:
+    kind, nullable = _KINDS[key]
+    if value is None:
+        ok = nullable
+    elif isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        expected = _NAMES[kind] + (" or null" if nullable else "")
+        raise ValueError(f"config key {key!r} takes {expected}, got {value!r}")
+
+
 class RunConfig:
     def __init__(self, values: dict[str, Any] | None = None):
-        unknown = sorted(set(values or ()) - set(DEFAULTS))
+        values = values or {}
+        unknown = sorted(set(values) - set(DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        self.values = dict(DEFAULTS)
-        self.values.update(values or {})
+        for key, value in values.items():
+            _check_value(key, value)
+        self.values = {**DEFAULTS, **values}
 
     @classmethod
     def load(cls, path: str, overrides: list[str] | None = None) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not valid UTF-8: {exc}") from None
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ValueError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object of dotted keys")
-        cfg = cls(raw)
-        for item in overrides or ():
-            cfg.apply_override(item)
-        cfg.validate_paths()
+        try:
+            cfg = cls(raw)
+            for item in overrides or ():
+                cfg.apply_override(item)
+            for owner in OWNERS:
+                cfg.build(owner)
+            cfg.validate_paths()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cfg
 
     def apply_override(self, item: str) -> None:
@@ -79,7 +134,13 @@ class RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        _check_value(key, value)
         self.values[key] = value
+
+    def build(self, owner: type):
+        """The `owner` dataclass built from the keys it owns."""
+        return owner(**{name: self.values[key] for key, (cls, name) in OWNED.items()
+                        if cls is owner})
 
     def validate_paths(self) -> None:
         for key in INPUT_PATH_KEYS:

@@ -36,6 +36,17 @@ class EncoderDims:
     dropout_keep: float = 0.5
     max_tokens: int | None = None
 
+    def __post_init__(self):
+        for name in ("word_dim", "char_dim", "char_hidden", "ctx_hidden", "entity_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.soft_head_space not in ("v", "x"):
+            raise ValueError(f"soft_head_space must be 'v' or 'x', got {self.soft_head_space!r}")
+        if not 0 < self.dropout_keep <= 1:
+            raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be null or at least 1, got {self.max_tokens}")
+
     @property
     def v_dim(self) -> int:
         return self.word_dim + 2 * self.char_hidden
@@ -62,8 +73,6 @@ class EncoderParams:
 
 
 def init_encoder_params(dims: EncoderDims, rng: np.random.Generator) -> EncoderParams:
-    if dims.soft_head_space not in ("v", "x"):
-        raise ValueError(f"soft_head_space must be 'v' or 'x', got {dims.soft_head_space!r}")
     return EncoderParams(
         char_fwd=ad.init_lstm(dims.char_dim, dims.char_hidden, rng),
         char_bwd=ad.init_lstm(dims.char_dim, dims.char_hidden, rng),
@@ -151,7 +160,7 @@ def encode_document(doc: Document, words: WordVectors, chars: CharTable,
 
 
 def soft_head(span: MentionSpan, enc: EncodedDocument, params: EncoderParams,
-              dims: EncoderDims | None = None) -> ad.Tensor:
+              dims: EncoderDims) -> ad.Tensor:
     """Attention-weighted sum over the span: logits from context vectors,
     values from the word-character vectors (or context vectors when
     configured)."""
@@ -160,13 +169,12 @@ def soft_head(span: MentionSpan, enc: EncodedDocument, params: EncoderParams,
     ks = range(span.start, span.end + 1)
     logits = ad.stack([ad.dot(params.attn_w, enc.x[k]) for k in ks])
     weights = ad.softmax(logits)
-    space = dims.soft_head_space if dims is not None else "v"
-    values = enc.v if space == "v" else enc.x
+    values = enc.v if dims.soft_head_space == "v" else enc.x
     return ad.weighted_sum([values[k] for k in ks], weights)
 
 
 def mention_repr(span: MentionSpan, enc: EncodedDocument, params: EncoderParams,
-                 dims: EncoderDims | None = None) -> ad.Tensor:
+                 dims: EncoderDims) -> ad.Tensor:
     """Project [x_start; x_end; soft head] down to entity-embedding size."""
     head = soft_head(span, enc, params, dims)
     g = ad.concat([enc.x[span.start], enc.x[span.end], head])

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import text_lines
 from .scoring import ScoredPair
 
 
@@ -230,16 +231,18 @@ def write_annotations(annotations: Iterable[Annotation], path: str) -> None:
 
 def read_annotations(path: str) -> list[Annotation]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(Annotation(doc_id=rec["doc_id"], start=int(rec["start"]),
-                                      end=int(rec["end"]), entity_id=rec["entity"],
-                                      score=float("-inf") if rec.get("score") is None
-                                      else float(rec["score"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad annotation record: {exc}") from None
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            for key in ("start", "end"):
+                if type(rec[key]) is not int:
+                    raise ValueError(f"{key} {rec[key]!r} is not an integer")
+            out.append(Annotation(doc_id=rec["doc_id"], start=rec["start"],
+                                  end=rec["end"], entity_id=rec["entity"],
+                                  score=float("-inf") if rec.get("score") is None
+                                  else float(rec["score"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad annotation record: {exc}") from None
     return out

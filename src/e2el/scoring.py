@@ -37,7 +37,7 @@ class GlobalConfig:
 
 @dataclass
 class ScorerParams:
-    """Affine scorer weights; feature arity follows `use_attention`."""
+    """Affine scorer weights; three local-score features mean attention is on."""
 
     psi_w: ad.Tensor  # 2 features, or 3 with the attention feature
     psi_b: ad.Tensor
@@ -45,7 +45,6 @@ class ScorerParams:
     phi_b: ad.Tensor | None = None
     att_a: ad.Tensor | None = None  # diagonal bilinear form scoring context words
     att_b: ad.Tensor | None = None  # diagonal bilinear form for the context feature
-    use_attention: bool = False
 
 
 def init_scorer_params(entity_dim: int, rng: np.random.Generator,
@@ -55,7 +54,6 @@ def init_scorer_params(entity_dim: int, rng: np.random.Generator,
     params = ScorerParams(
         psi_w=ad.parameter(ad.glorot(rng, (arity,))),
         psi_b=ad.parameter(np.zeros(())),
-        use_attention=use_attention,
     )
     if use_global:
         params.phi_w = ad.parameter(ad.glorot(rng, (2,)))
@@ -89,7 +87,7 @@ def local_score(x_m: ad.Tensor, entry: CandidateEntry, y: ad.Tensor,
         raise ValueError(f"candidate {entry.entity_id!r} has non-positive prior {entry.prior}")
     feats = [ad.constant(np.asarray(math.log(entry.prior), dtype=ad.default_dtype())),
              ad.dot(x_m, y)]
-    if params.use_attention:
+    if params.psi_w.shape == (3,):
         if ctx_feature is None:
             raise ValueError("attention enabled but no context feature given")
         feats.append(ctx_feature)

@@ -44,7 +44,6 @@ class TrainConfig:
     gamma: float = 0.2
     learning_rate: float = 0.001
     regime: str = "all_spans"  # or "gold_spans"
-    use_global: bool = False
     eval_every: int = 500
     patience: int = 6
     seed: int = 0
@@ -53,10 +52,16 @@ class TrainConfig:
     use_coref: bool = True
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be at least 1, got {self.eval_every}")
         if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be null or at least 1, got {self.max_steps}")
         if self.regime not in ("all_spans", "gold_spans"):
             raise ValueError(f"unknown regime {self.regime!r}")
 
@@ -81,20 +86,25 @@ class LossResult:
         return self.loss.requires_grad
 
 
+def el_spans(doc: Document, index: AliasIndex, use_coref: bool) -> list[MentionSpan]:
+    """Every alias span of the document, coreference-resolved when `use_coref`."""
+    spans = enumerate_spans(doc, index)
+    if use_coref:
+        spans = apply_coreference_heuristic(spans, doc)
+    return spans
+
+
 def spans_for_regime(doc: Document, index: AliasIndex, cfg: TrainConfig) -> list[MentionSpan]:
     if cfg.regime == "gold_spans":
         return spans_for_gold(doc, index)
-    spans = enumerate_spans(doc, index)
-    if cfg.use_coref:
-        spans = apply_coreference_heuristic(spans, doc)
-    return spans
+    return el_spans(doc, index, cfg.use_coref)
 
 
 def document_loss(doc: Document, spans: Sequence[MentionSpan],
                   gold: Sequence[tuple[int, int, str]], model, cfg: TrainConfig,
                   rng: np.random.Generator | None = None,
                   mode: str = "train") -> LossResult:
-    """Sum of violations over every (span, candidate) pair of the document."""
+    """Sum of violations of every (span, candidate) pair's psi, and phi when it has one."""
     gold_set = {(s, e, ent) for s, e, ent in gold}
     covered = 0
     for s, e, ent in gold_set:
@@ -113,9 +123,7 @@ def document_loss(doc: Document, spans: Sequence[MentionSpan],
     for p in pairs:
         is_gold = (p.span.start, p.span.end, p.entity_id) in gold_set
         terms.append(violation(p.psi, is_gold, cfg.gamma))
-        if cfg.use_global:
-            if p.phi is None:
-                raise ValueError("global training requires phi scores")
+        if p.phi is not None:
             terms.append(violation(p.phi, is_gold, cfg.gamma))
     return LossResult(loss=ad.addn(terms), n_pairs=len(pairs),
                       gold_pairs=len(gold_set), gold_covered=covered)

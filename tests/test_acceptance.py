@@ -150,7 +150,7 @@ def test_c03_global_layer_efficacy():
         model = helpers.build_model(words, ents, corpus_tokens=corpus_tokens,
                                     seed=1, use_global=use_global)
         cfg = training.TrainConfig(seed=1, learning_rate=0.01, eval_every=150,
-                                   max_steps=900, use_global=use_global)
+                                   max_steps=900)
         result = training.train(train_docs, dev, model, index, cfg)
         pairs = []
         for doc in test:

@@ -101,6 +101,17 @@ class TestPipeline:
         assert rc == 1
         assert f"{bad}:1:" in capfd.readouterr().err
 
+    def test_annotate_el_under_gold_spans_regime(self, pipeline, tmp_path):
+        """EL annotation scores every alias span, whatever the training regime."""
+        paths, docs = pipeline
+        nogold = str(tmp_path / "nogold.jsonl")
+        write_corpus_jsonl([Document("plain", docs[0].tokens)], nogold)
+        out = str(tmp_path / "el.jsonl")
+        rc = cli.run_command(["annotate", "--config", paths["config"], "--in", nogold,
+                              "--out", out, "--set", "train.regime=gold_spans"])
+        assert rc == 0
+        assert read_annotations(out)
+
     def test_annotate_ed_task(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline
         out = str(tmp_path / "ed.jsonl")
@@ -149,6 +160,38 @@ class TestExitCodes:
         write_annotations([Annotation("other", 0, 0, "E", 1.0)], str(pred))
         rc = cli.run_command(["evaluate", "--pred", str(pred), "--gold", str(gold)])
         assert rc == 1
+
+
+@pytest.fixture
+def unreadable_inputs(tmp_path):
+    """A fixture config whose every input file is invalid JSON."""
+    paths, _ = helpers.write_pipeline_fixture(tmp_path, max_steps=2, eval_every=1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json\n", encoding="utf-8")
+    keys = ("paths.word_embeddings", "paths.entity_embeddings", "paths.candidate_index",
+            "paths.train_corpus", "paths.dev_corpus", "paths.checkpoint")
+    return paths["config"], str(bad), [f"{key}={bad}" for key in keys]
+
+
+class TestConfigErrorsBeforeInputs:
+    @pytest.mark.parametrize("override, reported", [
+        ("train.eval_every=0", "eval_every must be at least 1"),
+        ('train.gamma="abc"', "'train.gamma' takes a number"),
+        ("global.gamma_prime=null", "'global.gamma_prime' takes a number"),
+        ("train.max_steps=0", "max_steps must be null or at least 1"),
+        ('model.use_global="no"', "'model.use_global' takes true or false")])
+    @pytest.mark.parametrize("command", ["train", "annotate", "select-threshold"])
+    def test_exit_1_naming_the_setting(self, unreadable_inputs, capfd, command,
+                                       override, reported):
+        config, bad, sets = unreadable_inputs
+        argv = {"train": [], "annotate": ["--in", bad, "--out", bad + ".out"],
+                "select-threshold": ["--dev", bad]}[command]
+        for item in sets + [override]:
+            argv += ["--set", item]
+        rc = cli.run_command([command, "--config", config] + argv)
+        err = capfd.readouterr().err
+        assert rc == 1
+        assert reported in err and bad not in err
 
 
 class TestEvaluateCommand:

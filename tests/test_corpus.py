@@ -50,6 +50,20 @@ class TestJsonl:
         loaded = corpus.parse_corpus_jsonl(p)
         assert loaded == docs
 
+    def test_empty_token_names_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"doc_id":"d1","tokens":["a"]}\n{"doc_id":"d2","tokens":["x",""]}\n',
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{p}:2: token 1 is empty"):
+            corpus.parse_corpus_jsonl(str(p))
+
+    def test_bool_gold_offset_rejected(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"doc_id":"d","tokens":["a","b"],"gold":[[0,true,"E"]]}\n',
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=":1: gold entry"):
+            corpus.parse_corpus_jsonl(str(p))
+
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError, match="no tokens"):
             corpus.Document("d", [])
@@ -129,3 +143,15 @@ class TestConllImporter:
             encoding="utf-8")
         docs = corpus.parse_conll_aida(str(p))
         assert docs[0].gold == [(0, 0, "NYC"), (1, 1, "York")]
+
+    def test_duplicate_doc_id_names_line(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("-DOCSTART- (d1)\nEU\tB\tE1\n-DOCSTART- (d1)\nit\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{p}:3: duplicate doc_id 'd1'"):
+            corpus.parse_conll_aida(str(p))
+
+    def test_empty_token_names_line(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("-DOCSTART- (d)\nEU\tB\tE1\n\tO\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{p}:3: empty token"):
+            corpus.parse_conll_aida(str(p))

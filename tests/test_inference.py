@@ -298,3 +298,14 @@ class TestAnnotationIo:
         p.write_text('{"doc_id": "d"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
             inference.read_annotations(str(p))
+
+    @pytest.mark.parametrize("field, value", [("start", "1.7"), ("end", "true"),
+                                              ("start", '"1"'), ("end", "null")])
+    def test_non_integer_offset_rejected(self, tmp_path, field, value):
+        rec = {"doc_id": '"d"', "start": "0", "end": "1", "entity": '"E"', "score": "0.5"}
+        rec[field] = value
+        p = tmp_path / "ann.jsonl"
+        p.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=f":1: bad annotation record: {field}"):
+            inference.read_annotations(str(p))

@@ -22,8 +22,8 @@ def span(start=0, end=0, cands=(("E", 1.0),)):
                        candidates=[CandidateEntry(e, p) for e, p in cands])
 
 
-def scorer(w, b, use_attention=False):
-    return scoring.ScorerParams(psi_w=vec(*w), psi_b=scalar(b), use_attention=use_attention)
+def scorer(w, b):
+    return scoring.ScorerParams(psi_w=vec(*w), psi_b=scalar(b))
 
 
 class TestLocalScore:
@@ -56,12 +56,12 @@ class TestLocalScore:
         with pytest.raises(ValueError, match="context feature"):
             scoring.local_score(vec(1.0), CandidateEntry("E", 0.5), vec(1.0),
                                 scalar(0.3), params)
-        params3 = scorer((1.0, 1.0, 1.0), 0.0, use_attention=True)
+        params3 = scorer((1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="context feature"):
             scoring.local_score(vec(1.0), CandidateEntry("E", 0.5), vec(1.0), None, params3)
 
     def test_attention_feature_enters_affine(self):
-        params = scorer((0.0, 0.0, 2.0), 0.5, use_attention=True)
+        params = scorer((0.0, 0.0, 2.0), 0.5)
         out = scoring.local_score(vec(1.0), CandidateEntry("E", 0.5), vec(1.0),
                                   scalar(0.25), params)
         assert out.item() == pytest.approx(1.0)
@@ -74,8 +74,7 @@ def enc_from(xs, vs=None):
 
 
 def att_params(dim, a=None, b=None):
-    p = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0),
-                             use_attention=True)
+    p = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0))
     p.att_a = ad.constant(np.ones(dim) if a is None else np.asarray(a, dtype=np.float32))
     p.att_b = ad.constant(np.ones(dim) if b is None else np.asarray(b, dtype=np.float32))
     return p
@@ -210,8 +209,7 @@ def attention_case(rng, dtype):
     ys = rng.standard_normal((n_cands, dim))
     x = [ad.parameter(r.astype(dtype)) for r in xs]
     enc = EncodedDocument(doc_id="d", v=x, x=x)
-    params = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0),
-                                  use_attention=True)
+    params = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0))
     params.att_a = ad.parameter(rng.standard_normal(dim).astype(dtype))
     params.att_b = ad.parameter(rng.standard_normal(dim).astype(dtype))
     y = [ad.parameter(r.astype(dtype)) for r in ys]

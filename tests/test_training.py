@@ -221,7 +221,7 @@ class TestTrain:
 
     def test_global_training_runs(self):
         docs, index, model = build_toy(seed=10, use_global=True)
-        cfg = training.TrainConfig(seed=10, use_global=True, eval_every=30, max_steps=30)
+        cfg = training.TrainConfig(seed=10, eval_every=30, max_steps=30)
         result = training.train(docs, docs, model, index, cfg)
         assert result.steps == 30
 
