@@ -1,6 +1,6 @@
 """Run configuration: one JSON file of flat dotted keys plus CLI overrides.
 
-`OWNED` maps 19 keys to a field of `TrainConfig`, `EncoderDims` or
+`OWNED` maps 18 keys to a field of `TrainConfig`, `EncoderDims` or
 `GlobalConfig`, which owns the key's default, type and (in ``__post_init__``)
 range. Every other key has a literal default in `DEFAULTS` and its type (a
 null default takes a string). Values are type-checked when set, and `load`
@@ -37,7 +37,6 @@ OWNED: dict[str, tuple[type, str]] = {
     "train.improvement": (TrainConfig, "improvement"),
     "train.max_steps": (TrainConfig, "max_steps"),
     "global.gamma_prime": (GlobalConfig, "gamma_prime"),
-    "global.voter_dedup": (GlobalConfig, "voter_dedup"),
     "coref.enabled": (TrainConfig, "use_coref"),
 }
 OWNERS = tuple(dict.fromkeys(owner for owner, _ in OWNED.values()))

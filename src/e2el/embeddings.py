@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import binfile
+from .corpus import text_lines
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +38,8 @@ def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
     """Load a text embedding file into (key -> row index, matrix)."""
     vocab: dict[str, int] = {}
     linenos: list[int] = []  # each row's line, for the finiteness check after the loop
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
+    with closing(text_lines(path)) as lines:
+        _, header = next(lines, (1, ""))
         parts = header.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:1: header must be '<count> <dim>', got {header!r}")
@@ -50,12 +52,12 @@ def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
         # a row is at least a 1-byte key and dim 1-byte values, each followed
         # by one separator byte (the last row may lack its newline)
         need = 2 * (dim + 1) * count - 1
-        left = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+        left = os.path.getsize(path) - len(header.encode("utf-8"))
         if count and need > left:
             raise ValueError(f"{path}:1: {count} rows of dim {dim} need at least {need} "
                              f"bytes, the file has {left} after the header")
         matrix = np.zeros((count, dim), dtype=np.float32)
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             if not line.strip():
                 continue
             fields = line.split()

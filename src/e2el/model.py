@@ -2,14 +2,14 @@
 
 Scoring a document is two-phase: every (span, candidate) pair first gets
 its local score, then (when the global layer is on) the confident pairs
-are frozen into a voter set and each pair is rescored against the votes of
-the other mentions. Training mode returns graph nodes for the loss;
-evaluation mode returns plain floats.
+are frozen into a voter set, summed once per document, and each pair is
+rescored against that sum minus its own mention's votes. Training mode
+returns graph nodes for the loss; evaluation mode returns plain floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,12 +138,9 @@ class LinkingModel:
         if self.use_global:
             # phase two: voter set from the completed local scores
             voters = scoring.filter_voters([p.detach() for p in pairs], self.global_cfg)
-            votes: dict[tuple[int, int], ad.Tensor | None] = {}
+            votes = scoring.vote_vector(spans, voters, y_of)
             for p in pairs:
-                key = (p.span.start, p.span.end)
-                if key not in votes:
-                    votes[key] = scoring.vote_vector(p.span, voters, y_of, self.global_cfg)
-                p.g = scoring.global_score(y_of(p.entity_id), votes[key])
+                p.g = scoring.global_score(y_of(p.entity_id), votes[p.span.start, p.span.end])
                 p.phi = scoring.combine_global(p.psi, p.g, self.scorer)
         return pairs
 

@@ -5,16 +5,18 @@ its dot product with the mention representation (plus, when enabled, a
 long-range context attention feature). The attention ranks the words of
 its window off the graph, with one matrix product per span, and builds
 graph nodes only for the words it keeps; the hard selection leaves the
-dropped words without a gradient in any case. The global layer sums the
-entity vectors of confident candidates from *other* mentions of the
-document and rescores each pair by cosine similarity against that vote,
-combined with the local score through a second affine layer.
+dropped words without a gradient in any case. The global layer rescores
+each pair by cosine similarity against the vote of the *other* mentions,
+combined with the local score through a second affine layer. The vote is
+the document's sum of confident candidates' entity vectors minus the
+mention's own votes; it is None (so the global score is 0) when every
+voter belongs to the mention, or the document has no voters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +27,9 @@ from .encoder import EncodedDocument, EncoderParams
 
 @dataclass
 class GlobalConfig:
-    """Voting threshold and vote-set semantics for global disambiguation."""
+    """Voting threshold for global disambiguation."""
 
     gamma_prime: float = 0.0
-    voter_dedup: bool = False  # count one vote per (mention, entity) pair unless set
 
     def __post_init__(self):
         if not math.isfinite(self.gamma_prime):
@@ -157,41 +158,36 @@ def combine_global(psi: ad.Tensor, g: ad.Tensor, params: ScorerParams) -> ad.Ten
     return ad.add(ad.dot(params.phi_w, ad.stack([psi, g])), params.phi_b)
 
 
-@dataclass(frozen=True)
-class Voter:
-    """A (mention, entity) pair admitted to the global vote."""
-
-    span_key: tuple[int, int]
-    entity_id: str
-
-
-def filter_voters(pairs: list[ScoredPair], cfg: GlobalConfig) -> list[Voter]:
+def filter_voters(pairs: list[ScoredPair], cfg: GlobalConfig) -> list[ScoredPair]:
     """Exactly the pairs whose local score reaches the voting threshold."""
-    return [Voter(span_key=(p.span.start, p.span.end), entity_id=p.entity_id)
-            for p in pairs if p.psi >= cfg.gamma_prime]
+    return [p for p in pairs if p.psi >= cfg.gamma_prime]
 
 
-def vote_vector(span: MentionSpan, voters: list[Voter],
-                entity_tensor, cfg: GlobalConfig) -> ad.Tensor | None:
-    """Sum of voter entity vectors from other mentions; None when empty.
+def vote_vector(spans: list[MentionSpan], voters: list[ScoredPair],
+                entity_tensor) -> dict[tuple[int, int], ad.Tensor | None]:
+    """Each span's vote, keyed by (start, end): the entity vectors of the
+    voters from other mentions, summed.
 
-    `entity_tensor` maps an entity id to its vector node. By default each
-    (mention, entity) voter contributes one occurrence; with `voter_dedup`
-    an entity contributes at most once however many mentions voted for it.
+    `entity_tensor` maps an entity id to its vector node; each voter adds one
+    occurrence, so an entity voted for by two mentions counts twice. The
+    document total is summed once and each span subtracts its own votes, so
+    the cost is O(voters + spans). A span that casts no vote sees the total;
+    the vote is None when every voter belongs to the span, or there are none.
     """
-    own = (span.start, span.end)
-    contributing = [v for v in voters if v.span_key != own]
-    if cfg.voter_dedup:
-        seen: set[str] = set()
-        deduped = []
-        for v in contributing:
-            if v.entity_id not in seen:
-                seen.add(v.entity_id)
-                deduped.append(v)
-        contributing = deduped
-    if not contributing:
-        return None
-    return ad.addn([entity_tensor(v.entity_id) for v in contributing])
+    own: dict[tuple[int, int], list[ad.Tensor]] = {}
+    for v in voters:
+        own.setdefault((v.span.start, v.span.end), []).append(entity_tensor(v.entity_id))
+    total = ad.addn([y for ys in own.values() for y in ys]) if own else None
+    votes: dict[tuple[int, int], ad.Tensor | None] = {}
+    for span in spans:
+        key = (span.start, span.end)
+        if key not in own:
+            votes[key] = total
+        elif len(own) == 1:
+            votes[key] = None
+        else:
+            votes[key] = ad.sub(total, ad.addn(own[key]))
+    return votes
 
 
 def global_score(y_candidate: ad.Tensor, vote: ad.Tensor | None) -> ad.Tensor:

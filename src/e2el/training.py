@@ -60,6 +60,8 @@ class TrainConfig:
             raise ValueError(f"eval_every must be at least 1, got {self.eval_every}")
         if self.patience < 1:
             raise ValueError(f"patience must be at least 1, got {self.patience}")
+        if not 0 <= self.improvement < math.inf:
+            raise ValueError(f"improvement must be finite and at least 0, got {self.improvement}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be null or at least 1, got {self.max_steps}")
         if self.regime not in ("all_spans", "gold_spans"):

@@ -179,7 +179,8 @@ class TestConfigErrorsBeforeInputs:
         ('train.gamma="abc"', "'train.gamma' takes a number"),
         ("global.gamma_prime=null", "'global.gamma_prime' takes a number"),
         ("train.max_steps=0", "max_steps must be null or at least 1"),
-        ('model.use_global="no"', "'model.use_global' takes true or false")])
+        ('model.use_global="no"', "'model.use_global' takes true or false"),
+        ("train.improvement=NaN", "improvement must be finite and at least 0")])
     @pytest.mark.parametrize("command", ["train", "annotate", "select-threshold"])
     def test_exit_1_naming_the_setting(self, unreadable_inputs, capfd, command,
                                        override, reported):

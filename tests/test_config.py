@@ -124,7 +124,9 @@ class TestValueTypes:
         ("dims.ctx_hidden=0", "ctx_hidden"), ("encoder.dropout_keep=0", "dropout_keep"),
         ("encoder.dropout_keep=1.5", "dropout_keep"), ("encoder.max_tokens=0", "max_tokens"),
         ("encoder.soft_head_space=y", "soft_head_space"),
-        ("global.gamma_prime=Infinity", "gamma_prime")])
+        ("global.gamma_prime=Infinity", "gamma_prime"),
+        ("train.improvement=NaN", "improvement"), ("train.improvement=Infinity", "improvement"),
+        ("train.improvement=-0.1", "improvement")])
     def test_out_of_range_rejected_at_load(self, tmp_path, override, field):
         p = tmp_path / "c.json"
         p.write_text("{}", encoding="utf-8")
@@ -144,8 +146,8 @@ class TestKeyTable:
 
     def test_build_maps_keys_to_fields(self):
         cfg = RunConfig({"seed": 4, "coref.enabled": False, "dims.word": 12,
-                         "global.voter_dedup": True})
+                         "global.gamma_prime": -0.5})
         tcfg = cfg.build(TrainConfig)
         assert tcfg.seed == 4 and tcfg.use_coref is False
         assert cfg.build(EncoderDims).word_dim == 12
-        assert cfg.build(GlobalConfig) == GlobalConfig(voter_dedup=True)
+        assert cfg.build(GlobalConfig) == GlobalConfig(gamma_prime=-0.5)

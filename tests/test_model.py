@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
+from e2el.candidates import enumerate_spans
 from e2el.corpus import Document
 from e2el.model import LinkingModel
 from e2el.scoring import GlobalConfig
@@ -68,30 +69,53 @@ class TestScoring:
         b = [p.psi for p in model.score_pairs(doc, spans)]
         assert a == b
 
-    def test_voter_dedup_flag_changes_votes(self):
-        # the sa mention sees E2 voted by two other mentions plus one E3
-        # vote; deduplication changes the vote sum's direction
-        table = {"sb": [("E2", 1.0)], "sc": [("E3", 1.0)],
-                 "sa": [("E0", 0.6), ("E1", 0.4)]}
+    @staticmethod
+    def voting_document(frozen=True):
+        """Twelve one-token mentions of three candidates each, every pair voting."""
+        table = {s: [(f"E{k}", p) for k, p in zip(ks, (0.5, 0.3, 0.2))]
+                 for s, ks in (("sa", (0, 1, 2)), ("sb", (2, 3, 4)), ("sc", (4, 5, 0)))}
         words = helpers.word_store(["sa", "sb", "sc", "pad"], seed=1)
-        ents = helpers.entity_store(["E0", "E1", "E2", "E3"], seed=2)
-        doc = Document("d", ["sb", "pad", "sb", "sa", "sc"])
-        index = helpers.alias_index(table)
-        from e2el.candidates import enumerate_spans
-        spans = enumerate_spans(doc, index)
-
-        plain = helpers.build_model(words, ents, seed=3, use_global=True,
+        ents = helpers.entity_store([f"E{k}" for k in range(6)], seed=2)
+        ents.frozen = frozen
+        doc = Document("d", ["sa", "sb", "sc", "pad", "sb", "sa", "sa", "sc", "sb",
+                             "pad", "sc", "sa", "sb", "sc"])
+        spans = enumerate_spans(doc, helpers.alias_index(table))
+        model = helpers.build_model(words, ents, seed=3, use_global=True,
                                     global_cfg=GlobalConfig(gamma_prime=-100.0))
-        dedup = helpers.build_model(words, ents, seed=3, use_global=True,
-                                    global_cfg=GlobalConfig(gamma_prime=-100.0,
-                                                            voter_dedup=True))
-        g_plain = {(p.span.start, p.entity_id): p.g
-                   for p in plain.score_pairs(doc, spans)}
-        g_dedup = {(p.span.start, p.entity_id): p.g
-                   for p in dedup.score_pairs(doc, spans)}
-        assert g_plain.keys() == g_dedup.keys()
-        key = (3, "E0")  # vote for sa: 2*E2 + E3 vs E2 + E3
-        assert abs(g_plain[key] - g_dedup[key]) > 1e-6
+        return model, doc, spans
+
+    def test_vote_graph_is_linear_in_voters(self):
+        # the document sum has one edge per voter and each span's vote two
+        # (the sum and its own votes), whose sums add one edge per voter;
+        # a per-span scan has spans × voters
+        model, doc, spans = self.voting_document(frozen=False)
+        pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
+        votes = {id(p.g._parents[1]): p.g._parents[1] for p in pairs}
+        assert len(pairs) == 36 and len(spans) == 12
+        assert sum(len(v._parents) for v in votes.values()) <= 36 + 2 * 12
+        below, todo = dict(votes), list(votes.values())
+        while todo:  # every node between the votes and the entity rows
+            for parent in todo.pop()._parents:
+                if parent.op != "row" and id(parent) not in below:
+                    below[id(parent)] = parent
+                    todo.append(parent)
+        assert sum(len(v._parents) for v in below.values()) <= 2 * 36 + 2 * 12
+
+    def test_global_scores_match_per_span_votes(self):
+        # the model's g against cosines with each span's other-mention votes
+        model, doc, spans = self.voting_document()
+        pairs = model.score_pairs(doc, spans)
+        for gamma_prime in (-100.0, float(np.median([p.psi for p in pairs]))):
+            model.global_cfg = GlobalConfig(gamma_prime=gamma_prime)
+            pairs = model.score_pairs(doc, spans)
+            voters = [p for p in pairs if p.psi >= gamma_prime]
+            for p in pairs:
+                others = [model.entities.vector(v.entity_id) for v in voters
+                          if v.span.start != p.span.start]
+                vote = np.sum(others, axis=0, dtype=np.float64)
+                y = model.entities.vector(p.entity_id)
+                g = float(y @ vote) / (np.linalg.norm(y) * np.linalg.norm(vote))
+                assert p.g == pytest.approx(g, abs=1e-5)
 
     def test_checkpoint_char_inventory_guard(self):
         model, _, _ = setup_toy()

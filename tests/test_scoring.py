@@ -337,47 +337,53 @@ class TestFilterVoters:
         assert sizes == sorted(sizes, reverse=True)
 
 
+def voter(i, entity_id):
+    """A voting pair of the one-token mention at position i."""
+    return scoring.ScoredPair(span(i, i), entity_id, 1.0, 0.0)
+
+
+def per_span_vote_vector(sp, voters, entity_tensor):
+    """The entity vectors of the voters from other mentions, summed by a
+    scan of every voter; the reference `vote_vector` must match."""
+    contributing = [v for v in voters if (v.span.start, v.span.end) != (sp.start, sp.end)]
+    if not contributing:
+        return None
+    return ad.addn([entity_tensor(v.entity_id) for v in contributing])
+
+
 class TestGlobalScore:
-    def entity_table(self, table):
-        return lambda eid: vec(*table[eid])
+    @staticmethod
+    def vote_of(sp, voters, table):
+        votes = scoring.vote_vector([sp], voters, lambda eid: vec(*table[eid]))
+        return votes[sp.start, sp.end]
 
     def test_closed_form(self):
-        voters = [scoring.Voter((1, 1), "A"), scoring.Voter((2, 2), "B")]
+        voters = [voter(1, "A"), voter(2, "B")]
         table = {"A": (1.0, 0.0), "B": (0.0, 1.0)}
-        vote = scoring.vote_vector(span(0, 0), voters, self.entity_table(table),
-                                   scoring.GlobalConfig())
+        vote = self.vote_of(span(0, 0), voters, table)
         g = scoring.global_score(vec(1.0, 0.0), vote)
         assert g.item() == pytest.approx(0.70710, abs=1e-5)
 
     def test_self_votes_excluded(self):
-        voters = [scoring.Voter((0, 0), "A")]
-        vote = scoring.vote_vector(span(0, 0), voters, self.entity_table({"A": (1.0, 0.0)}),
-                                   scoring.GlobalConfig())
+        vote = self.vote_of(span(0, 0), [voter(0, "A")], {"A": (1.0, 0.0)})
         assert vote is None
         assert scoring.global_score(vec(1.0, 0.0), vote).item() == 0.0
 
     def test_duplicate_entities_counted_per_mention(self):
-        voters = [scoring.Voter((1, 1), "A"), scoring.Voter((2, 2), "A"),
-                  scoring.Voter((3, 3), "B")]
+        voters = [voter(1, "A"), voter(2, "A"), voter(3, "B")]
         table = {"A": (1.0, 0.0), "B": (0.0, 1.0)}
-        cfg = scoring.GlobalConfig()
-        vote = scoring.vote_vector(span(0, 0), voters, self.entity_table(table), cfg)
+        vote = self.vote_of(span(0, 0), voters, table)
         assert np.allclose(vote.data, [2.0, 1.0])
-        dedup = scoring.vote_vector(span(0, 0), voters, self.entity_table(table),
-                                    scoring.GlobalConfig(voter_dedup=True))
-        assert np.allclose(dedup.data, [1.0, 1.0])
 
     def test_four_mention_brute_force(self):
         rng = np.random.default_rng(3)
         table = {f"E{i}": tuple(rng.standard_normal(3).astype(np.float32)) for i in range(6)}
-        voters = [scoring.Voter((i, i), f"E{rng.integers(0, 6)}") for i in range(4)]
-        cfg = scoring.GlobalConfig()
+        voters = [voter(i, f"E{rng.integers(0, 6)}") for i in range(4)]
         for m in range(4):
-            target = span(m, m)
-            vote = scoring.vote_vector(target, voters, self.entity_table(table), cfg)
+            vote = self.vote_of(span(m, m), voters, table)
             expect = np.zeros(3)
             for v in voters:
-                if v.span_key != (m, m):
+                if v.span.start != m:
                     expect += np.asarray(table[v.entity_id])
             y = np.asarray(table["E0"])
             g = scoring.global_score(vec(*table["E0"]), vote).item()
@@ -395,15 +401,88 @@ class TestGlobalScore:
         # doubling all entity vectors is exact in floats and leaves G unchanged
         table = {"A": (0.3, -1.7, 0.4), "B": (2.0, 0.1, -0.6)}
         doubled = {k: tuple(2.0 * x for x in v) for k, v in table.items()}
-        voters = [scoring.Voter((1, 1), "A"), scoring.Voter((2, 2), "B")]
-        cfg = scoring.GlobalConfig()
-        g1 = scoring.global_score(
-            vec(*table["A"]),
-            scoring.vote_vector(span(0, 0), voters, self.entity_table(table), cfg)).item()
-        g2 = scoring.global_score(
-            vec(*doubled["A"]),
-            scoring.vote_vector(span(0, 0), voters, self.entity_table(doubled), cfg)).item()
+        voters = [voter(1, "A"), voter(2, "B")]
+        g1 = scoring.global_score(vec(*table["A"]),
+                                  self.vote_of(span(0, 0), voters, table)).item()
+        g2 = scoring.global_score(vec(*doubled["A"]),
+                                  self.vote_of(span(0, 0), voters, doubled)).item()
         assert g1 == g2
+
+
+def vote_case(rng, dtype, kind):
+    """A random document's pairs over a trainable entity matrix, with the
+    voting threshold set so that no pair votes ("none"), the pairs of one
+    span vote ("one"), every pair votes ("all") or a random share does."""
+    n_entities = int(rng.integers(9, 20))  # fewer than the pairs, so entities repeat
+    matrix = ad.parameter(rng.standard_normal((n_entities, 8)).astype(dtype))
+    spans, pairs = [], []
+    for i in range(int(rng.integers(1, 31))):
+        ids = rng.choice(n_entities, size=int(rng.integers(1, 10)), replace=False)
+        sp = span(i, i + int(rng.integers(0, 3)), [(f"E{k}", 1.0) for k in ids])
+        spans.append(sp)
+        pairs += [scoring.ScoredPair(sp, f"E{k}", 1.0, float(rng.standard_normal()))
+                  for k in ids]
+    psis = [p.psi for p in pairs]
+    if kind == "one":
+        sp = spans[int(rng.integers(0, len(spans)))]
+        for p in pairs:
+            if p.span is sp:
+                p.psi += 20.0
+        gamma_prime = 10.0
+    else:
+        gamma_prime = {"none": max(psis) + 1.0, "all": min(psis) - 1.0,
+                       "some": float(rng.choice(psis))}[kind]
+    return matrix, spans, pairs, scoring.GlobalConfig(gamma_prime=gamma_prime)
+
+
+class TestVoteOracle:
+    """The document sum minus own votes against the per-span scan it replaced."""
+
+    @staticmethod
+    def run(votes_of, case, weights):
+        matrix, spans, pairs, cfg = case
+        matrix.grad = None
+        rows: dict[str, ad.Tensor] = {}
+
+        def y_of(eid):
+            if eid not in rows:
+                rows[eid] = ad.row(matrix, int(eid[1:]))
+            return rows[eid]
+
+        votes = votes_of(spans, scoring.filter_voters(pairs, cfg), y_of)
+        g = [scoring.global_score(y_of(p.entity_id), votes[p.span.start, p.span.end])
+             for p in pairs]
+        loss = ad.dot(ad.constant(weights), ad.stack(g))
+        if loss.requires_grad:
+            ad.backward(loss)
+        grad = np.zeros_like(matrix.data) if matrix.grad is None else matrix.grad.copy()
+        return np.array([t.item() for t in g]), grad
+
+    @staticmethod
+    def oracle(spans, voters, y_of):
+        return {(sp.start, sp.end): per_span_vote_vector(sp, voters, y_of) for sp in spans}
+
+    @pytest.mark.parametrize("precision, g_tol", [("float32", 1e-5), ("float64", 1e-9)])
+    def test_random_documents_agree(self, precision, g_tol):
+        rng = np.random.default_rng(21)
+        kinds = ["none", "one", "all", "some"]
+        seen = dict.fromkeys(kinds, 0)
+        with ad.precision(precision):
+            dtype = ad.default_dtype()
+            for n in range(120):
+                kind = kinds[n % 4]
+                case = vote_case(rng, dtype, kind)
+                voters = scoring.filter_voters(case[2], case[3])
+                voting_spans = {(v.span.start, v.span.end) for v in voters}
+                assert len(voting_spans) == {"none": 0, "one": 1}.get(kind, len(voting_spans))
+                seen[kind] += len(case[1]) > 1
+                weights = rng.standard_normal(len(case[2])).astype(dtype)
+                g, grad = self.run(scoring.vote_vector, case, weights)
+                g_ref, grad_ref = self.run(self.oracle, case, weights)
+                np.testing.assert_allclose(g, g_ref, rtol=0, atol=g_tol)
+                if precision == "float64":
+                    np.testing.assert_allclose(grad, grad_ref, rtol=1e-6, atol=0)
+        assert min(seen.values()) >= 10
 
 
 class TestCombineGlobal:

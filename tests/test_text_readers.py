@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from e2el import candidates, cli, corpus, inference
+from e2el import candidates, cli, corpus, embeddings, inference
 from e2el.config import RunConfig
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -26,6 +26,8 @@ SAMPLES = {
     "annotations": ('{"doc_id": "d1", "start": 0, "end": 1, "entity": "NYC", "score": 0.5}\n'
                     '{"doc_id": "d2", "start": 0, "end": 0, "entity": "Paris", "score": null}\n',
                     inference.read_annotations),
+    "vectors": ("3 2\nNew 0.5 -1.25\nété 2.0 1e-3\nYork -0.75 3\n",
+                embeddings.load_text_embeddings),
     "config": (json.dumps({"seed": 3, "train.gamma": 0.25, "train.regime": "gold_spans",
                            "model.use_global": True, "train.max_steps": 10,
                            "encoder.dropout_keep": 0.5, "paths.checkpoint": "m.ckpt",
