@@ -8,7 +8,11 @@ default; gradient checking switches the whole graph to 64-bit via
 ``precision("float64")``.
 
 Every forward and backward value a node holds is checked for NaN/Inf and
-raises ``FloatingPointError`` on the first non-finite entry. Values
+raises ``FloatingPointError`` on the first non-finite entry. A fused op
+(``lstm_sequence``) is one node for a whole recurrence: the values inside
+it (gates, cell states, per-step gradients) are not nodes and are not
+checked one by one, but its output and every gradient it passes to a
+parent are, so a non-finite value inside still raises there. Values
 computed off the graph are checked where they are made: the long-range
 attention ranking (``scoring.long_range_feature``) scores every window
 word with numpy and checks that score matrix once, so an overflow in a
@@ -17,6 +21,7 @@ word it then drops still raises.
 
 from __future__ import annotations
 
+import gc
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -53,6 +58,26 @@ def precision(name: str) -> Iterator[None]:
         yield
     finally:
         _DTYPE = prev
+
+
+@contextmanager
+def cycle_gc_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the block.
+
+    A node refers only to its parents, so a graph holds no reference cycle
+    and reference counting frees it once its last node is dropped. Built
+    with the collector on, a step's tens of thousands of nodes survive
+    into the oldest generation and set off full collections that walk
+    every live object and find nothing. Drop the graph inside the block:
+    one still alive when the collector resumes is walked again.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -107,13 +132,17 @@ def parameter(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=_DTYPE), requires_grad=True, op="param")
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, at=None) -> None:
+    """Add `g` into the gradient of `t`, or into its part ``grad[at]``."""
     if not t.requires_grad:
         return
     _check_finite(g, f"gradient flowing into {t.op}")
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if at is None:
+        t.grad += g
+    else:
+        t.grad[at] += g
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
@@ -285,20 +314,20 @@ def stack(scalars: Sequence[Tensor]) -> Tensor:
     return _node(data, tuple(scalars), "stack", back)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors; backward splits the gradient by offsets."""
+def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate tensors of one rank along `axis` (by default the last,
+    so vectors join end to end and matrices side by side); backward splits
+    the gradient by offsets."""
     if not parts:
         raise ValueError("concat: empty input")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError("concat: all parts must be vectors")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    out = np.concatenate([p.data for p in parts], axis=axis)  # ValueError on a shape mismatch
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def back(g):
-        for i, p in enumerate(parts):
-            _accumulate(p, g[offsets[i]:offsets[i + 1]])
+        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
+            _accumulate(p, gp)
 
-    return _node(np.concatenate([p.data for p in parts]), tuple(parts), "concat", back)
+    return _node(out, tuple(parts), "concat", back)
 
 
 def slice1d(v: Tensor, start: int, length: int) -> Tensor:
@@ -308,35 +337,52 @@ def slice1d(v: Tensor, start: int, length: int) -> Tensor:
         raise ValueError(f"slice1d: [{start}, {start + length}) out of range {v.shape}")
 
     def back(g):
-        full = np.zeros_like(v.data)
-        full[start:start + length] = g
-        _accumulate(v, full)
+        _accumulate(v, g, at=slice(start, start + length))
 
     return _node(v.data[start:start + length].copy(), (v,), "slice1d", back)
 
 
 def row(m: Tensor, index: int) -> Tensor:
-    """Embedding-style row lookup; backward scatters into the picked row."""
-    if m.data.ndim != 2:
+    """Entry `index` along the first axis: a row of a matrix, or a matrix
+    of a 3-D tensor. Backward adds into the picked row of the parent's
+    gradient in place, so n views of one matrix cost O(n·d), not O(n²·d)."""
+    if m.data.ndim < 2:
         raise ValueError("row: matrix expected")
     if not 0 <= index < m.shape[0]:
         raise ValueError(f"row: index {index} out of range {m.shape}")
 
     def back(g):
-        full = np.zeros_like(m.data)
-        full[index] = g
-        _accumulate(m, full)
+        _accumulate(m, g, at=index)
 
     return _node(m.data[index].copy(), (m,), "row", back)
 
 
+def take_rows(m: Tensor, idx) -> Tensor:
+    """Rows of a matrix gathered by an integer array of any shape; the
+    result has shape ``idx.shape + (columns,)``. Backward adds each
+    gradient row into its source row, summing over repeated indices."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if m.data.ndim != 2:
+        raise ValueError("take_rows: matrix expected")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
+        raise ValueError(f"take_rows: index out of range {m.shape}")
+
+    def back(g):
+        full = np.zeros_like(m.data)
+        np.add.at(full, idx, g)
+        _accumulate(m, full)
+
+    return _node(m.data[idx], (m,), "take_rows", back)
+
+
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp is only taken of values ≤ 0."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = _sigmoid(x.data)
 
     def back(g):
         _accumulate(x, g * out * (1.0 - out))
@@ -384,9 +430,7 @@ def max1d(v: Tensor) -> Tensor:
     idx = int(np.argmax(v.data))
 
     def back(g):
-        full = np.zeros_like(v.data)
-        full[idx] = g
-        _accumulate(v, full)
+        _accumulate(v, g, at=idx)
 
     return _node(np.asarray(v.data[idx]), (v,), "max1d", back)
 
@@ -497,6 +541,83 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tupl
     o = sigmoid(slice1d(pre, 3 * h, h))
     c = add(mul(f, c_prev), mul(i, g))
     return mul(o, tanh(c)), c
+
+
+def lstm_sequence(x: Tensor, w: LstmWeights, reverse: bool = False) -> Tensor:
+    """Hidden states of one LSTM direction over a whole sequence, as one node.
+
+    `x` is (T × d_in), or (T × B × d_in) for B equal-length sequences run
+    side by side; the result is (T × h) or (T × B × h), entry t holding the
+    state after step t. Each step is that of `lstm_cell`, from zero states;
+    with `reverse` the steps run from t = T−1 down to 0, so entry 0 has seen
+    the whole sequence. The input projection is one product over all steps
+    and the recurrence runs in numpy. The backward is hand-written BPTT over
+    the kept gates and cell states; it forms dW_x, dW_h, db and dX with one
+    product or sum each over the stacked gate gradients.
+    """
+    h = w.hidden
+    if x.data.ndim not in (2, 3) or x.shape[0] < 1:
+        raise ValueError(f"lstm_sequence: (T, d) or (T, B, d) input expected, got {x.shape}")
+    d_in = x.shape[-1]
+    if w.w_x.shape != (4 * h, d_in) or w.w_h.shape != (4 * h, h) or w.b.shape != (4 * h,):
+        raise ValueError(
+            f"lstm_sequence: weight dims {w.w_x.shape}/{w.w_h.shape}/{w.b.shape} "
+            f"inconsistent with input {x.shape} and hidden {h}")
+    xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
+    steps, batch = xs.shape[:2]
+    w_h = w.w_h.data
+    # pre-activations, overwritten step by step with the gate values i, f, g, o
+    gates = (xs.reshape(-1, d_in) @ w.w_x.data.T + w.b.data).reshape(steps, batch, 4 * h)
+    cells = np.empty((steps, batch, h), dtype=gates.dtype)
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h_prev = np.zeros((batch, h), dtype=gates.dtype)
+    c_prev = np.zeros_like(h_prev)
+    for t in order:
+        z = gates[t]
+        z += h_prev @ w_h.T
+        candidate = np.tanh(z[:, 2 * h:3 * h])
+        z[:] = _sigmoid(z)
+        z[:, 2 * h:3 * h] = candidate
+        c_prev = cells[t] = z[:, h:2 * h] * c_prev + z[:, :h] * z[:, 2 * h:3 * h]
+        tanh_c[t] = np.tanh(c_prev)
+        h_prev = hs[t] = z[:, 3 * h:] * tanh_c[t]
+
+    def before(a: np.ndarray) -> np.ndarray:
+        """Each step's incoming state: `a` shifted one step against the order."""
+        out = np.zeros_like(a)
+        if reverse:
+            out[:-1] = a[1:]
+        else:
+            out[1:] = a[:-1]
+        return out
+
+    def back(g):
+        g = g.reshape(steps, batch, h)
+        c_in = before(cells)
+        dz = np.empty_like(gates)
+        dh = np.zeros((batch, h), dtype=gates.dtype)
+        dc = np.zeros_like(dh)
+        for t in reversed(order):
+            i, f, gg, o = (gates[t, :, k * h:(k + 1) * h] for k in range(4))
+            dh = dh + g[t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            dz[t, :, :h] = dc * gg * i * (1.0 - i)
+            dz[t, :, h:2 * h] = dc * c_in[t] * f * (1.0 - f)
+            dz[t, :, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
+            dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            dh = dz[t] @ w_h
+        flat = dz.reshape(-1, 4 * h)
+        _accumulate(w.w_x, flat.T @ xs.reshape(-1, d_in))
+        _accumulate(w.w_h, flat.T @ before(hs).reshape(-1, h))
+        _accumulate(w.b, flat.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, (flat @ w.w_x.data).reshape(x.shape))
+
+    return _node(hs.reshape(x.shape[:-1] + (h,)), (x, w.w_x, w.w_h, w.b), "lstm_sequence",
+                 back)
 
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

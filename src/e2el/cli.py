@@ -56,12 +56,18 @@ def build_model(cfg: RunConfig, chars: CharTable) -> LinkingModel:
 
 
 def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, float]:
-    """Rebuild the model around a checkpoint's tensors and threshold."""
+    """Rebuild the model around a checkpoint's tensors and threshold.
+
+    `train` writes ``meta.delta`` as the last entry, so a file cut before it
+    is rejected here rather than read as a model with no threshold.
+    """
     if not os.path.exists(path):
         raise ValueError(f"checkpoint not found: {path}")
     state = training.load_checkpoint(path)
     if "meta.char_vocab" not in state or "char_table" not in state:
         raise ValueError(f"{path}: checkpoint lacks the character inventory")
+    if "meta.delta" not in state:
+        raise ValueError(f"{path}: checkpoint lacks meta.delta")
     rows = ad.parameter(state["char_table"])
     chars = CharTable.from_codepoints(state["meta.char_vocab"].astype(np.int64), rows)
     model = build_model(cfg, chars)
@@ -69,8 +75,7 @@ def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, floa
         model.load_state_arrays(state)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    delta = float(state["meta.delta"]) if "meta.delta" in state else float("-inf")
-    return model, delta
+    return model, float(state["meta.delta"])
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +358,7 @@ def run_command(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,8 @@
 `GlobalConfig`, which owns the key's default, type and (in ``__post_init__``)
 range. Every other key has a literal default in `DEFAULTS` and its type (a
 null default takes a string). Values are type-checked when set, and `load`
-builds every owner, so a bad value fails before any input file is read.
+builds every owner and checks that 1 ≤ attention.keep ≤ attention.window,
+so a bad value fails before any input file is read.
 """
 
 from __future__ import annotations
@@ -117,6 +118,10 @@ class RunConfig:
                 cfg.apply_override(item)
             for owner in OWNERS:
                 cfg.build(owner)
+            keep, window = cfg["attention.keep"], cfg["attention.window"]
+            if not 1 <= keep <= window:
+                raise ValueError(f"config key 'attention.keep' must be between 1 and "
+                                 f"'attention.window' ({window}), got {keep}")
             cfg.validate_paths()
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

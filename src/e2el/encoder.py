@@ -7,6 +7,13 @@ A mention combines its boundary context vectors with an attention-weighted
 "soft head" over the word-character vectors and projects the concatenation
 down to entity-embedding size with a single affine layer.
 
+The char bi-LSTM runs once per document over its distinct tokens, grouped
+by length: each length is one batched `lstm_sequence` call per direction,
+so no sequence is padded or masked. The summaries are gathered back per
+token, and the word-character vectors V (n × v_dim) and context vectors
+X (n × x_dim) are each one matrix node; `EncodedDocument` exposes them as
+per-token row views.
+
 Dropout applies at two sites in training mode: on the word-character
 vectors and on the context bi-LSTM output.
 """
@@ -108,27 +115,31 @@ class EncodedDocument:
         return self._scaled[1]
 
 
-def _run_lstm(inputs: list[ad.Tensor], weights: ad.LstmWeights,
-              reverse: bool = False) -> list[ad.Tensor]:
-    hidden = weights.hidden
-    h = ad.constant(np.zeros(hidden))
-    c = ad.constant(np.zeros(hidden))
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    out: list[ad.Tensor | None] = [None] * len(inputs)
-    for t in order:
-        h, c = ad.lstm_cell(inputs[t], h, c, weights)
-        out[t] = h
-    return out  # type: ignore[return-value]
+def char_embed(words: list[str], table: CharTable, params: EncoderParams) -> ad.Tensor:
+    """Char bi-LSTM summaries [last forward; first backward], one row per word.
 
-
-def char_embed(word: str, table: CharTable, params: EncoderParams) -> ad.Tensor:
-    """Bi-LSTM over the word's code points: [last forward; first backward]."""
-    if not word:
+    Words of one length run as one batch per direction, with no padding or
+    mask; the batches' rows are put back in the order of `words`.
+    """
+    if not words:
+        raise ValueError("char_embed: no words")
+    if not all(words):
         raise ValueError("char_embed: empty word")
-    zs = [ad.row(table.rows, table.index(ch)) for ch in word]
-    fwd = _run_lstm(zs, params.char_fwd)
-    bwd = _run_lstm(zs, params.char_bwd, reverse=True)
-    return ad.concat([fwd[-1], bwd[0]])
+    by_length: dict[int, list[int]] = {}
+    for i, word in enumerate(words):
+        by_length.setdefault(len(word), []).append(i)
+    parts, order = [], []
+    for length, members in sorted(by_length.items()):
+        codes = np.array([[table.index(ch) for ch in words[i]] for i in members])
+        zs = ad.take_rows(table.rows, codes.T)  # (length × batch × char_dim)
+        fwd = ad.lstm_sequence(zs, params.char_fwd)
+        bwd = ad.lstm_sequence(zs, params.char_bwd, reverse=True)
+        parts.append(ad.concat([ad.row(fwd, length - 1), ad.row(bwd, 0)]))
+        order.extend(members)
+    stacked = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    position = np.empty(len(words), dtype=np.intp)
+    position[order] = np.arange(len(words))
+    return ad.take_rows(stacked, position)
 
 
 def encode_document(doc: Document, words: WordVectors, chars: CharTable,
@@ -143,20 +154,17 @@ def encode_document(doc: Document, words: WordVectors, chars: CharTable,
         raise ValueError(
             f"document {doc.doc_id!r} has {len(doc.tokens)} tokens, cap is {dims.max_tokens}")
     training = mode == "train"
-    v = []
-    char_cache: dict[str, ad.Tensor] = {}  # same token, same char graph; fan-out sums grads
-    for token in doc.tokens:
-        wv = ad.constant(np.asarray(words.lookup(token), dtype=ad.default_dtype()))
-        ce = char_cache.get(token)
-        if ce is None:
-            ce = char_cache[token] = char_embed(token, chars, params)
-        vk = ad.concat([wv, ce])
-        v.append(ad.dropout(vk, dims.dropout_keep, training, rng))
-    fwd = _run_lstm(v, params.ctx_fwd)
-    bwd = _run_lstm(v, params.ctx_bwd, reverse=True)
-    x = [ad.dropout(ad.concat([fwd[k], bwd[k]]), dims.dropout_keep, training, rng)
-         for k in range(len(v))]
-    return EncodedDocument(doc_id=doc.doc_id, v=v, x=x)
+    unique = {token: i for i, token in enumerate(dict.fromkeys(doc.tokens))}
+    word_rows = ad.constant([words.lookup(token) for token in doc.tokens])
+    char_rows = ad.take_rows(char_embed(list(unique), chars, params),
+                             [unique[token] for token in doc.tokens])
+    v = ad.dropout(ad.concat([word_rows, char_rows]), dims.dropout_keep, training, rng)
+    fwd = ad.lstm_sequence(v, params.ctx_fwd)
+    bwd = ad.lstm_sequence(v, params.ctx_bwd, reverse=True)
+    x = ad.dropout(ad.concat([fwd, bwd]), dims.dropout_keep, training, rng)
+    n = len(doc.tokens)
+    return EncodedDocument(doc_id=doc.doc_id, v=[ad.row(v, k) for k in range(n)],
+                           x=[ad.row(x, k) for k in range(n)])
 
 
 def soft_head(span: MentionSpan, enc: EncodedDocument, params: EncoderParams,

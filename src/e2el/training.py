@@ -158,6 +158,18 @@ def _dev_eval(model, dev_corpus: Sequence[Document], index: AliasIndex,
     return delta, report.macro_f1
 
 
+def _train_step(doc: Document, spans: Sequence[MentionSpan], model, adam: ad.AdamState,
+                cfg: TrainConfig, rng: np.random.Generator) -> float:
+    """One Adam step on one document; returns its loss. The step's graph
+    is freed when this returns."""
+    result = document_loss(doc, spans, doc.gold, model, cfg, rng=rng)
+    if result.trainable:
+        model.params.zero_grad()
+        ad.backward(result.loss)
+        ad.adam_step(adam, model.params.tensors(), model.params.grads())
+    return result.loss.item()
+
+
 def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
           index: AliasIndex, cfg: TrainConfig,
           log_fn: Callable[[dict], None] | None = None) -> TrainResult:
@@ -167,7 +179,9 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
     seed. Every `eval_every` steps the dev threshold is re-tuned and the
     best parameter snapshot kept; training stops after `patience`
     evaluations without improvement (or at `max_steps`). The best snapshot
-    is restored into the model before returning.
+    is restored into the model before returning. Each step and each dev
+    evaluation runs with the cyclic garbage collector paused
+    (`autodiff.cycle_gc_paused`), and its graph is freed before it resumes.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -186,7 +200,8 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
 
     def run_eval(loss_value: float) -> None:
         nonlocal best_f1, best_delta, best_state, stale, stop
-        delta, macro_f1 = _dev_eval(model, dev_corpus, index, cfg)
+        with ad.cycle_gc_paused():
+            delta, macro_f1 = _dev_eval(model, dev_corpus, index, cfg)
         record = {"step": step, "loss": loss_value, "dev_macro_f1": macro_f1,
                   "delta": None if math.isinf(delta) else delta}
         history.append(record)
@@ -211,16 +226,12 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
         for i in order:
             doc = corpus[i]
             try:
-                result = document_loss(doc, spans_cache[doc.doc_id], doc.gold, model,
-                                       cfg, rng=dropout_rng)
-                if result.trainable:
-                    model.params.zero_grad()
-                    ad.backward(result.loss)
-                    ad.adam_step(adam, model.params.tensors(), model.params.grads())
+                with ad.cycle_gc_paused():
+                    last_loss = _train_step(doc, spans_cache[doc.doc_id], model, adam,
+                                            cfg, dropout_rng)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"non-finite loss on document {doc.doc_id!r}: {exc}") from exc
-            last_loss = result.loss.item()
             step += 1
             if step % cfg.eval_every == 0:
                 run_eval(last_loss)

@@ -5,11 +5,12 @@ import os
 
 import numpy as np
 
+from e2el import autodiff as ad
 from e2el import scoring
 from e2el.candidates import AliasIndex, build_index, CandidateEntry
 from e2el.corpus import Document, write_corpus_jsonl
 from e2el.embeddings import CharTable, EntityVectors, WordVectors, save_text_embeddings
-from e2el.encoder import EncoderDims
+from e2el.encoder import EncodedDocument, EncoderDims
 from e2el.model import LinkingModel
 
 
@@ -57,6 +58,48 @@ def build_model(words, entities, dims=None, corpus_tokens=None, seed=0, **kw):
     chars = CharTable.build(tokens, dims.char_dim, np.random.default_rng([seed, 99]))
     return LinkingModel(dims=dims, words=words, chars=chars, entities=entities,
                         seed=seed, **kw)
+
+
+# ---------------------------------------------------------------------------
+# per-step encoder: the oracle for the fused one in `e2el.encoder`
+
+
+def _per_step_lstm(inputs, weights, reverse=False):
+    h = ad.constant(np.zeros(weights.hidden))
+    c = ad.constant(np.zeros(weights.hidden))
+    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
+    out = [None] * len(inputs)
+    for t in order:
+        h, c = ad.lstm_cell(inputs[t], h, c, weights)
+        out[t] = h
+    return out
+
+
+def per_step_char_embed(word, table, params):
+    """One word's [last forward; first backward] char summary, step by step."""
+    zs = [ad.row(table.rows, table.index(ch)) for ch in word]
+    fwd = _per_step_lstm(zs, params.char_fwd)
+    bwd = _per_step_lstm(zs, params.char_bwd, reverse=True)
+    return ad.concat([fwd[-1], bwd[0]])
+
+
+def per_step_encode_document(doc, words, chars, params, dims, mode="eval", rng=None):
+    """`encode_document` built from one `lstm_cell` per step and one dropout
+    draw per token, sharing the char graph of repeated tokens."""
+    training = mode == "train"
+    v = []
+    char_cache = {}
+    for token in doc.tokens:
+        wv = ad.constant(np.asarray(words.lookup(token), dtype=ad.default_dtype()))
+        if token not in char_cache:
+            char_cache[token] = per_step_char_embed(token, chars, params)
+        vk = ad.concat([wv, char_cache[token]])
+        v.append(ad.dropout(vk, dims.dropout_keep, training, rng))
+    fwd = _per_step_lstm(v, params.ctx_fwd)
+    bwd = _per_step_lstm(v, params.ctx_bwd, reverse=True)
+    x = [ad.dropout(ad.concat([fwd[k], bwd[k]]), dims.dropout_keep, training, rng)
+         for k in range(len(v))]
+    return EncodedDocument(doc_id=doc.doc_id, v=v, x=x)
 
 
 # ---------------------------------------------------------------------------

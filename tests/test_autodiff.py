@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,124 @@ class TestLstmCell:
                 assert ad.grad_check(loss, p) <= 1e-4
 
 
+class TestLstmSequence:
+    def per_step(self, xs, w, reverse):
+        """Hidden states from chained `lstm_cell`s, in input order."""
+        h = ad.constant(np.zeros(w.hidden))
+        c = ad.constant(np.zeros(w.hidden))
+        out = [None] * len(xs)
+        for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+            h, c = ad.lstm_cell(ad.constant(xs[t]), h, c, w)
+            out[t] = h.data
+        return np.stack(out)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_chained_cells(self, reverse):
+        rng = np.random.default_rng(2)
+        with ad.precision("float64"):
+            w = ad.init_lstm(3, 4, rng)
+            w.b.data = rng.normal(size=w.b.shape)
+            xs = rng.normal(size=(6, 2, 3))
+            out = ad.lstm_sequence(ad.constant(xs), w, reverse=reverse)
+            single = ad.lstm_sequence(ad.constant(xs[:, 1]), w, reverse=reverse)
+            assert out.shape == (6, 2, 4) and single.shape == (6, 4)
+            for b in range(2):
+                assert np.abs(out.data[:, b] - self.per_step(xs[:, b], w, reverse)).max() <= 1e-12
+            assert np.abs(single.data - out.data[:, 1]).max() <= 1e-12
+
+    def test_reverse_entry_zero_sees_whole_sequence(self):
+        rng = np.random.default_rng(3)
+        w = ad.init_lstm(2, 3, rng)
+        xs = rng.normal(size=(4, 2))
+        edited = xs.copy()
+        edited[-1] += 1.0
+        a = ad.lstm_sequence(ad.constant(xs), w, reverse=True).data
+        b = ad.lstm_sequence(ad.constant(edited), w, reverse=True).data
+        assert not np.allclose(a[0], b[0])
+        fa = ad.lstm_sequence(ad.constant(xs), w).data
+        fb = ad.lstm_sequence(ad.constant(edited), w).data
+        assert np.array_equal(fa[:-1], fb[:-1])
+
+    def test_dim_mismatch(self):
+        w = ad.init_lstm(3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="inconsistent"):
+            ad.lstm_sequence(ad.constant(np.ones((5, 4))), w)
+        with pytest.raises(ValueError, match="input expected"):
+            ad.lstm_sequence(ad.constant(np.ones(3)), w)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1, 3), (4, 3, 3)])
+    def test_gradients_match_finite_differences(self, reverse, shape):
+        rng = np.random.default_rng(4)
+        with ad.precision("float64"):
+            w = ad.init_lstm(3, 2, rng)
+            w.b.data = rng.normal(size=w.b.shape)
+            x = ad.parameter(rng.normal(size=shape))
+            probe = ad.constant(rng.normal(size=shape[:-1] + (2,)))
+
+            def loss():
+                out = ad.lstm_sequence(x, w, reverse=reverse)
+                return _total(ad.mul(out, probe))
+
+            for p in (x, w.w_x, w.w_h, w.b):
+                err = ad.grad_check(loss, p)
+                assert err <= 1e-6, f"{p.op} {shape} reverse={reverse}: {err}"
+
+
+def _total(t):
+    """Sum of every entry of a tensor of any rank, as a scalar node."""
+    while t.data.ndim > 1:
+        t = ad.addn([ad.row(t, k) for k in range(t.shape[0])])
+    return ad.sum1d(t)
+
+
+class TestGatherOps:
+    def test_take_rows_repeated_indices_sum(self):
+        with ad.precision("float64"):
+            m = ad.parameter(np.arange(12.0).reshape(4, 3))
+            idx = np.array([[2, 0], [2, 2]])
+            out = ad.take_rows(m, idx)
+            assert out.shape == (2, 2, 3)
+            assert np.array_equal(out.data[1, 1], m.data[2])
+            ad.backward(_total(out))
+            assert np.array_equal(m.grad[:, 0], [1.0, 0.0, 3.0, 0.0])
+
+    def test_take_rows_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ad.take_rows(ad.constant(np.zeros((2, 3))), [0, 2])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(5)
+        with ad.precision("float64"):
+            m = ad.parameter(rng.normal(size=(4, 3)))
+            a = ad.parameter(rng.normal(size=(2, 3)))
+            cube = ad.parameter(rng.normal(size=(3, 2, 4)))
+            p23 = ad.constant(rng.normal(size=(3, 2, 3)))
+            p26 = ad.constant(rng.normal(size=(2, 6)))
+            p56 = ad.constant(rng.normal(size=(5, 3)))
+            p24 = ad.constant(rng.normal(size=(2, 4)))
+            builders = {
+                "take_rows": lambda: _total(ad.mul(
+                    ad.take_rows(m, [[1, 1], [3, 1], [0, 1]]), p23)),
+                "concat last axis": lambda: _total(ad.mul(
+                    ad.concat([ad.take_rows(m, [0, 3]), a]), p26)),
+                "concat rows": lambda: _total(ad.mul(
+                    ad.concat([a, ad.take_rows(m, [0, 1, 2])], axis=0), p56)),
+                "row of 3-d": lambda: _total(ad.mul(ad.row(cube, 2), p24)),
+            }
+            for name, build in builders.items():
+                for p in (m, a, cube):
+                    err = ad.grad_check(build, p)
+                    assert err <= 1e-6, f"{name} wrt {p.shape}: {err}"
+
+    def test_row_backward_adds_in_place(self):
+        with ad.precision("float64"):
+            m = ad.parameter(np.zeros((3, 2)))
+            views = [ad.row(m, k) for k in (0, 2, 2)]
+            ad.backward(ad.addn([ad.sum1d(v) for v in views]))
+            assert np.array_equal(m.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+
 class TestSoftmax:
     def test_symmetry(self):
         assert np.allclose(ad.softmax(ad.constant([0.0, 0.0])).data, [0.5, 0.5])
@@ -139,6 +259,16 @@ class TestConcat:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ad.concat([])
+
+    def test_matrices_join_on_the_last_axis(self):
+        a = ad.constant(np.ones((2, 3)))
+        b = ad.constant(np.zeros((2, 1)))
+        assert ad.concat([a, b]).shape == (2, 4)
+        assert ad.concat([a, a], axis=0).shape == (4, 3)
+        with pytest.raises(ValueError):
+            ad.concat([a, ad.constant(np.zeros((3, 1)))])
+        with pytest.raises(ValueError):
+            ad.concat([a, ad.constant(np.zeros(3))])
 
     def test_backward_splits_by_offsets(self):
         with ad.precision("float64"):
@@ -315,6 +445,44 @@ class TestGraphMechanics:
             node = ad.add(node, ad.constant(np.asarray(0.0)))
         ad.backward(node)
         assert float(x.grad) == 1.0
+
+    def test_cycle_gc_paused_restores_the_collector(self):
+        assert gc.isenabled()
+        with ad.cycle_gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(FloatingPointError):
+            with ad.cycle_gc_paused():
+                ad.constant([np.nan])
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with ad.cycle_gc_paused():
+                pass
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_graph_holds_no_reference_cycle(self):
+        # pausing the collector around a graph leaks nothing only if
+        # reference counting alone frees every node
+        rng = np.random.default_rng(3)
+        w = ad.LstmWeights(ad.parameter(rng.normal(size=(8, 3))),
+                           ad.parameter(rng.normal(size=(8, 2))),
+                           ad.parameter(rng.normal(size=8)))
+        table = ad.parameter(rng.normal(size=(5, 3)))
+        gc.disable()
+        try:
+            gc.collect()
+            x = ad.take_rows(table, [[0, 1], [4, 1], [2, 2]])
+            h = ad.concat([ad.lstm_sequence(x, w), ad.lstm_sequence(x, w, reverse=True)])
+            rows = [ad.row(ad.row(h, t), b) for t in range(3) for b in range(2)]
+            loss = ad.sum1d(ad.tanh(ad.addn(rows)))
+            ad.backward(loss)
+            del x, h, rows, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_param_store_roundtrip(self):
         store = ad.ParamStore()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +77,24 @@ class TestPipeline:
         assert rc == 1
         err = capfd.readouterr().err
         assert paths["checkpoint"] in err and "'phi.w'" in err
+
+    def test_checkpoint_cut_before_delta(self, pipeline, tmp_path, capfd):
+        from e2el.training import load_checkpoint
+        paths, _ = pipeline
+        data = open(paths["checkpoint"], "rb").read()
+        entry = 2 + len(b"meta.delta") + 1 + 4 + 4  # name, rank 0, one float, CRC
+        assert data[-entry + 2:-entry + 12] == b"meta.delta"
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(data[:-entry])
+        state = load_checkpoint(str(cut))  # a cut between entries reads silently
+        assert "meta.delta" not in state and "proj.w" in state
+        capfd.readouterr()
+        rc = cli.run_command(["annotate", "--config", paths["config"],
+                              "--in", paths["corpus"], "--out", str(tmp_path / "a.jsonl"),
+                              "--set", f"paths.checkpoint={cut}"])
+        assert rc == 1
+        err = capfd.readouterr().err
+        assert f"{cut}: checkpoint lacks meta.delta" in err
 
     def test_annotate_bad_index_prior(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline
@@ -180,7 +201,9 @@ class TestConfigErrorsBeforeInputs:
         ("global.gamma_prime=null", "'global.gamma_prime' takes a number"),
         ("train.max_steps=0", "max_steps must be null or at least 1"),
         ('model.use_global="no"', "'model.use_global' takes true or false"),
-        ("train.improvement=NaN", "improvement must be finite and at least 0")])
+        ("train.improvement=NaN", "improvement must be finite and at least 0"),
+        ("attention.keep=0", "'attention.keep' must be between 1 and 'attention.window'"),
+        ("attention.window=5", "'attention.keep' must be between 1 and 'attention.window'")])
     @pytest.mark.parametrize("command", ["train", "annotate", "select-threshold"])
     def test_exit_1_naming_the_setting(self, unreadable_inputs, capfd, command,
                                        override, reported):
@@ -193,6 +216,26 @@ class TestConfigErrorsBeforeInputs:
         err = capfd.readouterr().err
         assert rc == 1
         assert reported in err and bad not in err
+
+
+class TestModuleEntryPoints:
+    def run_module(self, *args):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+    def test_package_help(self):
+        proc = self.run_module("e2el", "--help")
+        assert proc.returncode == 0
+        assert "select-threshold" in proc.stdout
+
+    def test_cli_module_bad_config(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        proc = self.run_module("e2el.cli", "train", "--config", str(bad))
+        assert proc.returncode == 1
+        assert f"{bad}: invalid JSON" in proc.stderr
 
 
 class TestEvaluateCommand:

@@ -134,6 +134,34 @@ class TestValueTypes:
             RunConfig.load(str(p), overrides=[override])
 
 
+class TestAttentionRange:
+    @pytest.mark.parametrize("overrides", [
+        ["attention.keep=0"], ["attention.keep=-3"], ["attention.keep=201"],
+        ["attention.window=0"], ["attention.window=4", "attention.keep=5"]])
+    def test_keep_outside_window_rejected_at_load(self, tmp_path, overrides):
+        p = tmp_path / "c.json"
+        p.write_text("{}", encoding="utf-8")
+        with pytest.raises(ValueError, match="'attention.keep' must be between 1 and "
+                                             "'attention.window'") as err:
+            RunConfig.load(str(p), overrides=overrides)
+        assert str(p) in str(err.value)
+
+    def test_rejected_in_the_file_too(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"attention.window": 3, "attention.keep": 4}),
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=r"\(3\), got 4"):
+            RunConfig.load(str(p))
+
+    @pytest.mark.parametrize("window, keep", [(1, 1), (200, 200), (10, 1)])
+    def test_bounds_accepted(self, tmp_path, window, keep):
+        p = tmp_path / "c.json"
+        p.write_text("{}", encoding="utf-8")
+        cfg = RunConfig.load(str(p), overrides=[f"attention.window={window}",
+                                                f"attention.keep={keep}"])
+        assert (cfg["attention.window"], cfg["attention.keep"]) == (window, keep)
+
+
 class TestKeyTable:
     def test_owned_defaults_come_from_the_dataclasses(self):
         for key, (owner, name) in OWNED.items():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from e2el import autodiff as ad
 from e2el import encoder as enc
 from e2el.candidates import CandidateEntry, MentionSpan
@@ -42,26 +43,117 @@ class TestCharEmbed:
         words, chars, params = make_model()
         zero_lstm(params.char_fwd)
         zero_lstm(params.char_bwd)
-        out = enc.char_embed("a", chars, params)
+        out = enc.char_embed(["a"], chars, params)
         assert np.allclose(out.data, 0.0)
-        assert out.shape == (2 * TOY.char_hidden,)
+        assert out.shape == (1, 2 * TOY.char_hidden)
 
     def test_word_differs_from_its_reverse(self):
         words, chars, params = make_model(seed=3)
-        a = enc.char_embed("abc", chars, params)
-        b = enc.char_embed("cba", chars, params)
+        a = enc.char_embed(["abc"], chars, params)
+        b = enc.char_embed(["cba"], chars, params)
         assert not np.allclose(a.data, b.data)
 
     def test_empty_word_rejected(self):
         words, chars, params = make_model()
         with pytest.raises(ValueError, match="empty word"):
-            enc.char_embed("", chars, params)
+            enc.char_embed([""], chars, params)
+        with pytest.raises(ValueError, match="no words"):
+            enc.char_embed([], chars, params)
 
     def test_unknown_chars_use_unknown_row(self):
         words, chars, params = make_model()
-        a = enc.char_embed("☃", chars, params)  # not in the inventory
-        b = enc.char_embed("☄", chars, params)
+        a = enc.char_embed(["☃"], chars, params)  # not in the inventory
+        b = enc.char_embed(["☄"], chars, params)
         assert np.array_equal(a.data, b.data)
+
+    def test_rows_follow_the_word_order_across_lengths(self):
+        words, chars, params = make_model(seed=4)
+        batch = ["alpha", "b", "ga", "delta", "b"]
+        out = enc.char_embed(batch, chars, params)
+        assert out.shape == (5, 2 * TOY.char_hidden)
+        for k, word in enumerate(batch):
+            alone = enc.char_embed([word], chars, params).data[0]
+            assert np.abs(out.data[k] - alone).max() <= 1e-6
+            assert np.abs(out.data[k] - helpers.per_step_char_embed(word, chars, params).data
+                          ).max() <= 1e-6
+
+
+def random_case(seed):
+    """A seeded encoder and document: 1-40 tokens of 1-15 characters, with
+    repeated tokens and characters outside the char inventory."""
+    rng = np.random.default_rng(seed)
+    dims = enc.EncoderDims(word_dim=5, char_dim=3, char_hidden=3, ctx_hidden=4,
+                           entity_dim=5, dropout_keep=0.7)
+    letters = list("abcdefgh")
+    vocab = ["".join(rng.choice(letters, size=int(rng.integers(1, 16)))) for _ in range(12)]
+    words = WordVectors(vocab={t: i for i, t in enumerate(vocab)},
+                        matrix=rng.standard_normal((len(vocab) + 1, 5)).astype(np.float32),
+                        unk_index=len(vocab))
+    chars = CharTable.build(["abcdef"], 3, rng)  # g and h fall on the unknown row
+    params = enc.init_encoder_params(dims, rng)
+    for w in (params.char_fwd, params.char_bwd, params.ctx_fwd, params.ctx_bwd):
+        w.b.data = 0.5 * rng.standard_normal(w.b.shape).astype(w.b.data.dtype)
+    n = int(rng.integers(1, 41))
+    tokens = [vocab[i] if rng.random() < 0.8 else "xyz☃"[:int(rng.integers(1, 5))]
+              for i in rng.integers(0, len(vocab), size=n)]
+    probes = (rng.standard_normal((n, dims.v_dim)), rng.standard_normal((n, dims.x_dim)))
+    return Document(f"r{seed}", tokens), words, chars, params, dims, probes
+
+
+def encode_with_grads(encode, case, mode, grads=True):
+    """(V, X, gradient per trainable tensor) of a probe loss over V and X;
+    without `grads`, just (V, X)."""
+    doc, words, chars, params, dims, (probe_v, probe_x) = case
+    trainable = [chars.rows] + [t for w in (params.char_fwd, params.char_bwd,
+                                            params.ctx_fwd, params.ctx_bwd)
+                                for t in (w.w_x, w.w_h, w.b)]
+    for t in trainable:
+        t.grad = None
+    e = encode(doc, words, chars, params, dims, mode=mode, rng=np.random.default_rng(5))
+    out = (np.stack([t.data for t in e.v]), np.stack([t.data for t in e.x]))
+    if not grads:
+        return out
+    loss = ad.addn([ad.dot(t, ad.constant(p)) for rows, probe in ((e.v, probe_v), (e.x, probe_x))
+                    for t, p in zip(rows, probe)])
+    ad.backward(loss)
+    return out + ([t.grad for t in trainable],)
+
+
+class TestFusedMatchesPerStep:
+    """The fused encoder against `helpers.per_step_encode_document`."""
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_float64_outputs_and_gradients(self, mode):
+        worst_out, worst_grad = 0.0, 0.0
+        with ad.precision("float64"):
+            for seed in range(100):
+                fused = encode_with_grads(enc.encode_document, random_case(seed), mode)
+                oracle = encode_with_grads(helpers.per_step_encode_document,
+                                           random_case(seed), mode)
+                for a, b in zip(fused[:2], oracle[:2]):
+                    worst_out = max(worst_out, float(np.abs(a - b).max()))
+                for a, b in zip(fused[2], oracle[2]):
+                    rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+                    worst_grad = max(worst_grad, float(rel.max()))
+        assert worst_out <= 1e-9
+        assert worst_grad <= 1e-6
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_float32_outputs(self, mode):
+        for seed in range(100):
+            fused = encode_with_grads(enc.encode_document, random_case(seed), mode, False)
+            oracle = encode_with_grads(helpers.per_step_encode_document,
+                                       random_case(seed), mode, False)
+            assert fused[0].dtype == np.float32
+            for a, b in zip(fused, oracle):
+                assert np.abs(a - b).max() <= 1e-5
+
+    def test_dropout_masks_are_the_per_token_draws(self):
+        case = random_case(7)
+        fused = encode_with_grads(enc.encode_document, case, "train", False)
+        oracle = encode_with_grads(helpers.per_step_encode_document, case, "train", False)
+        for a, b in zip(fused, oracle):
+            assert np.array_equal(a == 0, b == 0)
 
 
 class TestEncodeDocument:
@@ -126,6 +218,25 @@ class TestEncodeDocument:
                                entity_dim=5, max_tokens=2)
         with pytest.raises(ValueError, match="cap"):
             enc.encode_document(Document("d", ["a", "b", "c"]), words, chars, params, dims)
+
+    def test_graph_size_is_linear_in_tokens(self, monkeypatch):
+        # 2n row views plus a handful of nodes per distinct token length
+        words, chars, params = make_model(seed=12)
+        rng = np.random.default_rng(12)
+        tokens = ["".join(rng.choice(list("abcdefg"), size=int(rng.integers(1, 13))))
+                  for _ in range(200)]
+        lengths = len({len(t) for t in tokens})
+        built = [0]
+        init = ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        enc.encode_document(Document("d", tokens), words, chars, params, TOY, mode="train",
+                            rng=np.random.default_rng(0))
+        assert built[0] <= 2 * len(tokens) + 8 * lengths + 20
 
     def test_long_document_outputs_finite(self):
         words, chars, params = make_model(seed=11)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,33 @@ class TestTrain:
         result = training.train(docs, docs, model, index, cfg)
         assert result.best_macro_f1 >= 0.0
         assert result.delta == float("-inf")
+
+    def test_steps_and_evaluations_run_with_the_collector_paused(self, monkeypatch):
+        docs, index, model = build_toy(seed=11, use_global=True, use_attention=True)
+        seen = {"backward": [], "dev_eval": []}
+        backward, dev_eval = ad.backward, training._dev_eval
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name].append(gc.isenabled())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(ad, "backward", spy("backward", backward))
+        monkeypatch.setattr(training, "_dev_eval", spy("dev_eval", dev_eval))
+        cfg = training.TrainConfig(seed=11, eval_every=4, max_steps=8)
+        result = training.train(docs, docs, model, index, cfg)
+        assert result.steps == 8
+        assert seen == {"backward": [False] * 8, "dev_eval": [False] * 2}
+        assert gc.isenabled()
+        # and a run leaves nothing behind that only the collector could free
+        gc.disable()
+        try:
+            gc.collect()
+            training.train(docs, docs, model, index, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_global_training_runs(self):
         docs, index, model = build_toy(seed=10, use_global=True)
