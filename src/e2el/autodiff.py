@@ -5,7 +5,10 @@ closure scattering the output gradient back onto its inputs; `backward`
 walks the graph once in reverse topological order (iteratively, so very
 deep recurrent chains are fine). Arithmetic runs in 32-bit floats by
 default; gradient checking switches the whole graph to 64-bit via
-``precision("float64")``.
+``precision("float64")``. The vector ops also take the rows of a matrix
+as one node (`dot`, `cosine`, `weighted_sum`, `stack`, and `add`/`mul`
+with a scalar or row operand), so a block of rows costs one node, not one
+per row.
 
 Every forward and backward value a node holds is checked for NaN/Inf and
 raises ``FloatingPointError`` on the first non-finite entry. A fused op
@@ -13,10 +16,8 @@ raises ``FloatingPointError`` on the first non-finite entry. A fused op
 it (gates, cell states, per-step gradients) are not nodes and are not
 checked one by one, but its output and every gradient it passes to a
 parent are, so a non-finite value inside still raises there. Values
-computed off the graph are checked where they are made: the long-range
-attention ranking (``scoring.long_range_feature``) scores every window
-word with numpy and checks that score matrix once, so an overflow in a
-word it then drops still raises.
+computed off the graph are checked where they are made, such as the
+attention word scores of ``scoring.long_range_feature``.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def parameter(value) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray, at=None) -> None:
-    """Add `g` into the gradient of `t`, or into its part ``grad[at]``."""
+    """Add `g` into the gradient of `t`, or into its part ``grad[at]``; an
+    index array `at` may repeat an index, whose gradients then add up."""
     if not t.requires_grad:
         return
     _check_finite(g, f"gradient flowing into {t.op}")
@@ -141,8 +143,21 @@ def _accumulate(t: Tensor, g: np.ndarray, at=None) -> None:
         t.grad = np.zeros_like(t.data)
     if at is None:
         t.grad += g
+    elif isinstance(at, np.ndarray):
+        np.add.at(t.grad, at, g)
     else:
         t.grad[at] += g
+
+
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    """`b` must have `a`'s shape or a trailing part of it (a scalar, a row)."""
+    if b.data.ndim > a.data.ndim or a.shape[a.data.ndim - b.data.ndim:] != b.shape:
+        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of an operand of `shape` repeated over `g`'s leading axes."""
+    return g if g.shape == shape else g.reshape((-1,) + shape).sum(axis=0)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
@@ -186,12 +201,12 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    """a + b, with `b` repeated over `a`'s leading axes (e.g. a scalar bias)."""
+    _check_broadcast("add", a, b)
 
     def back(g):
         _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(a.data + b.data, (a, b), "add", back)
 
@@ -227,13 +242,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of equally-shaped tensors."""
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+    """Elementwise product, with `b` repeated over `a`'s leading axes (e.g.
+    a diagonal form applied to every row of a matrix)."""
+    _check_broadcast("mul", a, b)
 
     def back(g):
         _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), "mul", back)
 
@@ -278,14 +293,17 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot: need equal-length vectors, got {a.shape}, {b.shape}")
+    """Inner product over the last axis of two equally-shaped tensors: a
+    scalar for two vectors, one value per row for two matrices."""
+    if a.data.ndim not in (1, 2) or a.shape != b.shape:
+        raise ValueError(f"dot: need equal-shaped vectors or matrices, got {a.shape}, {b.shape}")
 
     def back(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g[..., None] * b.data)
+        _accumulate(b, g[..., None] * a.data)
 
-    return _node(np.asarray(a.data @ b.data), (a, b), "dot", back)
+    out = a.data @ b.data if a.data.ndim == 1 else np.einsum("nd,nd->n", a.data, b.data)
+    return _node(np.asarray(out), (a, b), "dot", back)
 
 
 def sum1d(v: Tensor) -> Tensor:
@@ -298,20 +316,21 @@ def sum1d(v: Tensor) -> Tensor:
     return _node(np.asarray(v.data.sum()), (v,), "sum1d", back)
 
 
-def stack(scalars: Sequence[Tensor]) -> Tensor:
-    """Pack scalar nodes into a vector; backward scatters per position."""
-    if not scalars:
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Pack equally-shaped tensors along a new last axis: scalars into a
+    vector, k vectors of length n into an (n × k) matrix of columns;
+    backward hands each part its slice."""
+    if not parts:
         raise ValueError("stack: empty input")
-    for s in scalars:
-        if s.shape != ():
-            raise ValueError(f"stack: scalar expected, got shape {s.shape}")
+    for p in parts:
+        if p.shape != parts[0].shape:
+            raise ValueError(f"stack: shape mismatch {p.shape} vs {parts[0].shape}")
 
     def back(g):
-        for i, s in enumerate(scalars):
-            _accumulate(s, np.asarray(g[i], dtype=s.data.dtype))
+        for i, p in enumerate(parts):
+            _accumulate(p, g[..., i])
 
-    data = np.array([s.data for s in scalars], dtype=scalars[0].data.dtype)
-    return _node(data, tuple(scalars), "stack", back)
+    return _node(np.stack([p.data for p in parts], axis=-1), tuple(parts), "stack", back)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -343,24 +362,24 @@ def slice1d(v: Tensor, start: int, length: int) -> Tensor:
 
 
 def row(m: Tensor, index: int) -> Tensor:
-    """Entry `index` along the first axis: a row of a matrix, or a matrix
-    of a 3-D tensor. Backward adds into the picked row of the parent's
-    gradient in place, so n views of one matrix cost O(n·d), not O(n²·d)."""
-    if m.data.ndim < 2:
-        raise ValueError("row: matrix expected")
+    """Entry `index` along the first axis (an element of a vector, a row of a
+    matrix). Backward adds into the picked entry of the parent's gradient
+    in place, so n views of one matrix cost O(n·d), not O(n²·d)."""
+    if m.data.ndim < 1:
+        raise ValueError("row: vector or matrix expected")
     if not 0 <= index < m.shape[0]:
         raise ValueError(f"row: index {index} out of range {m.shape}")
 
     def back(g):
         _accumulate(m, g, at=index)
 
-    return _node(m.data[index].copy(), (m,), "row", back)
+    return _node(m.data[index, ...].copy(), (m,), "row", back)
 
 
 def take_rows(m: Tensor, idx) -> Tensor:
     """Rows of a matrix gathered by an integer array of any shape; the
     result has shape ``idx.shape + (columns,)``. Backward adds each
-    gradient row into its source row, summing over repeated indices."""
+    gradient row into its source row in place, summing repeated indices."""
     idx = np.asarray(idx, dtype=np.intp)
     if m.data.ndim != 2:
         raise ValueError("take_rows: matrix expected")
@@ -368,9 +387,7 @@ def take_rows(m: Tensor, idx) -> Tensor:
         raise ValueError(f"take_rows: index out of range {m.shape}")
 
     def back(g):
-        full = np.zeros_like(m.data)
-        np.add.at(full, idx, g)
-        _accumulate(m, full)
+        _accumulate(m, g, at=idx)
 
     return _node(m.data[idx], (m,), "take_rows", back)
 
@@ -435,25 +452,22 @@ def max1d(v: Tensor) -> Tensor:
     return _node(np.asarray(v.data[idx]), (v,), "max1d", back)
 
 
-def weighted_sum(vectors: Sequence[Tensor], weights: Tensor) -> Tensor:
-    """Σ w_i · v_i over equally-shaped vectors with a weight vector node."""
-    if weights.data.ndim != 1 or len(vectors) != weights.shape[0]:
+def weighted_sum(vectors: Sequence[Tensor] | Tensor, weights: Tensor) -> Tensor:
+    """Σ w_i · v_i with a weight vector node, over equally-shaped vectors or
+    over the rows of one matrix node."""
+    matrix = isinstance(vectors, Tensor)
+    rows = vectors.data if matrix else np.stack([v.data for v in vectors])
+    if rows.ndim != 2 or weights.data.ndim != 1 or rows.shape[0] != weights.shape[0]:
         raise ValueError("weighted_sum: need one weight per vector")
-    shape = vectors[0].shape
-    for v in vectors:
-        if v.shape != shape:
-            raise ValueError("weighted_sum: vectors must share a shape")
 
     def back(g):
-        for i, v in enumerate(vectors):
-            _accumulate(v, g * weights.data[i])
-        wg = np.array([float(g @ v.data) for v in vectors], dtype=weights.data.dtype)
-        _accumulate(weights, wg)
+        grads = np.outer(weights.data, g)
+        for v, gv in [(vectors, grads)] if matrix else zip(vectors, grads):
+            _accumulate(v, gv)
+        _accumulate(weights, rows @ g)
 
-    out = np.zeros_like(vectors[0].data)
-    for i, v in enumerate(vectors):
-        out += weights.data[i] * v.data
-    return _node(out, tuple(vectors) + (weights,), "weighted_sum", back)
+    parts = (vectors,) if matrix else tuple(vectors)
+    return _node(weights.data @ rows, parts + (weights,), "weighted_sum", back)
 
 
 def dropout(v: Tensor, keep_prob: float, training: bool,
@@ -474,25 +488,23 @@ def dropout(v: Tensor, keep_prob: float, training: bool,
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two vectors; zero-norm input yields constant 0."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"cosine: need equal-length vectors, got {a.shape}, {b.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
-        return constant(np.asarray(0.0, dtype=a.data.dtype))
-    c = float(a.data @ b.data) / (na * nb)
+    """Cosine similarity of vector `b` with vector `a`, or with each row of
+    matrix `a`. A zero-norm input gives 0 and passes no gradient."""
+    if a.data.ndim not in (1, 2) or b.data.ndim != 1 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"cosine: need vector or matrix and vector, got {a.shape}, {b.shape}")
+    na = np.linalg.norm(a.data, axis=-1, keepdims=True)  # (1,) or (rows, 1)
+    nb = np.linalg.norm(b.data)
+    live = (na > 0) & (nb > 0)
+    na, nb = np.where(live, na, 1), nb or 1
+    c = np.where(live, (a.data @ b.data)[..., None] / (na * nb), 0)
 
     def back(g):
+        g = np.where(live, g[..., None], 0)
         _accumulate(a, g * (b.data / (na * nb) - c * a.data / (na * na)))
-        _accumulate(b, g * (a.data / (na * nb) - c * b.data / (nb * nb)))
+        _accumulate(b, _unbroadcast(g * (a.data / (na * nb) - c * b.data / (nb * nb)),
+                                    b.shape))
 
-    return _node(np.asarray(c, dtype=a.data.dtype), (a, b), "cosine", back)
-
-
-def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for a weight matrix, input vector and bias vector."""
-    return add(matvec(w, x), b)
+    return _node(np.asarray(c[..., 0], dtype=a.data.dtype), (a, b), "cosine", back)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ class MentionSpan:
     def length(self) -> int:
         return self.end - self.start + 1
 
-    def overlaps(self, other: "MentionSpan") -> bool:
-        return self.doc_id == other.doc_id and \
-            self.start <= other.end and other.start <= self.end
-
 
 def normalize_surface(surface: str) -> str:
     return " ".join(surface.split())

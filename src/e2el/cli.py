@@ -190,7 +190,7 @@ def cmd_grad_check(args) -> int:
     return 0 if worst <= 1e-4 else 2
 
 
-def _toy_check_setup(seed: int, entity_dim: int = 8):
+def _toy_check_setup(seed: int, frozen: bool, entity_dim: int = 8):
     rng = np.random.default_rng(seed)
     surfaces = ["sa", "sb", "sc", "pad"]
     entity_ids = [f"E{i}" for i in range(4)]
@@ -201,7 +201,7 @@ def _toy_check_setup(seed: int, entity_dim: int = 8):
     evecs = rng.standard_normal((4, entity_dim))
     evecs /= np.linalg.norm(evecs, axis=1, keepdims=True)
     entities = EntityVectors(ids={e: i for i, e in enumerate(entity_ids)},
-                             matrix=evecs.astype(np.float32))
+                             matrix=evecs.astype(np.float32), frozen=frozen)
     dims = EncoderDims(word_dim=entity_dim, char_dim=3, char_hidden=3, ctx_hidden=4,
                        entity_dim=entity_dim, dropout_keep=1.0)
     chars = CharTable.build(surfaces, 3, rng)
@@ -211,6 +211,8 @@ def _toy_check_setup(seed: int, entity_dim: int = 8):
     table = {"sa": [("E0", 0.6), ("E1", 0.4)], "sb": [("E2", 1.0)],
              "sc": [("E1", 0.5), ("E3", 0.5)],
              "sa pad": [("E3", 1.0)]}  # multi-token span exercises the soft head
+    if not frozen:
+        table["sb"] = [("E2", 0.7), ("E9", 0.3)]  # E9 has no vector: a zero row
     entries = {s: [candidates.CandidateEntry(e, p) for e, p in lst]
                for s, lst in table.items()}
     index = candidates.AliasIndex(entries, s=30, max_span_length=3)
@@ -239,6 +241,9 @@ def full_model_grad_check(seed: int = 0) -> dict[str, float]:
     document-loss graphs on a small model; returns max relative error per
     (graph, parameter).
 
+    A second model has trainable entity vectors, one candidate without a
+    vector; on it only the entity matrix is checked.
+
     The loss is piecewise smooth, so the starting seed is advanced until no
     hinge input sits close enough to its kink to corrupt the central
     differences. The composite graphs use a larger step than the per-op
@@ -246,32 +251,33 @@ def full_model_grad_check(seed: int = 0) -> dict[str, float]:
     the 1e-8 relative-error floor on near-zero gradient coordinates.
     """
     h = 1e-4
+    errors: dict[str, float] = {}
     with ad.precision("float64"):
-        for attempt in range(20):
-            model, doc, spans, tcfg = _toy_check_setup(seed + attempt)
-            if _hinge_clearance(model, doc, spans, tcfg) > 1e-2:
-                break
-        else:
-            raise RuntimeError("no kink-free configuration found")
+        for frozen in (True, False):
+            for attempt in range(20):
+                model, doc, spans, tcfg = _toy_check_setup(seed + attempt, frozen)
+                if _hinge_clearance(model, doc, spans, tcfg) > 1e-2:
+                    break
+            else:
+                raise RuntimeError("no kink-free configuration found")
 
-        def psi_sum():
-            return ad.addn([p.psi for p in model.pair_scores(doc, spans, mode="eval")])
+            def score_sum(field: str):
+                return lambda: ad.addn([getattr(p, field) for p in
+                                        model.pair_scores(doc, spans, mode="eval")])
 
-        def phi_sum():
-            return ad.addn([p.phi for p in model.pair_scores(doc, spans, mode="eval")])
+            def doc_loss():
+                return training.document_loss(doc, spans, doc.gold, model, tcfg,
+                                              mode="eval").loss
 
-        def doc_loss():
-            return training.document_loss(doc, spans, doc.gold, model, tcfg,
-                                          mode="eval").loss
-
-        errors: dict[str, float] = {}
-        for name, tensor in model.params.items():
-            errors[f"psi/{name}"] = ad.grad_check(psi_sum, tensor, h=h)
-        for name in ("phi.w", "phi.b", "att.a", "att.b"):
-            errors[f"phi/{name}"] = ad.grad_check(phi_sum, model.params[name], h=h)
-        for name, tensor in model.params.items():
-            errors[f"loss/{name}"] = ad.grad_check(doc_loss, tensor, h=h)
-        return errors
+            graphs = {"psi": score_sum("psi"), "phi": score_sum("phi"), "loss": doc_loss}
+            checked = ({"psi": model.params.names(), "loss": model.params.names(),
+                        "phi": ["phi.w", "phi.b", "att.a", "att.b"]} if frozen
+                       else dict.fromkeys(graphs, ["entities"]))
+            for graph, names in checked.items():
+                for name in names:
+                    tensor = model.params[name]
+                    errors[f"{graph}/{name}"] = ad.grad_check(graphs[graph], tensor, h=h)
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Run configuration: one JSON file of flat dotted keys plus CLI overrides.
 
-`OWNED` maps 18 keys to a field of `TrainConfig`, `EncoderDims` or
+`OWNED` maps 17 keys to a field of `TrainConfig`, `EncoderDims` or
 `GlobalConfig`, which owns the key's default, type and (in ``__post_init__``)
 range. Every other key has a literal default in `DEFAULTS` and its type (a
 null default takes a string). Values are type-checked when set, and `load`
@@ -27,7 +27,6 @@ OWNED: dict[str, tuple[type, str]] = {
     "dims.char_hidden": (EncoderDims, "char_hidden"),
     "dims.ctx_hidden": (EncoderDims, "ctx_hidden"),
     "dims.entity": (EncoderDims, "entity_dim"),
-    "encoder.soft_head_space": (EncoderDims, "soft_head_space"),
     "encoder.dropout_keep": (EncoderDims, "dropout_keep"),
     "encoder.max_tokens": (EncoderDims, "max_tokens"),
     "train.gamma": (TrainConfig, "gamma"),

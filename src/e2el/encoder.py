@@ -11,8 +11,8 @@ The char bi-LSTM runs once per document over its distinct tokens, grouped
 by length: each length is one batched `lstm_sequence` call per direction,
 so no sequence is padded or masked. The summaries are gathered back per
 token, and the word-character vectors V (n × v_dim) and context vectors
-X (n × x_dim) are each one matrix node; `EncodedDocument` exposes them as
-per-token row views.
+X (n × x_dim) are each one matrix node, which is all `EncodedDocument`
+holds. A mention gathers its span's rows of both once for its soft head.
 
 Dropout applies at two sites in training mode: on the word-character
 vectors and on the context bi-LSTM output.
@@ -20,7 +20,7 @@ vectors and on the context bi-LSTM output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class EncoderDims:
     char_hidden: int = 50
     ctx_hidden: int = 150
     entity_dim: int = 300
-    soft_head_space: str = "v"  # attend over word-char vectors ("v") or context vectors ("x")
     dropout_keep: float = 0.5
     max_tokens: int | None = None
 
@@ -47,8 +46,6 @@ class EncoderDims:
         for name in ("word_dim", "char_dim", "char_hidden", "ctx_hidden", "entity_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.soft_head_space not in ("v", "x"):
-            raise ValueError(f"soft_head_space must be 'v' or 'x', got {self.soft_head_space!r}")
         if not 0 < self.dropout_keep <= 1:
             raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
         if self.max_tokens is not None and self.max_tokens < 1:
@@ -64,8 +61,7 @@ class EncoderDims:
 
     @property
     def g_dim(self) -> int:
-        head = self.v_dim if self.soft_head_space == "v" else self.x_dim
-        return 2 * self.x_dim + head
+        return 2 * self.x_dim + self.v_dim
 
 
 @dataclass
@@ -93,26 +89,15 @@ def init_encoder_params(dims: EncoderDims, rng: np.random.Generator) -> EncoderP
 
 @dataclass
 class EncodedDocument:
-    """Per-token word-character vectors `v` and context-aware vectors `x`."""
+    """The word-character vectors `v` (n × v_dim) and context-aware vectors
+    `x` (n × x_dim), one row per token."""
 
     doc_id: str
-    v: list[ad.Tensor]
-    x: list[ad.Tensor]
-    _scaled: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
-                                                          repr=False, compare=False)
+    v: ad.Tensor
+    x: ad.Tensor
 
     def __len__(self) -> int:
-        return len(self.v)
-
-    def scaled_context(self, a: np.ndarray) -> np.ndarray:
-        """The context vectors as one (n × d) array, each row scaled by `a`.
-
-        Built once per document and kept for the last `a` seen, compared by
-        value, so an in-place update of `a` builds it afresh.
-        """
-        if self._scaled is None or not np.array_equal(self._scaled[0], a):
-            self._scaled = (a.copy(), np.stack([x.data for x in self.x]) * a)
-        return self._scaled[1]
+        return self.x.shape[0]
 
 
 def char_embed(words: list[str], table: CharTable, params: EncoderParams) -> ad.Tensor:
@@ -162,31 +147,24 @@ def encode_document(doc: Document, words: WordVectors, chars: CharTable,
     fwd = ad.lstm_sequence(v, params.ctx_fwd)
     bwd = ad.lstm_sequence(v, params.ctx_bwd, reverse=True)
     x = ad.dropout(ad.concat([fwd, bwd]), dims.dropout_keep, training, rng)
-    n = len(doc.tokens)
-    return EncodedDocument(doc_id=doc.doc_id, v=[ad.row(v, k) for k in range(n)],
-                           x=[ad.row(x, k) for k in range(n)])
+    return EncodedDocument(doc_id=doc.doc_id, v=v, x=x)
 
 
-def soft_head(span: MentionSpan, enc: EncodedDocument, params: EncoderParams,
-              dims: EncoderDims) -> ad.Tensor:
-    """Attention-weighted sum over the span: logits from context vectors,
-    values from the word-character vectors (or context vectors when
-    configured)."""
+def soft_head(span: MentionSpan, enc: EncodedDocument, params: EncoderParams) -> ad.Tensor:
+    """Attention-weighted sum of the span's word-character vectors, with
+    logits from its context vectors; both are gathered once per span."""
     if not (0 <= span.start <= span.end < len(enc)):
         raise ValueError(f"span [{span.start}, {span.end}] outside document of {len(enc)} tokens")
-    ks = range(span.start, span.end + 1)
-    logits = ad.stack([ad.dot(params.attn_w, enc.x[k]) for k in ks])
-    weights = ad.softmax(logits)
-    values = enc.v if dims.soft_head_space == "v" else enc.x
-    return ad.weighted_sum([values[k] for k in ks], weights)
+    ks = np.arange(span.start, span.end + 1)
+    weights = ad.softmax(ad.matvec(ad.take_rows(enc.x, ks), params.attn_w))
+    return ad.weighted_sum(ad.take_rows(enc.v, ks), weights)
 
 
-def mention_repr(span: MentionSpan, enc: EncodedDocument, params: EncoderParams,
-                 dims: EncoderDims) -> ad.Tensor:
+def mention_repr(span: MentionSpan, enc: EncodedDocument, params: EncoderParams) -> ad.Tensor:
     """Project [x_start; x_end; soft head] down to entity-embedding size."""
-    head = soft_head(span, enc, params, dims)
-    g = ad.concat([enc.x[span.start], enc.x[span.end], head])
+    head = soft_head(span, enc, params)
+    g = ad.concat([ad.row(enc.x, span.start), ad.row(enc.x, span.end), head])
     if params.proj_w.shape[1] != g.shape[0]:
         raise ValueError(
             f"mention projection expects {params.proj_w.shape[1]}-d input, got {g.shape[0]}-d")
-    return ad.affine(params.proj_w, g, params.proj_b)
+    return ad.add(ad.matvec(params.proj_w, g), params.proj_b)

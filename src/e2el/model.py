@@ -1,10 +1,12 @@
 """The linking model: stores, encoder and scorer wired into one unit.
 
-Scoring a document is two-phase: every (span, candidate) pair first gets
-its local score, then (when the global layer is on) the confident pairs
-are frozen into a voter set, summed once per document, and each pair is
-rescored against that sum minus its own mention's votes. Training mode
-returns graph nodes for the loss; evaluation mode returns plain floats.
+Scoring a document is two-phase: every pair first gets its local score,
+then (when the global layer is on) the confident pairs are frozen into a
+voter set, summed once per document, and each pair is rescored against
+that sum minus its own mention's votes. Each score of a span's candidates
+is one (C,) vector node, and a pair's scores are element views of those.
+Training mode returns graph nodes for the loss; evaluation mode returns
+plain floats.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from . import scoring
 from .candidates import MentionSpan
 from .corpus import Document
 from .embeddings import CharTable, EntityVectors, WordVectors
-from .encoder import EncodedDocument, EncoderDims, EncoderParams, encode_document, \
-    init_encoder_params, mention_repr
+from .encoder import EncodedDocument, EncoderDims, encode_document, init_encoder_params, \
+    mention_repr
 
 
 @dataclass
 class PairScore:
-    """Graph-node scores for one (span, candidate) pair."""
+    """Graph-node scores for one (span, candidate) pair: scalar views of
+    its span's score vectors."""
 
     span: MentionSpan
     entity_id: str
@@ -94,13 +97,20 @@ class LinkingModel:
         else:
             self._entity_rows = None
 
-    def entity_tensor(self, entity_id: str) -> ad.Tensor:
-        if self._entity_rows is not None:
-            idx = self.entities.index(entity_id)
-            if idx is not None:
-                return ad.row(self._entity_rows, idx)
-        return ad.constant(np.asarray(self.entities.vector(entity_id),
-                                      dtype=ad.default_dtype()))
+    def candidate_rows(self, span: MentionSpan) -> ad.Tensor:
+        """The span's candidate vectors as the rows of one (C × d) block:
+        rows gathered from the trainable entity matrix, or a constant when
+        the entities are frozen. An entity without a vector has a zero row."""
+        ids = [c.entity_id for c in span.candidates]
+        if self._entity_rows is None:
+            return ad.constant(np.stack([self.entities.vector(e) for e in ids]))
+        rows = [self.entities.index(e) for e in ids]
+        block = ad.take_rows(self._entity_rows, [r or 0 for r in rows])
+        if None not in rows:
+            return block
+        for e in {e for e, r in zip(ids, rows) if r is None}:
+            self.entities.vector(e)  # logs the missing vector once
+        return ad.mul(block, ad.constant([[r is not None] * block.shape[1] for r in rows]))
 
     def encode(self, doc: Document, mode: str = "eval",
                rng: np.random.Generator | None = None) -> EncodedDocument:
@@ -109,40 +119,35 @@ class LinkingModel:
 
     def pair_scores(self, doc: Document, spans: list[MentionSpan], mode: str = "eval",
                     rng: np.random.Generator | None = None) -> list[PairScore]:
-        """Score every (span, candidate) pair of the document."""
+        """Score every (span, candidate) pair of the document, each span's
+        candidates as one block."""
         enc = self.encode(doc, mode=mode, rng=rng)
-        pairs: list[PairScore] = []
-        entity_cache: dict[str, ad.Tensor] = {}
-
-        def y_of(eid: str) -> ad.Tensor:
-            if eid not in entity_cache:
-                entity_cache[eid] = self.entity_tensor(eid)
-            return entity_cache[eid]
-
-        for span in spans:
-            if not span.candidates:
-                continue
-            x_m = mention_repr(span, enc, self.encoder, self.dims)
-            ctx_feats: list[ad.Tensor | None]
+        spans = [span for span in spans if span.candidates]
+        ys = [self.candidate_rows(span) for span in spans]
+        psis = []
+        for span, y in zip(spans, ys):
+            x_m = mention_repr(span, enc, self.encoder)
+            ctx = None
             if self.use_attention:
-                ctx_feats = scoring.long_range_feature(
-                    span, enc, [y_of(c.entity_id) for c in span.candidates],
-                    self.attention_window, self.attention_keep, self.scorer)
-            else:
-                ctx_feats = [None] * len(span.candidates)
-            for entry, ctx in zip(span.candidates, ctx_feats):
-                psi = scoring.local_score(x_m, entry, y_of(entry.entity_id), ctx, self.scorer)
-                pairs.append(PairScore(span=span, entity_id=entry.entity_id,
-                                       prior=entry.prior, psi=psi))
-
+                ctx = scoring.long_range_feature(span, enc, y, self.attention_window,
+                                                 self.attention_keep, self.scorer)
+            psis.append(scoring.local_score(x_m, span, y, ctx, self.scorer))
+        gs = phis = [None] * len(spans)
         if self.use_global:
             # phase two: voter set from the completed local scores
-            voters = scoring.filter_voters([p.detach() for p in pairs], self.global_cfg)
-            votes = scoring.vote_vector(spans, voters, y_of)
-            for p in pairs:
-                p.g = scoring.global_score(y_of(p.entity_id), votes[p.span.start, p.span.end])
-                p.phi = scoring.combine_global(p.psi, p.g, self.scorer)
-        return pairs
+            local = [scoring.ScoredPair(span=span, entity_id=c.entity_id, prior=c.prior,
+                                        psi=float(value))
+                     for span, psi in zip(spans, psis)
+                     for c, value in zip(span.candidates, psi.data)]
+            voters = scoring.filter_voters(local, self.global_cfg)
+            votes = scoring.vote_vector(spans, ys, voters)
+            gs = [scoring.global_score(y, vote) for y, vote in zip(ys, votes)]
+            phis = [scoring.combine_global(psi, g, self.scorer) for psi, g in zip(psis, gs)]
+        return [PairScore(span=span, entity_id=c.entity_id, prior=c.prior, psi=ad.row(psi, j),
+                          g=None if g is None else ad.row(g, j),
+                          phi=None if phi is None else ad.row(phi, j))
+                for span, psi, g, phi in zip(spans, psis, gs, phis)
+                for j, c in enumerate(span.candidates)]
 
     def score_pairs(self, doc: Document, spans: list[MentionSpan]) -> list[scoring.ScoredPair]:
         """Evaluation-mode scores as plain floats."""

@@ -1,16 +1,18 @@
 """Candidate scoring: the local score, long-range attention, global voting.
 
-The local score is an affine combination of the candidate's log prior and
-its dot product with the mention representation (plus, when enabled, a
-long-range context attention feature). The attention ranks the words of
-its window off the graph, with one matrix product per span, and builds
-graph nodes only for the words it keeps; the hard selection leaves the
-dropped words without a gradient in any case. The global layer rescores
-each pair by cosine similarity against the vote of the *other* mentions,
-combined with the local score through a second affine layer. The vote is
-the document's sum of confident candidates' entity vectors minus the
-mention's own votes; it is None (so the global score is 0) when every
-voter belongs to the mention, or the document has no voters.
+Each function scores one span's candidates at once, as the rows of one
+(C × d) block Y, and returns one (C,) vector. The local score is an affine
+combination of a candidate's log prior and its dot product with the
+mention representation (plus, when enabled, a long-range context
+feature). The attention ranks the words of its window off the graph, with
+one matrix product per span, and gathers only the words it keeps into the
+graph; the hard selection leaves the dropped words without a gradient in
+any case. The global layer rescores each pair by cosine similarity against
+the vote of the *other* mentions, combined with the local score through a
+second affine layer. The vote is the document's sum of confident
+candidates' entity vectors minus the mention's own votes; it is None (so
+the global score is 0) when every voter belongs to the mention, or the
+document has no voters.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .candidates import CandidateEntry, MentionSpan
-from .encoder import EncodedDocument, EncoderParams
+from .candidates import MentionSpan
+from .encoder import EncodedDocument
 
 
 @dataclass
@@ -81,13 +83,15 @@ class ScoredPair:
         return self.phi if self.phi is not None else self.psi
 
 
-def local_score(x_m: ad.Tensor, entry: CandidateEntry, y: ad.Tensor,
+def local_score(x_m: ad.Tensor, span: MentionSpan, y: ad.Tensor,
                 ctx_feature: ad.Tensor | None, params: ScorerParams) -> ad.Tensor:
-    """Affine score over [log prior, <x_m, y>] and the optional context feature."""
-    if entry.prior <= 0.0:
-        raise ValueError(f"candidate {entry.entity_id!r} has non-positive prior {entry.prior}")
-    feats = [ad.constant(np.asarray(math.log(entry.prior), dtype=ad.default_dtype())),
-             ad.dot(x_m, y)]
+    """One score per candidate (row of `y`): an affine map of
+    [log prior, <x_m, y_e>] and the optional context feature."""
+    for entry in span.candidates:
+        if entry.prior <= 0.0:
+            raise ValueError(f"candidate {entry.entity_id!r} has non-positive prior {entry.prior}")
+    log_prior = np.log([entry.prior for entry in span.candidates])
+    feats = [ad.constant(log_prior), ad.matvec(y, x_m)]
     if params.psi_w.shape == (3,):
         if ctx_feature is None:
             raise ValueError("attention enabled but no context feature given")
@@ -96,7 +100,7 @@ def local_score(x_m: ad.Tensor, entry: CandidateEntry, y: ad.Tensor,
         raise ValueError("context feature given but attention is disabled")
     if params.psi_w.shape != (len(feats),):
         raise ValueError(f"scorer expects {params.psi_w.shape[0]} features, got {len(feats)}")
-    return ad.add(ad.dot(params.psi_w, ad.stack(feats)), params.psi_b)
+    return ad.add(ad.matvec(ad.stack(feats), params.psi_w), params.psi_b)
 
 
 def context_window(span: MentionSpan, n_tokens: int, window: int) -> list[int]:
@@ -108,10 +112,9 @@ def context_window(span: MentionSpan, n_tokens: int, window: int) -> list[int]:
     return [k for k in range(lo, hi + 1) if k < span.start or k > span.end]
 
 
-def long_range_feature(span: MentionSpan, enc: EncodedDocument,
-                       entity_vectors: list[ad.Tensor], window: int, keep: int,
-                       params: ScorerParams) -> list[ad.Tensor]:
-    """One context-attention feature per candidate.
+def long_range_feature(span: MentionSpan, enc: EncodedDocument, y: ad.Tensor,
+                       window: int, keep: int, params: ScorerParams) -> ad.Tensor:
+    """The context-attention feature of each candidate, one per row of `y`.
 
     Context words score u(w) = max_e <y_e, A . x_w> with a diagonal A; the
     top `keep` words are hard-selected (higher score first, then lower
@@ -119,11 +122,12 @@ def long_range_feature(span: MentionSpan, enc: EncodedDocument,
     c; each candidate's feature is <y_e, B . c>.
 
     The ranking runs off the graph, as one (window × d)·(d × candidates)
-    product over the document's A-scaled context vectors, checked once for
+    product over the window's A-scaled context vectors, checked once for
     non-finite scores, so an overflow raises even in a word that is then
-    dropped. Only the kept words are rebuilt as graph nodes; the hard
-    selection cuts the other words off from the loss, so building them
-    would add nodes but no gradient.
+    dropped. Only the kept words enter the graph, as one gathered block
+    scored against each word's best candidate; the hard selection cuts the
+    other words off from the loss, so building them would add nodes but no
+    gradient.
     """
     if not 1 <= keep <= window:
         raise ValueError(f"need window >= keep >= 1, got window={window} keep={keep}")
@@ -131,31 +135,26 @@ def long_range_feature(span: MentionSpan, enc: EncodedDocument,
         raise ValueError("attention parameters not initialized")
     positions = context_window(span, len(enc), window)
     if not positions:
-        zero = ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
-        return [zero for _ in entity_vectors]
+        return ad.constant(np.zeros(y.shape[0]))
     # einsum, not BLAS: a BLAS product may round two equal rows differently,
     # and equal words must tie exactly for the tie rule to hold
-    word_scores = np.einsum("wd,cd->wc", enc.scaled_context(params.att_a.data)[positions],
-                            np.stack([y.data for y in entity_vectors]))
+    word_scores = np.einsum("wd,cd->wc", enc.x.data[positions] * params.att_a.data, y.data)
     if not np.all(np.isfinite(word_scores)):
         raise FloatingPointError("non-finite values in attention word scores")
     u = word_scores.max(axis=1)
-    kept = [positions[i] for i in np.sort(np.argsort(-u, kind="stable")[:keep])]
-    scores = []
-    for k in kept:
-        ax = ad.mul(params.att_a, enc.x[k])
-        scores.append(ad.max1d(ad.stack([ad.dot(y, ax) for y in entity_vectors])))
-    beta = ad.softmax(ad.stack(scores))
-    c = ad.weighted_sum([enc.x[k] for k in kept], beta)
-    bc = ad.mul(params.att_b, c)
-    return [ad.dot(y, bc) for y in entity_vectors]
+    kept = np.sort(np.argsort(-u, kind="stable")[:keep])
+    x_kept = ad.take_rows(enc.x, np.asarray(positions)[kept])
+    best = ad.take_rows(y, word_scores[kept].argmax(axis=1))
+    beta = ad.softmax(ad.dot(best, ad.mul(x_kept, params.att_a)))
+    c = ad.weighted_sum(x_kept, beta)
+    return ad.matvec(y, ad.mul(params.att_b, c))
 
 
 def combine_global(psi: ad.Tensor, g: ad.Tensor, params: ScorerParams) -> ad.Tensor:
-    """Affine combination of the local score and the voting score."""
+    """Affine combination of each candidate's local score and voting score."""
     if params.phi_w is None or params.phi_b is None:
         raise ValueError("global parameters not initialized")
-    return ad.add(ad.dot(params.phi_w, ad.stack([psi, g])), params.phi_b)
+    return ad.add(ad.matvec(ad.stack([psi, g]), params.phi_w), params.phi_b)
 
 
 def filter_voters(pairs: list[ScoredPair], cfg: GlobalConfig) -> list[ScoredPair]:
@@ -163,35 +162,41 @@ def filter_voters(pairs: list[ScoredPair], cfg: GlobalConfig) -> list[ScoredPair
     return [p for p in pairs if p.psi >= cfg.gamma_prime]
 
 
-def vote_vector(spans: list[MentionSpan], voters: list[ScoredPair],
-                entity_tensor) -> dict[tuple[int, int], ad.Tensor | None]:
-    """Each span's vote, keyed by (start, end): the entity vectors of the
-    voters from other mentions, summed.
+def vote_vector(spans: list[MentionSpan], ys: list[ad.Tensor],
+                voters: list[ScoredPair]) -> list[ad.Tensor | None]:
+    """Each span's vote: the entity vectors of the voters from other
+    mentions, summed.
 
-    `entity_tensor` maps an entity id to its vector node; each voter adds one
-    occurrence, so an entity voted for by two mentions counts twice. The
-    document total is summed once and each span subtracts its own votes, so
-    the cost is O(voters + spans). A span that casts no vote sees the total;
-    the vote is None when every voter belongs to the span, or there are none.
+    `ys[i]` holds the candidate vectors of `spans[i]` as rows, in candidate
+    order (a span's candidate ids are distinct), and each voter is one of
+    those (span, candidate) pairs, so an entity voted for by two mentions
+    counts twice. A span's own votes are one masked sum over its rows, the
+    document total is the sum of those, and each span subtracts its own
+    votes: O(spans) nodes. A span that casts no vote sees the total; the
+    vote is None when every voter belongs to the span, or there are none.
     """
-    own: dict[tuple[int, int], list[ad.Tensor]] = {}
+    slot = {(span.start, span.end): i for i, span in enumerate(spans)}
+    voted: dict[int, set[str]] = {}
     for v in voters:
-        own.setdefault((v.span.start, v.span.end), []).append(entity_tensor(v.entity_id))
-    total = ad.addn([y for ys in own.values() for y in ys]) if own else None
-    votes: dict[tuple[int, int], ad.Tensor | None] = {}
-    for span in spans:
-        key = (span.start, span.end)
-        if key not in own:
-            votes[key] = total
+        voted.setdefault(slot[v.span.start, v.span.end], set()).add(v.entity_id)
+    own = {i: ad.weighted_sum(ys[i], ad.constant([c.entity_id in ids
+                                                  for c in spans[i].candidates]))
+           for i, ids in voted.items()}
+    total = ad.addn(list(own.values())) if own else None
+    votes: list[ad.Tensor | None] = []
+    for i in range(len(spans)):
+        if i not in own:
+            votes.append(total)
         elif len(own) == 1:
-            votes[key] = None
+            votes.append(None)
         else:
-            votes[key] = ad.sub(total, ad.addn(own[key]))
+            votes.append(ad.sub(total, own[i]))
     return votes
 
 
-def global_score(y_candidate: ad.Tensor, vote: ad.Tensor | None) -> ad.Tensor:
-    """Cosine between the candidate vector and the vote sum; 0 with no voters."""
+def global_score(y: ad.Tensor, vote: ad.Tensor | None) -> ad.Tensor:
+    """Cosine of each candidate vector (a row of `y`) with the vote sum; 0
+    with no voters."""
     if vote is None:
-        return ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
-    return ad.cosine(y_candidate, vote)
+        return ad.constant(np.zeros(y.shape[0]))
+    return ad.cosine(y, vote)

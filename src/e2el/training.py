@@ -68,12 +68,12 @@ class TrainConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
 
 
-def violation(score: ad.Tensor, is_gold: bool, gamma: float) -> ad.Tensor:
-    """Hinge pushing gold scores above gamma and the rest below zero."""
-    if is_gold:
-        g = ad.constant(np.asarray(gamma, dtype=score.data.dtype))
-        return ad.relu(ad.sub(g, score))
-    return ad.relu(score)
+def violation(score: ad.Tensor, is_gold: bool | np.ndarray, gamma: float) -> ad.Tensor:
+    """Hinge pushing gold scores above gamma and the rest below zero: one
+    scalar score and a bool, or a vector of scores and a matching gold mask."""
+    gold = np.broadcast_to(is_gold, score.shape)
+    sign = ad.constant(np.where(gold, -1.0, 1.0))
+    return ad.relu(ad.add(ad.mul(score, sign), ad.constant(np.where(gold, gamma, 0.0))))
 
 
 @dataclass
@@ -121,13 +121,11 @@ def document_loss(doc: Document, spans: Sequence[MentionSpan],
         log.warning("document %s: no scorable spans, loss is 0", doc.doc_id)
         return LossResult(loss=ad.constant(np.asarray(0.0, dtype=ad.default_dtype())),
                           gold_pairs=len(gold_set), gold_covered=covered)
-    terms = []
-    for p in pairs:
-        is_gold = (p.span.start, p.span.end, p.entity_id) in gold_set
-        terms.append(violation(p.psi, is_gold, cfg.gamma))
-        if p.phi is not None:
-            terms.append(violation(p.phi, is_gold, cfg.gamma))
-    return LossResult(loss=ad.addn(terms), n_pairs=len(pairs),
+    scored = [(p.psi, p) for p in pairs] + [(p.phi, p) for p in pairs if p.phi is not None]
+    is_gold = np.array([(p.span.start, p.span.end, p.entity_id) in gold_set
+                        for _, p in scored])
+    hinges = violation(ad.stack([score for score, _ in scored]), is_gold, cfg.gamma)
+    return LossResult(loss=ad.sum1d(hinges), n_pairs=len(pairs),
                       gold_pairs=len(gold_set), gold_covered=covered)
 
 

@@ -1,6 +1,7 @@
 """Shared builders for the toy pipelines used across the test suite."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -10,8 +11,8 @@ from e2el import scoring
 from e2el.candidates import AliasIndex, build_index, CandidateEntry
 from e2el.corpus import Document, write_corpus_jsonl
 from e2el.embeddings import CharTable, EntityVectors, WordVectors, save_text_embeddings
-from e2el.encoder import EncodedDocument, EncoderDims
-from e2el.model import LinkingModel
+from e2el.encoder import EncoderDims
+from e2el.model import LinkingModel, PairScore
 
 
 def toy_dims(entity_dim=16, dropout_keep=1.0, **kw):
@@ -85,7 +86,8 @@ def per_step_char_embed(word, table, params):
 
 def per_step_encode_document(doc, words, chars, params, dims, mode="eval", rng=None):
     """`encode_document` built from one `lstm_cell` per step and one dropout
-    draw per token, sharing the char graph of repeated tokens."""
+    draw per token, sharing the char graph of repeated tokens; returns the
+    per-token nodes (v, x) as two lists."""
     training = mode == "train"
     v = []
     char_cache = {}
@@ -99,7 +101,90 @@ def per_step_encode_document(doc, words, chars, params, dims, mode="eval", rng=N
     bwd = _per_step_lstm(v, params.ctx_bwd, reverse=True)
     x = [ad.dropout(ad.concat([fwd[k], bwd[k]]), dims.dropout_keep, training, rng)
          for k in range(len(v))]
-    return EncodedDocument(doc_id=doc.doc_id, v=v, x=x)
+    return v, x
+
+
+# ---------------------------------------------------------------------------
+# per-pair scorer: the oracle for the span blocks of `LinkingModel.pair_scores`
+
+
+def per_word_context(span, x, ys, window, keep, params):
+    """One attention feature node per candidate vector in `ys`, from the
+    per-token context nodes `x`: the window ranked off the graph as in
+    `scoring.long_range_feature`, then each kept word scored with one node
+    per candidate."""
+    positions = scoring.context_window(span, len(x), window)
+    if not positions:
+        zero = ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
+        return [zero for _ in ys]
+    scaled = np.stack([xk.data for xk in x]) * params.att_a.data
+    word_scores = np.einsum("wd,cd->wc", scaled[positions], np.stack([y.data for y in ys]))
+    u = word_scores.max(axis=1)
+    kept = [positions[i] for i in np.sort(np.argsort(-u, kind="stable")[:keep])]
+    scores = []
+    for k in kept:
+        ax = ad.mul(params.att_a, x[k])
+        scores.append(ad.max1d(ad.stack([ad.dot(y, ax) for y in ys])))
+    beta = ad.softmax(ad.stack(scores))
+    c = ad.weighted_sum([x[k] for k in kept], beta)
+    bc = ad.mul(params.att_b, c)
+    return [ad.dot(y, bc) for y in ys]
+
+
+def per_pair_scores(model, enc, spans):
+    """The pairs of `model.pair_scores` on the encoded document `enc`, built
+    one node per token, kept word and candidate on row views of its V and X:
+    the soft head, mention projection, local score, attention, vote, global
+    score and combination of each pair on its own."""
+    dtype = ad.default_dtype()
+    n = len(enc)
+    v = [ad.row(enc.v, k) for k in range(n)]
+    x = [ad.row(enc.x, k) for k in range(n)]
+    ep, sp = model.encoder, model.scorer
+    entity_cache = {}
+
+    def y_of(eid):
+        if eid not in entity_cache:
+            idx = model.entities.index(eid)
+            if model._entity_rows is not None and idx is not None:
+                entity_cache[eid] = ad.row(model._entity_rows, idx)
+            else:
+                entity_cache[eid] = ad.constant(np.asarray(model.entities.vector(eid),
+                                                           dtype=dtype))
+        return entity_cache[eid]
+
+    pairs = []
+    for span in spans:
+        if not span.candidates:
+            continue
+        ks = range(span.start, span.end + 1)
+        weights = ad.softmax(ad.stack([ad.dot(ep.attn_w, x[k]) for k in ks]))
+        head = ad.weighted_sum([v[k] for k in ks], weights)
+        g = ad.concat([x[span.start], x[span.end], head])
+        x_m = ad.add(ad.matvec(ep.proj_w, g), ep.proj_b)
+        ys = [y_of(c.entity_id) for c in span.candidates]
+        ctx = [None] * len(ys)
+        if model.use_attention:
+            ctx = per_word_context(span, x, ys, model.attention_window,
+                                   model.attention_keep, sp)
+        for entry, y, feature in zip(span.candidates, ys, ctx):
+            feats = [ad.constant(np.asarray(math.log(entry.prior), dtype=dtype)),
+                     ad.dot(x_m, y)] + ([] if feature is None else [feature])
+            psi = ad.add(ad.dot(sp.psi_w, ad.stack(feats)), sp.psi_b)
+            pairs.append(PairScore(span=span, entity_id=entry.entity_id, prior=entry.prior,
+                                   psi=psi))
+    if model.use_global:
+        voters = scoring.filter_voters([p.detach() for p in pairs], model.global_cfg)
+        votes = {}
+        for p in pairs:
+            key = (p.span.start, p.span.end)
+            if key not in votes:
+                others = [y_of(w.entity_id) for w in voters if (w.span.start, w.span.end) != key]
+                votes[key] = ad.addn(others) if others else None
+            p.g = (ad.constant(np.asarray(0.0, dtype=dtype)) if votes[key] is None
+                   else ad.cosine(y_of(p.entity_id), votes[key]))
+            p.phi = ad.add(ad.dot(sp.phi_w, ad.stack([p.psi, p.g])), sp.phi_b)
+    return pairs
 
 
 # ---------------------------------------------------------------------------

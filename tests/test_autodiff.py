@@ -202,6 +202,88 @@ class TestGatherOps:
             assert np.array_equal(m.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
+    def test_take_rows_backward_adds_in_place(self, monkeypatch):
+        # k gathers from one matrix allocate its gradient once, not once each
+        allocated = []
+        zeros_like = np.zeros_like
+
+        def counting_zeros_like(a, *args, **kwargs):
+            allocated.append(np.shape(a))
+            return zeros_like(a, *args, **kwargs)
+
+        m = ad.parameter(np.zeros((50, 4)))
+        gathers = [ad.take_rows(m, [k, k + 1, k]) for k in range(10)]
+        monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+        ad.backward(ad.addn([_total(g) for g in gathers]))
+        assert allocated.count((50, 4)) == 1
+        assert m.grad[:12, 0].tolist() == [2.0] + [3.0] * 9 + [1.0, 0.0]
+
+
+class TestBlockOps:
+    """The vector ops generalized to the rows of a matrix."""
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(6)
+        with ad.precision("float64"):
+            m = ad.parameter(rng.normal(size=(3, 4)))
+            n = ad.parameter(rng.normal(size=(3, 4)))
+            v = ad.parameter(rng.normal(size=4))
+            w = ad.parameter(rng.normal(size=3))
+            s = ad.parameter(np.asarray(0.3))
+            p3 = ad.constant(rng.normal(size=3))
+            p34 = ad.constant(rng.normal(size=(3, 4)))
+            p32 = ad.constant(rng.normal(size=(3, 2)))
+            builders = {
+                "add scalar": lambda: _total(ad.mul(ad.add(m, s), p34)),
+                "add row": lambda: _total(ad.mul(ad.add(m, v), p34)),
+                "mul row": lambda: _total(ad.mul(ad.mul(m, v), p34)),
+                "mul scalar": lambda: _total(ad.mul(ad.mul(m, s), p34)),
+                "dot rows": lambda: ad.dot(ad.dot(m, n), p3),
+                "stack vectors": lambda: _total(ad.mul(ad.stack([w, p3]), p32)),
+                "row of vector": lambda: ad.row(ad.matvec(m, v), 1),
+                "weighted_sum rows": lambda: ad.dot(ad.weighted_sum(m, w), v),
+                "cosine rows": lambda: ad.dot(ad.cosine(m, v), p3),
+            }
+            for name, build in builders.items():
+                for p in (m, n, v, w, s):
+                    err = ad.grad_check(build, p)
+                    assert err <= 1e-6, f"{name} wrt {p.shape}: {err}"
+
+    def test_rows_match_the_vector_ops(self):
+        rng = np.random.default_rng(7)
+        m, n = rng.normal(size=(2, 3, 4))
+        v, w = rng.normal(size=(2, 4))
+        rows = [ad.constant(r) for r in m]
+        assert np.allclose(ad.dot(ad.constant(m), ad.constant(n)).data,
+                           [ad.dot(r, ad.constant(q)).item() for r, q in zip(rows, n)])
+        assert np.allclose(ad.cosine(ad.constant(m), ad.constant(v)).data,
+                           [ad.cosine(r, ad.constant(v)).item() for r in rows])
+        assert np.allclose(ad.weighted_sum(ad.constant(m), ad.constant(w[:3])).data,
+                           ad.weighted_sum(rows, ad.constant(w[:3])).data)
+        assert np.allclose(ad.mul(ad.constant(m), ad.constant(v)).data, m * v)
+        assert ad.stack([ad.constant(v), ad.constant(w)]).shape == (4, 2)
+        assert ad.row(ad.constant(v), 2).shape == ()
+
+    def test_cosine_zero_norm_row_is_zero_without_gradient(self):
+        with ad.precision("float64"):
+            m = ad.parameter(np.array([[0.0, 0.0], [3.0, 4.0]]))
+            g = ad.cosine(m, ad.constant(np.array([1.0, 0.0])))
+            assert np.allclose(g.data, [0.0, 0.6])
+            ad.backward(ad.sum1d(g))
+            assert np.array_equal(m.grad[0], [0.0, 0.0]) and np.all(np.isfinite(m.grad))
+            m.grad = None
+            zero_vote = ad.cosine(m, ad.constant(np.zeros(2)))
+            ad.backward(ad.sum1d(zero_vote))
+            assert not zero_vote.data.any() and not m.grad.any()
+
+    def test_broadcast_shapes_checked(self):
+        a = ad.constant(np.zeros((3, 4)))
+        for b in (np.zeros(3), np.zeros((4, 4)), np.zeros((2, 3, 4))):
+            for op in (ad.add, ad.mul):
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    op(a, ad.constant(b))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         assert np.allclose(ad.softmax(ad.constant([0.0, 0.0])).data, [0.5, 0.5])

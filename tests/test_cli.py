@@ -167,6 +167,12 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert cli.run_command(["frobnicate"]) == 1
 
+    def test_removed_soft_head_space_key_exits_1(self, tmp_path, capfd):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"encoder.soft_head_space": "x"}', encoding="utf-8")
+        assert cli.run_command(["train", "--config", str(cfg)]) == 1
+        assert "encoder.soft_head_space" in capfd.readouterr().err
+
     def test_malformed_counts_file(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("not a valid line\n", encoding="utf-8")

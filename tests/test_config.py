@@ -23,6 +23,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.load(str(p))
 
+    def test_removed_soft_head_space_key_is_unknown(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('{"encoder.soft_head_space": "v"}', encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown config keys.*encoder.soft_head_space"):
+            RunConfig.load(str(p))
+        assert len(DEFAULTS) == 29
+
     def test_override_parses_json_values(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{}", encoding="utf-8")
@@ -123,7 +130,6 @@ class TestValueTypes:
         ("train.patience=0", "patience"), ("train.regime=sometimes", "regime"),
         ("dims.ctx_hidden=0", "ctx_hidden"), ("encoder.dropout_keep=0", "dropout_keep"),
         ("encoder.dropout_keep=1.5", "dropout_keep"), ("encoder.max_tokens=0", "max_tokens"),
-        ("encoder.soft_head_space=y", "soft_head_space"),
         ("global.gamma_prime=Infinity", "gamma_prime"),
         ("train.improvement=NaN", "improvement"), ("train.improvement=Infinity", "improvement"),
         ("train.improvement=-0.1", "improvement")])

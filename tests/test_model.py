@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import helpers
-from e2el.candidates import enumerate_spans
+from e2el import autodiff as ad
+from e2el.candidates import CandidateEntry, MentionSpan, enumerate_spans
 from e2el.corpus import Document
-from e2el.model import LinkingModel
-from e2el.scoring import GlobalConfig
+from e2el.encoder import EncodedDocument
+from e2el.scoring import GlobalConfig, context_window
 
 
 def setup_toy(seed=0, **kw):
@@ -57,9 +58,16 @@ class TestScoring:
             assert -1.0 - 1e-6 <= p.g <= 1.0 + 1e-6
 
     def test_missing_entity_vector_scores_zero_dot(self):
-        model, index, doc = setup_toy()
-        t = model.entity_tensor("NOT_AN_ENTITY")
-        assert np.allclose(t.data, 0.0)
+        sp = MentionSpan("d", 0, 0, "sa", [CandidateEntry(e, 0.5)
+                                           for e in ("E1", "NOT_AN_ENTITY", "E0")])
+        for frozen in (True, False):
+            ents = helpers.entity_store(["E0", "E1"], seed=2)
+            ents.frozen = frozen
+            model = helpers.build_model(helpers.word_store(["sa"], seed=1), ents)
+            y = model.candidate_rows(sp)
+            assert np.array_equal(y.data, [ents.vector("E1"), np.zeros(16),
+                                           ents.vector("E0")])
+            assert y.requires_grad is not frozen
 
     def test_eval_scoring_is_repeatable(self):
         from e2el.candidates import enumerate_spans
@@ -85,21 +93,56 @@ class TestScoring:
         return model, doc, spans
 
     def test_vote_graph_is_linear_in_voters(self):
-        # the document sum has one edge per voter and each span's vote two
-        # (the sum and its own votes), whose sums add one edge per voter;
-        # a per-span scan has spans × voters
+        # the document sum has one edge per voting span and each span's vote
+        # two (the sum and its own votes), whose masked sums over the span's
+        # candidate rows add two edges per voting span; a per-span scan has
+        # spans × voters
         model, doc, spans = self.voting_document(frozen=False)
         pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
-        votes = {id(p.g._parents[1]): p.g._parents[1] for p in pairs}
-        assert len(pairs) == 36 and len(spans) == 12
+        cosines = {id(p.g._parents[0]): p.g._parents[0] for p in pairs}
+        votes = {id(c._parents[1]): c._parents[1] for c in cosines.values()}
+        assert len(pairs) == 36 and len(spans) == 12 and len(cosines) == 12
         assert sum(len(v._parents) for v in votes.values()) <= 36 + 2 * 12
         below, todo = dict(votes), list(votes.values())
-        while todo:  # every node between the votes and the entity rows
+        while todo:  # every node between the votes and the gathered entity rows
             for parent in todo.pop()._parents:
-                if parent.op != "row" and id(parent) not in below:
+                if parent.op != "take_rows" and id(parent) not in below:
                     below[id(parent)] = parent
                     todo.append(parent)
         assert sum(len(v._parents) for v in below.values()) <= 2 * 36 + 2 * 12
+
+    def test_pair_scores_graph_is_linear_in_spans_and_pairs(self, monkeypatch):
+        # K=10 kept words and 9 candidates per span, attention and global on:
+        # a node per kept word or candidate would pass 50 nodes per span
+        ids = [f"E{k}" for k in range(12)]
+        words = helpers.word_store([f"t{k}" for k in range(7)], seed=1)
+        ents = helpers.entity_store(ids, seed=2)
+        ents.frozen = False
+        table = {f"t{k}": [(ids[(k + j) % 12], 0.1 * (j + 1)) for j in range(9)]
+                 for k in range(5)}
+        model = helpers.build_model(words, ents, seed=3, use_attention=True, use_global=True,
+                                    attention_window=200, attention_keep=10,
+                                    global_cfg=GlobalConfig(gamma_prime=-100.0))
+        doc = Document("d", [f"t{k % 7}" for k in range(120)])
+        spans = enumerate_spans(doc, helpers.alias_index(table))
+        built, by_encoder = [0], [0]
+        init, encode = ad.Tensor.__init__, model.encode
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        def counted_encode(*args, **kwargs):
+            before = built[0]
+            enc = encode(*args, **kwargs)
+            by_encoder[0] = built[0] - before
+            return enc
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        monkeypatch.setattr(model, "encode", counted_encode)
+        pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
+        assert len(pairs) == 9 * len(spans) and len(spans) >= 80
+        assert built[0] - by_encoder[0] <= 50 * len(spans) + 3 * len(pairs)
 
     def test_global_scores_match_per_span_votes(self):
         # the model's g against cosines with each span's other-mention votes
@@ -123,3 +166,98 @@ class TestScoring:
         state["meta.char_vocab"] = state["meta.char_vocab"][:-1]
         with pytest.raises(ValueError, match="inventory"):
             model.load_state_arrays(state)
+
+
+def block_case(rng, dtype, case_no):
+    """A seeded model and encoded document whose V and X are trainable
+    matrices: case_no cycles attention, the global layer and frozen entities
+    on and off; half the documents draw X from three rows, so that attention
+    scores tie; candidates include an entity without a vector."""
+    use_attention, use_global, frozen = (bool(case_no >> bit & 1) for bit in range(3))
+    dims = helpers.toy_dims(entity_dim=4, word_dim=4, char_dim=2, char_hidden=2,
+                            ctx_hidden=2)
+    ids = [f"E{i}" for i in range(8)]
+    ents = helpers.entity_store(ids, dim=4, seed=int(rng.integers(1 << 30)))
+    ents.frozen = frozen
+    window = int(rng.integers(1, 50))
+    gamma_prime = [1e9, 0.0, -1e9][case_no // 8 % 3]  # no voters, some, all
+    model = helpers.build_model(helpers.word_store(["w"], dim=4), ents, dims=dims,
+                                seed=int(rng.integers(1000)), use_attention=use_attention,
+                                use_global=use_global, attention_window=window,
+                                attention_keep=int(rng.integers(1, window + 1)),
+                                global_cfg=GlobalConfig(gamma_prime=gamma_prime))
+    for t in model.params.tensors().values():
+        if t.data.ndim < 2:  # biases start at zero and att.a, att.b at one
+            t.data = rng.standard_normal(t.shape).astype(dtype)
+    n = int(rng.integers(2, 40))
+    if rng.random() < 0.5:
+        x = rng.standard_normal((3, dims.x_dim))[rng.integers(0, 3, size=n)]
+    else:
+        x = rng.standard_normal((n, dims.x_dim))
+    enc = EncodedDocument("d", v=ad.parameter(rng.standard_normal((n, dims.v_dim))),
+                          x=ad.parameter(x))
+    spans = {}
+    for _ in range(int(rng.integers(1, 9))):
+        start = int(rng.integers(0, n))
+        end = min(n - 1, start + int(rng.integers(0, 6)))
+        chosen = rng.choice(ids + ["NOVEC"], size=int(rng.integers(1, 10)), replace=False)
+        spans[start, end] = MentionSpan("d", start, end, "s", [
+            CandidateEntry(str(e), float(rng.uniform(0.05, 1.0))) for e in chosen])
+    return model, enc, list(spans.values())
+
+
+class TestSpanBlocksMatchPerPair:
+    """`pair_scores` against `helpers.per_pair_scores`, on random documents."""
+
+    @staticmethod
+    def run(model, enc, spans, weights, blocks):
+        inputs = [*model.params.tensors().values(), enc.v, enc.x]
+        for t in inputs:
+            t.grad = None
+        if blocks:
+            model.encode = lambda doc, mode="eval", rng=None: enc
+            pairs = model.pair_scores(Document("d", ["w"] * len(enc)), spans)
+        else:
+            pairs = helpers.per_pair_scores(model, enc, spans)
+        fields = ("psi", "g", "phi") if model.use_global else ("psi",)
+        nodes = [getattr(p, f) for f in fields for p in pairs]
+        values = np.array([t.item() for t in nodes])
+        loss = ad.dot(ad.constant(weights[:len(nodes)]), ad.stack(nodes))
+        if loss.requires_grad:
+            ad.backward(loss)
+        return values, [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                        for t in inputs]
+
+    @pytest.mark.parametrize("precision, tol, cases", [("float64", 1e-9, 128),
+                                                       ("float32", 1e-5, 64)])
+    def test_random_documents_agree(self, precision, tol, cases):
+        rng = np.random.default_rng(31)
+        seen = dict.fromkeys(["clipped_left", "clipped_right", "all_kept", "tied",
+                              "no_voters", "unknown", "six_tokens"], 0)
+        with ad.precision(precision):
+            dtype = ad.default_dtype()
+            for case_no in range(cases):
+                model, enc, spans = block_case(rng, dtype, case_no)
+                weights = rng.standard_normal(3 * sum(len(s.candidates) for s in spans))
+                values, grads = self.run(model, enc, spans, weights, blocks=True)
+                values_ref, grads_ref = self.run(model, enc, spans, weights, blocks=False)
+                assert np.abs(values - values_ref).max() <= tol
+                # the same rows of X reached: span, boundary and kept attention words
+                assert np.array_equal(grads[-1].any(axis=1), grads_ref[-1].any(axis=1))
+                for g, g_ref in zip(grads, grads_ref):
+                    if precision == "float64":
+                        rel = np.abs(g - g_ref) / np.maximum(
+                            np.maximum(np.abs(g), np.abs(g_ref)), 1e-8)
+                        assert rel.max() <= 1e-6
+                window, n = model.attention_window, len(enc)
+                for s in spans:
+                    if model.use_attention:
+                        seen["clipped_left"] += s.start - window // 2 < 0
+                        seen["clipped_right"] += s.end + window // 2 > n - 1
+                        seen["all_kept"] += model.attention_keep >= len(
+                            context_window(s, n, window))
+                    seen["unknown"] += any(c.entity_id == "NOVEC" for c in s.candidates)
+                    seen["six_tokens"] += s.length == 6
+                seen["tied"] += model.use_attention and len(np.unique(enc.x.data, axis=0)) <= 3
+                seen["no_voters"] += model.use_global and model.global_cfg.gamma_prime > 1e8
+        assert min(seen.values()) >= 10, seen

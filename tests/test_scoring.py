@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,10 @@ def vec(*vals):
     return ad.constant(np.asarray(vals, dtype=ad.default_dtype()))
 
 
+def mat(*rows):
+    return ad.constant(np.asarray(rows, dtype=ad.default_dtype()))
+
+
 def span(start=0, end=0, cands=(("E", 1.0),)):
     return MentionSpan(doc_id="d", start=start, end=end, surface="s",
                        candidates=[CandidateEntry(e, p) for e, p in cands])
@@ -29,48 +31,48 @@ def scorer(w, b):
 class TestLocalScore:
     def test_projector_weights_give_dot(self):
         params = scorer((0.0, 1.0), 0.0)
-        x = vec(1.0, 2.0)
-        y = vec(3.0, 4.0)
-        out = scoring.local_score(x, CandidateEntry("E", 0.5), y, None, params)
-        assert out.item() == pytest.approx(11.0)
+        out = scoring.local_score(vec(1.0, 2.0), span(cands=(("E", 0.5), ("F", 0.25))),
+                                  mat((3.0, 4.0), (-1.0, 0.5)), None, params)
+        assert out.shape == (2,)
+        assert out.data == pytest.approx([11.0, 0.0])
 
     def test_prior_one_gives_zero(self):
         params = scorer((1.0, 0.0), 0.0)
-        out = scoring.local_score(vec(1.0), CandidateEntry("E", 1.0), vec(1.0), None, params)
-        assert out.item() == pytest.approx(0.0)
+        out = scoring.local_score(vec(1.0), span(), mat((1.0,)), None, params)
+        assert out.data[0] == pytest.approx(0.0)
 
     def test_hand_computed(self):
         # 0.5*ln(0.5) + 0.25*11 + 0.1 = 2.50343
         params = scorer((0.5, 0.25), 0.1)
-        out = scoring.local_score(vec(1.0, 2.0), CandidateEntry("E", 0.5),
-                                  vec(3.0, 4.0), None, params)
-        assert out.item() == pytest.approx(2.50343, abs=1e-4)
+        out = scoring.local_score(vec(1.0, 2.0), span(cands=(("E", 0.5),)),
+                                  mat((3.0, 4.0)), None, params)
+        assert out.data[0] == pytest.approx(2.50343, abs=1e-4)
 
     def test_nonpositive_prior_rejected(self):
         params = scorer((1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="prior"):
-            scoring.local_score(vec(1.0), CandidateEntry("E", 0.0), vec(1.0), None, params)
+            scoring.local_score(vec(1.0), span(cands=(("E", 0.5), ("F", 0.0))),
+                                mat((1.0,), (1.0,)), None, params)
 
     def test_attention_arity_enforced(self):
         params = scorer((1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="context feature"):
-            scoring.local_score(vec(1.0), CandidateEntry("E", 0.5), vec(1.0),
-                                scalar(0.3), params)
+            scoring.local_score(vec(1.0), span(cands=(("E", 0.5),)), mat((1.0,)),
+                                vec(0.3), params)
         params3 = scorer((1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="context feature"):
-            scoring.local_score(vec(1.0), CandidateEntry("E", 0.5), vec(1.0), None, params3)
+            scoring.local_score(vec(1.0), span(cands=(("E", 0.5),)), mat((1.0,)), None,
+                                params3)
 
     def test_attention_feature_enters_affine(self):
         params = scorer((0.0, 0.0, 2.0), 0.5)
-        out = scoring.local_score(vec(1.0), CandidateEntry("E", 0.5), vec(1.0),
-                                  scalar(0.25), params)
-        assert out.item() == pytest.approx(1.0)
+        out = scoring.local_score(vec(1.0), span(cands=(("E", 0.5), ("F", 0.5))),
+                                  mat((1.0,), (1.0,)), vec(0.25, -1.0), params)
+        assert out.data == pytest.approx([1.0, -1.5])
 
 
 def enc_from(xs, vs=None):
-    x = [vec(*row) for row in xs]
-    v = [vec(*row) for row in (vs if vs is not None else xs)]
-    return EncodedDocument(doc_id="d", v=v, x=x)
+    return EncodedDocument(doc_id="d", v=mat(*(vs if vs is not None else xs)), x=mat(*xs))
 
 
 def att_params(dim, a=None, b=None):
@@ -84,20 +86,18 @@ class TestLongRangeFeature:
     def test_degenerate_window(self):
         # identity diagonals, one candidate, one context word: feature = <y, x_w>
         enc = enc_from([[1.0, 2.0], [0.5, -1.0]])
-        y = vec(2.0, 3.0)
-        feats = scoring.long_range_feature(span(0, 0), enc, [y], window=4, keep=1,
-                                           params=att_params(2))
-        assert len(feats) == 1
-        assert feats[0].item() == pytest.approx(0.5 * 2.0 + -1.0 * 3.0)
+        feats = scoring.long_range_feature(span(0, 0), enc, mat((2.0, 3.0)), window=4,
+                                           keep=1, params=att_params(2))
+        assert feats.shape == (1,)
+        assert feats.data[0] == pytest.approx(0.5 * 2.0 + -1.0 * 3.0)
 
     def test_equal_scores_give_uniform_beta(self):
         # all context words identical, so kept scores tie and beta is uniform
         enc = enc_from([[1.0, 0.0]] * 5)
-        y = vec(1.0, 0.0)
-        feats = scoring.long_range_feature(span(2, 2), enc, [y], window=8, keep=2,
-                                           params=att_params(2))
+        feats = scoring.long_range_feature(span(2, 2), enc, mat((1.0, 0.0)), window=8,
+                                           keep=2, params=att_params(2))
         # context embedding is the word vector itself under uniform weights
-        assert feats[0].item() == pytest.approx(1.0)
+        assert feats.data[0] == pytest.approx(1.0)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(0)
@@ -110,9 +110,8 @@ class TestLongRangeFeature:
         ys = rng.standard_normal((3, dim)).astype(np.float32)
         sp = span(5, 6)
         window, keep = 8, 2
-        feats = scoring.long_range_feature(
-            sp, enc, [vec(*y) for y in ys], window=window, keep=keep,
-            params=att_params(dim, a, b))
+        feats = scoring.long_range_feature(sp, enc, mat(*ys), window=window, keep=keep,
+                                           params=att_params(dim, a, b))
 
         # independent evaluation of the formula
         half = window // 2
@@ -124,7 +123,7 @@ class TestLongRangeFeature:
         beta = e / e.sum()
         c = sum(bk * xs[k] for bk, k in zip(beta, kept))
         for j, y in enumerate(ys):
-            assert feats[j].item() == pytest.approx(float(y @ (b * c)), abs=1e-5)
+            assert feats.data[j] == pytest.approx(float(y @ (b * c)), abs=1e-5)
 
     def test_informative_word_gets_max_beta(self):
         rng = np.random.default_rng(1)
@@ -134,46 +133,46 @@ class TestLongRangeFeature:
         gold_dir[0] = 1.0
         xs[9] = gold_dir * 3.0  # exactly one context word correlates with the entity
         enc = enc_from(xs.tolist())
-        y = vec(*gold_dir)
-        feats = scoring.long_range_feature(span(4, 4), enc, [y], window=12, keep=2,
+        feats = scoring.long_range_feature(span(4, 4), enc, mat(gold_dir), window=12, keep=2,
                                            params=att_params(dim))
         u = {k: float(gold_dir @ xs[k]) for k in range(12) if k != 4}
         best = max(u, key=u.get)
         assert best == 9
         # the kept soft weights concentrate on that word
-        assert feats[0].item() == pytest.approx(
-            float(gold_dir @ xs[9]), rel=0.2)
+        assert feats.data[0] == pytest.approx(float(gold_dir @ xs[9]), rel=0.2)
 
     def test_window_smaller_than_keep_keeps_all(self):
         enc = enc_from([[1.0], [2.0], [3.0]])
-        feats = scoring.long_range_feature(span(1, 1), enc, [vec(1.0)], window=200,
+        feats = scoring.long_range_feature(span(1, 1), enc, mat((1.0,)), window=200,
                                            keep=10, params=att_params(1))
-        assert np.isfinite(feats[0].item())
+        assert np.isfinite(feats.data[0])
 
     def test_bad_window_config(self):
         enc = enc_from([[1.0]])
         with pytest.raises(ValueError, match="keep"):
-            scoring.long_range_feature(span(0, 0), enc, [vec(1.0)], window=2, keep=3,
+            scoring.long_range_feature(span(0, 0), enc, mat((1.0,)), window=2, keep=3,
                                        params=att_params(1))
 
 
-def per_word_long_range_feature(sp, enc, entity_vectors, window, keep, params):
-    """Every window word as graph nodes, ranked from the node values; the
-    reference the off-graph ranking of `long_range_feature` must match."""
+def per_word_long_range_feature(sp, enc, y, window, keep, params):
+    """Every window word as graph nodes, one per candidate, on row views of
+    X and Y, ranked from the node values; the reference the off-graph
+    ranking and kept-word block of `long_range_feature` must match."""
+    x = [ad.row(enc.x, k) for k in range(len(enc))]
+    entity_vectors = [ad.row(y, j) for j in range(y.shape[0])]
     positions = scoring.context_window(sp, len(enc), window)
     if not positions:
-        zero = ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
-        return [zero for _ in entity_vectors]
+        return ad.constant(np.zeros(len(entity_vectors)))
     scores = []
     for k in positions:
-        ax = ad.mul(params.att_a, enc.x[k])
-        scores.append(ad.max1d(ad.stack([ad.dot(y, ax) for y in entity_vectors])))
+        ax = ad.mul(params.att_a, x[k])
+        scores.append(ad.max1d(ad.stack([ad.dot(yj, ax) for yj in entity_vectors])))
     ranked = sorted(range(len(positions)), key=lambda i: (-float(scores[i].data), positions[i]))
     kept = sorted(ranked[:keep])
     beta = ad.softmax(ad.stack([scores[i] for i in kept]))
-    c = ad.weighted_sum([enc.x[positions[i]] for i in kept], beta)
+    c = ad.weighted_sum([x[positions[i]] for i in kept], beta)
     bc = ad.mul(params.att_b, c)
-    return [ad.dot(y, bc) for y in entity_vectors]
+    return ad.stack([ad.dot(yj, bc) for yj in entity_vectors])
 
 
 def reachable(roots):
@@ -206,30 +205,34 @@ def attention_case(rng, dtype):
     else:
         xs = rng.standard_normal((n, dim))
     n_cands = int(rng.integers(1, 11))
-    ys = rng.standard_normal((n_cands, dim))
-    x = [ad.parameter(r.astype(dtype)) for r in xs]
+    x = ad.parameter(xs.astype(dtype))
     enc = EncodedDocument(doc_id="d", v=x, x=x)
     params = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0))
     params.att_a = ad.parameter(rng.standard_normal(dim).astype(dtype))
     params.att_b = ad.parameter(rng.standard_normal(dim).astype(dtype))
-    y = [ad.parameter(r.astype(dtype)) for r in ys]
+    y = ad.parameter(rng.standard_normal((n_cands, dim)).astype(dtype))
     return span(start, end), enc, y, window, keep, params
 
 
+def kept_words(x):
+    """Rows of X that received a gradient: the kept words."""
+    return [] if x.grad is None else np.flatnonzero(x.grad.any(axis=1)).tolist()
+
+
 class TestLongRangeOracle:
-    """The off-graph ranking against the per-word graph it replaced."""
+    """The off-graph ranking and kept-word block against the per-word graph
+    they replaced."""
 
     @staticmethod
     def run(fn, case, weights):
         sp, enc, y, window, keep, params = case
-        for t in [params.att_a, params.att_b, *enc.x, *y]:
+        for t in [params.att_a, params.att_b, enc.x, y]:
             t.grad = None
         feats = fn(sp, enc, y, window, keep, params)
-        kept = sorted(k for k, xk in enumerate(enc.x) if id(xk) in reachable(feats))
-        ad.backward(ad.dot(ad.constant(weights), ad.stack(feats)))
+        ad.backward(ad.dot(ad.constant(weights), feats))
         grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                 for t in [params.att_a, params.att_b, *enc.x, *y]]
-        return kept, np.array([f.item() for f in feats]), grads
+                 for t in [params.att_a, params.att_b, enc.x, y]]
+        return kept_words(enc.x), feats.data.copy(), grads
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_random_cases_agree(self, precision):
@@ -244,32 +247,36 @@ class TestLongRangeOracle:
                 clipped_left += sp.start - window // 2 < 0
                 clipped_right += sp.end + window // 2 > len(enc) - 1
                 all_kept += keep >= len(positions)
-                weights = rng.standard_normal(len(y)).astype(dtype)
+                weights = rng.standard_normal(y.shape[0]).astype(dtype)
                 kept, feats, grads = self.run(scoring.long_range_feature, case, weights)
                 kept_ref, feats_ref, grads_ref = self.run(per_word_long_range_feature,
                                                           case, weights)
                 assert kept == kept_ref
                 assert len(kept) == min(keep, len(positions))
-                np.testing.assert_allclose(feats, feats_ref, rtol=1e-6, atol=0)
+                np.testing.assert_allclose(feats, feats_ref, rtol=0,
+                                           atol=1e-9 if precision == "float64" else 1e-5)
                 if precision == "float64":
+                    # a gradient that is 0 in exact arithmetic (tied kept words
+                    # leave softmax nothing to move) rounds to ~1e-17 in one path
                     for g, g_ref in zip(grads, grads_ref):
-                        np.testing.assert_allclose(g, g_ref, rtol=1e-6, atol=0)
+                        np.testing.assert_allclose(g, g_ref, rtol=1e-6, atol=1e-14)
         assert min(clipped_left, clipped_right, all_kept) >= 10
 
     def test_tied_scores_keep_lower_positions(self):
         # six identical words around the span: the two kept are the first two
-        x = [ad.parameter(np.array([1.0, 0.0])) for _ in range(7)]
+        x = ad.parameter(np.tile([1.0, 0.0], (7, 1)))
         enc = EncodedDocument(doc_id="d", v=x, x=x)
-        feats = scoring.long_range_feature(span(3, 3), enc, [vec(1.0, 0.0)], window=8,
+        feats = scoring.long_range_feature(span(3, 3), enc, mat((1.0, 0.0)), window=8,
                                            keep=2, params=att_params(2))
-        assert [k for k, xk in enumerate(x) if id(xk) in reachable(feats)] == [0, 1]
+        ad.backward(ad.sum1d(feats))
+        assert kept_words(x) == [0, 1]
 
     @pytest.mark.parametrize("n_cands", [1, 2])
     def test_overflow_in_dropped_word_raises(self, n_cands):
         # word 4 scores -inf against the first candidate; with keep=1 it would
         # be dropped, and the second candidate leaves its row maximum finite
         xs = [[1.0, 1.0], [0.5, 0.5], [0.2, 0.1], [1.0, 0.3], [-1e30, -1e30]]
-        ys = [vec(1e9, 1e9), vec(1.0, 1.0)][:n_cands]
+        ys = mat(*[(1e9, 1e9), (1.0, 1.0)][:n_cands])
         with pytest.raises(FloatingPointError, match="attention word scores"):
             scoring.long_range_feature(span(0, 0), enc_from(xs), ys, window=10, keep=1,
                                        params=att_params(2))
@@ -281,9 +288,9 @@ class TestLongRangeOracle:
         # both the nodes built by one call and those reachable from its
         # features; per-word nodes would make the first grow tenfold
         rng = np.random.default_rng(5)
-        x = [ad.parameter(r) for r in rng.standard_normal((300, 8))]
+        x = ad.parameter(rng.standard_normal((300, 8)))
         enc = EncodedDocument(doc_id="d", v=x, x=x)
-        y = [ad.parameter(r) for r in rng.standard_normal((9, 8))]
+        y = ad.parameter(rng.standard_normal((9, 8)))
         params = att_params(8)
         params.att_a = ad.parameter(np.ones(8))
         params.att_b = ad.parameter(np.ones(8))
@@ -300,15 +307,21 @@ class TestLongRangeOracle:
             built[0] = 0
             feats = scoring.long_range_feature(span(150, 151), enc, y, window=window,
                                                keep=10, params=params)
-            sizes.append((built[0], len(reachable(feats))))
+            sizes.append((built[0], len(reachable([feats]))))
         assert sizes[0] == sizes[1]
 
     def test_scaled_context_follows_in_place_updates(self):
-        enc = enc_from([[1.0, 2.0], [3.0, 4.0]])
-        a = np.array([1.0, 1.0], dtype=np.float32)
-        assert np.array_equal(enc.scaled_context(a), [[1.0, 2.0], [3.0, 4.0]])
-        a[1] = 2.0
-        assert np.array_equal(enc.scaled_context(a), [[1.0, 4.0], [3.0, 8.0]])
+        # an in-place update of A re-ranks the window: word 1 overtakes word 0
+        enc = enc_from([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        params = att_params(2, a=[1.0, 1.0], b=[1.0, 3.0])
+        y = mat((1.0, 1.0))
+        feats = scoring.long_range_feature(span(2, 2), enc, y, window=4, keep=1,
+                                           params=params)
+        assert feats.data[0] == pytest.approx(1.0)  # the tie keeps word 0
+        params.att_a.data[1] = 2.0
+        feats = scoring.long_range_feature(span(2, 2), enc, y, window=4, keep=1,
+                                           params=params)
+        assert feats.data[0] == pytest.approx(3.0)
 
 
 class TestFilterVoters:
@@ -338,8 +351,9 @@ class TestFilterVoters:
 
 
 def voter(i, entity_id):
-    """A voting pair of the one-token mention at position i."""
-    return scoring.ScoredPair(span(i, i), entity_id, 1.0, 0.0)
+    """A voting pair of the one-token mention at position i, whose one
+    candidate is `entity_id`."""
+    return scoring.ScoredPair(span(i, i, ((entity_id, 1.0),)), entity_id, 1.0, 0.0)
 
 
 def per_span_vote_vector(sp, voters, entity_tensor):
@@ -354,20 +368,29 @@ def per_span_vote_vector(sp, voters, entity_tensor):
 class TestGlobalScore:
     @staticmethod
     def vote_of(sp, voters, table):
-        votes = scoring.vote_vector([sp], voters, lambda eid: vec(*table[eid]))
-        return votes[sp.start, sp.end]
+        """The vote `sp` gets among the voters' spans; an entity missing
+        from `table` has a zero row."""
+        zero = (0.0,) * len(next(iter(table.values())))
+        spans = {(v.span.start, v.span.end): v.span for v in voters}
+        spans.setdefault((sp.start, sp.end), sp)
+        keys = list(spans)
+        ys = [mat(*(table.get(c.entity_id, zero) for c in s.candidates))
+              for s in spans.values()]
+        votes = scoring.vote_vector(list(spans.values()), ys, voters)
+        return votes[keys.index((sp.start, sp.end))]
 
     def test_closed_form(self):
         voters = [voter(1, "A"), voter(2, "B")]
         table = {"A": (1.0, 0.0), "B": (0.0, 1.0)}
         vote = self.vote_of(span(0, 0), voters, table)
-        g = scoring.global_score(vec(1.0, 0.0), vote)
-        assert g.item() == pytest.approx(0.70710, abs=1e-5)
+        g = scoring.global_score(mat((1.0, 0.0), (0.0, 1.0)), vote)
+        assert g.data == pytest.approx([0.70710, 0.70710], abs=1e-5)
 
     def test_self_votes_excluded(self):
         vote = self.vote_of(span(0, 0), [voter(0, "A")], {"A": (1.0, 0.0)})
         assert vote is None
-        assert scoring.global_score(vec(1.0, 0.0), vote).item() == 0.0
+        g = scoring.global_score(mat((1.0, 0.0), (0.0, 1.0)), vote)
+        assert g.shape == (2,) and not g.data.any()
 
     def test_duplicate_entities_counted_per_mention(self):
         voters = [voter(1, "A"), voter(2, "A"), voter(3, "B")]
@@ -379,34 +402,35 @@ class TestGlobalScore:
         rng = np.random.default_rng(3)
         table = {f"E{i}": tuple(rng.standard_normal(3).astype(np.float32)) for i in range(6)}
         voters = [voter(i, f"E{rng.integers(0, 6)}") for i in range(4)]
+        y = np.asarray([table[f"E{i}"] for i in range(6)])
         for m in range(4):
             vote = self.vote_of(span(m, m), voters, table)
             expect = np.zeros(3)
             for v in voters:
                 if v.span.start != m:
                     expect += np.asarray(table[v.entity_id])
-            y = np.asarray(table["E0"])
-            g = scoring.global_score(vec(*table["E0"]), vote).item()
-            denom = np.linalg.norm(y) * np.linalg.norm(expect)
-            assert g == pytest.approx(float(y @ expect) / denom, abs=1e-5)
+            g = scoring.global_score(mat(*y), vote).data
+            denom = np.linalg.norm(y, axis=1) * np.linalg.norm(expect)
+            assert g == pytest.approx(y @ expect / denom, abs=1e-5)
 
     def test_g_in_range(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            y = vec(*rng.standard_normal(4))
+            y = mat(*rng.standard_normal((5, 4)))
             v = vec(*rng.standard_normal(4))
-            assert -1.0 - 1e-6 <= scoring.global_score(y, v).item() <= 1.0 + 1e-6
+            g = scoring.global_score(y, v).data
+            assert np.all(-1.0 - 1e-6 <= g) and np.all(g <= 1.0 + 1e-6)
 
     def test_scale_invariance_exact(self):
         # doubling all entity vectors is exact in floats and leaves G unchanged
         table = {"A": (0.3, -1.7, 0.4), "B": (2.0, 0.1, -0.6)}
         doubled = {k: tuple(2.0 * x for x in v) for k, v in table.items()}
         voters = [voter(1, "A"), voter(2, "B")]
-        g1 = scoring.global_score(vec(*table["A"]),
-                                  self.vote_of(span(0, 0), voters, table)).item()
-        g2 = scoring.global_score(vec(*doubled["A"]),
-                                  self.vote_of(span(0, 0), voters, doubled)).item()
-        assert g1 == g2
+        g1 = scoring.global_score(mat(*table.values()),
+                                  self.vote_of(span(0, 0), voters, table)).data
+        g2 = scoring.global_score(mat(*doubled.values()),
+                                  self.vote_of(span(0, 0), voters, doubled)).data
+        assert np.array_equal(g1, g2)
 
 
 def vote_case(rng, dtype, kind):
@@ -435,32 +459,49 @@ def vote_case(rng, dtype, kind):
     return matrix, spans, pairs, scoring.GlobalConfig(gamma_prime=gamma_prime)
 
 
+def block_votes(matrix, spans, voters):
+    """Each pair's g from `vote_vector` and `global_score` on the spans'
+    gathered candidate rows."""
+    ys = [ad.take_rows(matrix, [int(c.entity_id[1:]) for c in sp.candidates])
+          for sp in spans]
+    votes = scoring.vote_vector(spans, ys, voters)
+    return [ad.row(g, j) for y, vote in zip(ys, votes)
+            for g in [scoring.global_score(y, vote)] for j in range(y.shape[0])]
+
+
+def per_pair_votes(matrix, spans, voters):
+    """Each pair's g from the per-span scan, one cosine per pair on entity
+    row views."""
+    rows = {}
+
+    def y_of(eid):
+        if eid not in rows:
+            rows[eid] = ad.row(matrix, int(eid[1:]))
+        return rows[eid]
+
+    g = []
+    for sp in spans:
+        vote = per_span_vote_vector(sp, voters, y_of)
+        for c in sp.candidates:
+            g.append(ad.constant(np.asarray(0.0, dtype=ad.default_dtype())) if vote is None
+                     else ad.cosine(y_of(c.entity_id), vote))
+    return g
+
+
 class TestVoteOracle:
-    """The document sum minus own votes against the per-span scan it replaced."""
+    """The document sum minus own votes, over span blocks, against the
+    per-span scan and per-pair cosines it replaced."""
 
     @staticmethod
-    def run(votes_of, case, weights):
+    def run(g_of, case, weights):
         matrix, spans, pairs, cfg = case
         matrix.grad = None
-        rows: dict[str, ad.Tensor] = {}
-
-        def y_of(eid):
-            if eid not in rows:
-                rows[eid] = ad.row(matrix, int(eid[1:]))
-            return rows[eid]
-
-        votes = votes_of(spans, scoring.filter_voters(pairs, cfg), y_of)
-        g = [scoring.global_score(y_of(p.entity_id), votes[p.span.start, p.span.end])
-             for p in pairs]
+        g = g_of(matrix, spans, scoring.filter_voters(pairs, cfg))
         loss = ad.dot(ad.constant(weights), ad.stack(g))
         if loss.requires_grad:
             ad.backward(loss)
         grad = np.zeros_like(matrix.data) if matrix.grad is None else matrix.grad.copy()
         return np.array([t.item() for t in g]), grad
-
-    @staticmethod
-    def oracle(spans, voters, y_of):
-        return {(sp.start, sp.end): per_span_vote_vector(sp, voters, y_of) for sp in spans}
 
     @pytest.mark.parametrize("precision, g_tol", [("float32", 1e-5), ("float64", 1e-9)])
     def test_random_documents_agree(self, precision, g_tol):
@@ -477,8 +518,8 @@ class TestVoteOracle:
                 assert len(voting_spans) == {"none": 0, "one": 1}.get(kind, len(voting_spans))
                 seen[kind] += len(case[1]) > 1
                 weights = rng.standard_normal(len(case[2])).astype(dtype)
-                g, grad = self.run(scoring.vote_vector, case, weights)
-                g_ref, grad_ref = self.run(self.oracle, case, weights)
+                g, grad = self.run(block_votes, case, weights)
+                g_ref, grad_ref = self.run(per_pair_votes, case, weights)
                 np.testing.assert_allclose(g, g_ref, rtol=0, atol=g_tol)
                 if precision == "float64":
                     np.testing.assert_allclose(grad, grad_ref, rtol=1e-6, atol=0)
@@ -494,13 +535,15 @@ class TestCombineGlobal:
 
     def test_identity_on_psi(self):
         p = self.make((1.0, 0.0), 0.0)
-        assert scoring.combine_global(scalar(0.7), scalar(0.2), p).item() == pytest.approx(0.7)
+        out = scoring.combine_global(vec(0.7, -0.1), vec(0.2, 0.9), p)
+        assert out.data == pytest.approx([0.7, -0.1])
 
     def test_identity_on_g(self):
         p = self.make((0.0, 1.0), 0.0)
-        assert scoring.combine_global(scalar(0.7), scalar(0.2), p).item() == pytest.approx(0.2)
+        out = scoring.combine_global(vec(0.7, -0.1), vec(0.2, 0.9), p)
+        assert out.data == pytest.approx([0.2, 0.9])
 
     def test_arithmetic(self):
         p = self.make((0.7, 0.3), -0.05)
-        out = scoring.combine_global(scalar(0.4), scalar(0.5), p)
-        assert out.item() == pytest.approx(0.38, abs=1e-6)
+        out = scoring.combine_global(vec(0.4), vec(0.5), p)
+        assert out.data[0] == pytest.approx(0.38, abs=1e-6)
