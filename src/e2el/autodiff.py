@@ -6,9 +6,9 @@ walks the graph once in reverse topological order (iteratively, so very
 deep recurrent chains are fine). Arithmetic runs in 32-bit floats by
 default; gradient checking switches the whole graph to 64-bit via
 ``precision("float64")``. The vector ops also take the rows of a matrix
-as one node (`dot`, `cosine`, `weighted_sum`, `stack`, and `add`/`mul`
-with a scalar or row operand), so a block of rows costs one node, not one
-per row.
+(`dot`, `cosine`, `matvec`, `softmax`, `weighted_sum`, `stack`, `add`/`mul`
+with a scalar or row operand), and `dot`, `softmax` and `weighted_sum` a
+batch of row blocks, so a block of rows costs one node, not one per row.
 
 Every forward and backward value a node holds is checked for NaN/Inf and
 raises ``FloatingPointError`` on the first non-finite entry. A fused op
@@ -280,29 +280,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.data.ndim != 2 or x.data.ndim != 1:
-        raise ValueError("matvec: expects a matrix and a vector")
-    if w.shape[1] != x.shape[0]:
+    """W·x for a vector x, or for each row x_i of a matrix x, one row each."""
+    if w.data.ndim != 2 or x.data.ndim not in (1, 2):
+        raise ValueError("matvec: expects a matrix and a vector or matrix of rows")
+    if w.shape[1] != x.shape[-1]:
         raise ValueError(f"matvec: dims differ, {w.shape} x {x.shape}")
 
     def back(g):
-        _accumulate(w, np.outer(g, x.data))
-        _accumulate(x, w.data.T @ g)
+        _accumulate(w, g.reshape(-1, w.shape[0]).T @ x.data.reshape(-1, w.shape[1]))
+        _accumulate(x, g @ w.data)
 
-    return _node(w.data @ x.data, (w, x), "matvec", back)
+    return _node((w.data @ x.data.T).T, (w, x), "matvec", back)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     """Inner product over the last axis of two equally-shaped tensors: a
-    scalar for two vectors, one value per row for two matrices."""
-    if a.data.ndim not in (1, 2) or a.shape != b.shape:
-        raise ValueError(f"dot: need equal-shaped vectors or matrices, got {a.shape}, {b.shape}")
+    scalar for two vectors, one value per row for matrices or batches."""
+    if a.data.ndim < 1 or a.shape != b.shape:
+        raise ValueError(f"dot: need equal-shaped tensors, got {a.shape}, {b.shape}")
 
     def back(g):
         _accumulate(a, g[..., None] * b.data)
         _accumulate(b, g[..., None] * a.data)
 
-    out = a.data @ b.data if a.data.ndim == 1 else np.einsum("nd,nd->n", a.data, b.data)
+    out = a.data @ b.data if a.data.ndim == 1 else np.einsum("...d,...d->...", a.data, b.data)
     return _node(np.asarray(out), (a, b), "dot", back)
 
 
@@ -377,12 +378,12 @@ def row(m: Tensor, index: int) -> Tensor:
 
 
 def take_rows(m: Tensor, idx) -> Tensor:
-    """Rows of a matrix gathered by an integer array of any shape; the
-    result has shape ``idx.shape + (columns,)``. Backward adds each
-    gradient row into its source row in place, summing repeated indices."""
+    """Entries along the first axis (rows of a matrix, elements of a vector)
+    gathered by an integer array of any shape, into ``idx.shape + m.shape[1:]``;
+    backward adds each gradient entry into its source in place, summing repeats."""
     idx = np.asarray(idx, dtype=np.intp)
-    if m.data.ndim != 2:
-        raise ValueError("take_rows: matrix expected")
+    if m.data.ndim < 1:
+        raise ValueError("take_rows: a vector, matrix or higher rank expected")
     if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
         raise ValueError(f"take_rows: index out of range {m.shape}")
 
@@ -427,15 +428,15 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax(v: Tensor) -> Tensor:
-    """Stable softmax of a non-empty vector (max-subtraction)."""
-    if v.data.ndim != 1 or v.shape[0] < 1:
-        raise ValueError("softmax: non-empty vector expected")
-    shifted = v.data - v.data.max()
+    """Stable softmax over a non-empty last axis (max-subtraction)."""
+    if v.data.ndim < 1 or v.shape[-1] < 1:
+        raise ValueError("softmax: non-empty last axis expected")
+    shifted = v.data - v.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum()
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        _accumulate(v, out * (g - (g * out).sum()))
+        _accumulate(v, out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return _node(out, (v,), "softmax", back)
 
@@ -454,20 +455,22 @@ def max1d(v: Tensor) -> Tensor:
 
 def weighted_sum(vectors: Sequence[Tensor] | Tensor, weights: Tensor) -> Tensor:
     """Σ w_i · v_i with a weight vector node, over equally-shaped vectors or
-    over the rows of one matrix node."""
+    over the rows of one matrix node; over a batch of row blocks
+    (… × m × d) with weights (… × m), one sum per block."""
     matrix = isinstance(vectors, Tensor)
     rows = vectors.data if matrix else np.stack([v.data for v in vectors])
-    if rows.ndim != 2 or weights.data.ndim != 1 or rows.shape[0] != weights.shape[0]:
+    if rows.ndim < 2 or rows.shape[:-1] != weights.shape:
         raise ValueError("weighted_sum: need one weight per vector")
 
     def back(g):
-        grads = np.outer(weights.data, g)
+        grads = weights.data[..., None] * g[..., None, :]
         for v, gv in [(vectors, grads)] if matrix else zip(vectors, grads):
             _accumulate(v, gv)
-        _accumulate(weights, rows @ g)
+        _accumulate(weights, (rows @ g[..., None])[..., 0])
 
     parts = (vectors,) if matrix else tuple(vectors)
-    return _node(weights.data @ rows, parts + (weights,), "weighted_sum", back)
+    return _node((weights.data[..., None, :] @ rows)[..., 0, :], parts + (weights,),
+                 "weighted_sum", back)
 
 
 def dropout(v: Tensor, keep_prob: float, training: bool,
@@ -488,15 +491,15 @@ def dropout(v: Tensor, keep_prob: float, training: bool,
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of vector `b` with vector `a`, or with each row of
-    matrix `a`. A zero-norm input gives 0 and passes no gradient."""
-    if a.data.ndim not in (1, 2) or b.data.ndim != 1 or a.shape[-1] != b.shape[0]:
-        raise ValueError(f"cosine: need vector or matrix and vector, got {a.shape}, {b.shape}")
+    """Cosine similarity of `b` with vector `a`, with each row of matrix `a`,
+    or row by row for equal shapes. A zero norm gives 0 and no gradient."""
+    if a.data.ndim not in (1, 2) or b.shape not in (a.shape, a.shape[-1:]):
+        raise ValueError(f"cosine: shapes {a.shape} and {b.shape} do not match")
     na = np.linalg.norm(a.data, axis=-1, keepdims=True)  # (1,) or (rows, 1)
-    nb = np.linalg.norm(b.data)
+    nb = np.linalg.norm(b.data, axis=-1, keepdims=True)
     live = (na > 0) & (nb > 0)
-    na, nb = np.where(live, na, 1), nb or 1
-    c = np.where(live, (a.data @ b.data)[..., None] / (na * nb), 0)
+    na, nb = np.where(live, na, 1), np.where(nb > 0, nb, 1)
+    c = np.where(live, np.einsum("...d,...d->...", a.data, b.data)[..., None] / (na * nb), 0)
 
     def back(g):
         g = np.where(live, g[..., None], 0)

@@ -58,6 +58,9 @@ class AliasIndex:
 
     def __init__(self, entries: dict[str, list[CandidateEntry]],
                  s: int = 30, max_span_length: int = 6):
+        if s < 1 or max_span_length < 1:
+            raise ValueError(f"candidate limit s={s} and max span length {max_span_length} "
+                             f"must both be at least 1")
         self.entries = entries
         self.s = s
         self.max_span_length = max_span_length
@@ -144,6 +147,9 @@ def save_index(index: AliasIndex, path: str) -> None:
 def load_index(path: str) -> AliasIndex:
     reader = binfile.Reader(path, INDEX_MAGIC)
     s, max_len, n_surfaces = reader.unpack(INDEX_HEADER, "header")
+    if s < 1 or max_len < 1:
+        raise reader.error(f"candidate limit s={s} and max span length {max_len} must both "
+                           f"be at least 1", "header", len(INDEX_MAGIC))
     entries: dict[str, list[CandidateEntry]] = {}
     for _ in range(n_surfaces):
         ((surface, n),) = reader.records(1, binfile.U32, "surface")

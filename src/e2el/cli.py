@@ -68,6 +68,8 @@ def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, floa
         raise ValueError(f"{path}: checkpoint lacks the character inventory")
     if "meta.delta" not in state:
         raise ValueError(f"{path}: checkpoint lacks meta.delta")
+    if np.isnan(state["meta.delta"]).any():
+        raise ValueError(f"{path}: meta.delta is nan")
     rows = ad.parameter(state["char_table"])
     chars = CharTable.from_codepoints(state["meta.char_vocab"].astype(np.int64), rows)
     model = build_model(cfg, chars)
@@ -133,6 +135,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    if args.delta is not None and math.isnan(args.delta):
+        raise ValueError("--delta must be a number, got nan")
     cfg = RunConfig.load(args.config, args.set)
     model, delta = model_from_checkpoint(cfg, cfg.require("paths.checkpoint"))
     if args.delta is not None:
@@ -207,16 +211,18 @@ def _toy_check_setup(seed: int, frozen: bool, entity_dim: int = 8):
     chars = CharTable.build(surfaces, 3, rng)
     model = LinkingModel(dims=dims, words=words, chars=chars, entities=entities,
                          seed=seed, use_attention=True, use_global=True,
-                         attention_window=4, attention_keep=2)
+                         attention_window=4, attention_keep=3)
+    # two span lengths (the multi-token span exercises the soft head) and,
+    # in the window of 4, two kept counts: 2 words near the start, and 3 of
+    # 4 around "sb" and "sc", so the top-K selection drops a word
     table = {"sa": [("E0", 0.6), ("E1", 0.4)], "sb": [("E2", 1.0)],
-             "sc": [("E1", 0.5), ("E3", 0.5)],
-             "sa pad": [("E3", 1.0)]}  # multi-token span exercises the soft head
+             "sc": [("E1", 0.5), ("E3", 0.5)], "sa pad": [("E3", 1.0)]}
     if not frozen:
         table["sb"] = [("E2", 0.7), ("E9", 0.3)]  # E9 has no vector: a zero row
     entries = {s: [candidates.CandidateEntry(e, p) for e, p in lst]
                for s, lst in table.items()}
     index = candidates.AliasIndex(entries, s=30, max_span_length=3)
-    doc = Document("toy", ["sa", "pad", "sb", "sc"],
+    doc = Document("toy", ["sa", "pad", "sb", "sc", "pad", "pad"],
                    gold=[(0, 0, "E0"), (2, 2, "E2")])
     tcfg = training.TrainConfig(gamma=0.2)
     spans = training.spans_for_regime(doc, index, tcfg)

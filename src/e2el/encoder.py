@@ -9,10 +9,10 @@ down to entity-embedding size with a single affine layer.
 
 The char bi-LSTM runs once per document over its distinct tokens, grouped
 by length: each length is one batched `lstm_sequence` call per direction,
-so no sequence is padded or masked. The summaries are gathered back per
-token, and the word-character vectors V (n × v_dim) and context vectors
-X (n × x_dim) are each one matrix node, which is all `EncodedDocument`
-holds. A mention gathers its span's rows of both once for its soft head.
+so no sequence is padded or masked. The word-character vectors V
+(n × v_dim) and context vectors X (n × x_dim) are each one matrix node,
+which is all `EncodedDocument` holds. A document's mentions are one
+(spans × d) node, their soft heads batched by span length the same way.
 
 Dropout applies at two sites in training mode: on the word-character
 vectors and on the context bi-LSTM output.
@@ -21,6 +21,8 @@ vectors and on the context bi-LSTM output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable
 
 import numpy as np
 
@@ -100,31 +102,32 @@ class EncodedDocument:
         return self.x.shape[0]
 
 
-def char_embed(words: list[str], table: CharTable, params: EncoderParams) -> ad.Tensor:
-    """Char bi-LSTM summaries [last forward; first backward], one row per word.
+def rows_by_group(keys: list[int], build: Callable[[int, list[int]], ad.Tensor]) -> ad.Tensor:
+    """One row per key, built one group of equal keys at a time:
+    `build(key, members)` makes the rows of the listed positions, and the
+    groups' rows are put back in the order of `keys`."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    parts = [build(key, list(members)) for key, members in groupby(order, keys.__getitem__)]
+    stacked = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    return ad.take_rows(stacked, np.argsort(order))
 
-    Words of one length run as one batch per direction, with no padding or
-    mask; the batches' rows are put back in the order of `words`.
-    """
+
+def char_embed(words: list[str], table: CharTable, params: EncoderParams) -> ad.Tensor:
+    """Char bi-LSTM summaries [last forward; first backward], one row per
+    word; the words of one length run as one batch per direction."""
     if not words:
         raise ValueError("char_embed: no words")
     if not all(words):
         raise ValueError("char_embed: empty word")
-    by_length: dict[int, list[int]] = {}
-    for i, word in enumerate(words):
-        by_length.setdefault(len(word), []).append(i)
-    parts, order = [], []
-    for length, members in sorted(by_length.items()):
+
+    def summaries(length: int, members: list[int]) -> ad.Tensor:
         codes = np.array([[table.index(ch) for ch in words[i]] for i in members])
         zs = ad.take_rows(table.rows, codes.T)  # (length × batch × char_dim)
         fwd = ad.lstm_sequence(zs, params.char_fwd)
         bwd = ad.lstm_sequence(zs, params.char_bwd, reverse=True)
-        parts.append(ad.concat([ad.row(fwd, length - 1), ad.row(bwd, 0)]))
-        order.extend(members)
-    stacked = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-    position = np.empty(len(words), dtype=np.intp)
-    position[order] = np.arange(len(words))
-    return ad.take_rows(stacked, position)
+        return ad.concat([ad.row(fwd, length - 1), ad.row(bwd, 0)])
+
+    return rows_by_group([len(word) for word in words], summaries)
 
 
 def encode_document(doc: Document, words: WordVectors, chars: CharTable,
@@ -150,21 +153,25 @@ def encode_document(doc: Document, words: WordVectors, chars: CharTable,
     return EncodedDocument(doc_id=doc.doc_id, v=v, x=x)
 
 
-def soft_head(span: MentionSpan, enc: EncodedDocument, params: EncoderParams) -> ad.Tensor:
-    """Attention-weighted sum of the span's word-character vectors, with
-    logits from its context vectors; both are gathered once per span."""
-    if not (0 <= span.start <= span.end < len(enc)):
-        raise ValueError(f"span [{span.start}, {span.end}] outside document of {len(enc)} tokens")
-    ks = np.arange(span.start, span.end + 1)
-    weights = ad.softmax(ad.matvec(ad.take_rows(enc.x, ks), params.attn_w))
-    return ad.weighted_sum(ad.take_rows(enc.v, ks), weights)
+def mention_repr(spans: list[MentionSpan], enc: EncodedDocument,
+                 params: EncoderParams) -> ad.Tensor:
+    """Project each span's [x_start; x_end; soft head] down to entity size,
+    one row per span. The soft head weights the span's word-character
+    vectors by a softmax of logits from its context vectors; spans of one
+    length are one batch of row blocks, with no padding or mask."""
+    for span in spans:
+        if not (0 <= span.start <= span.end < len(enc)):
+            raise ValueError(f"span [{span.start}, {span.end}] outside a {len(enc)}-token doc")
+    logits = ad.matvec(enc.x, params.attn_w)  # one per token
 
+    def heads(length: int, members: list[int]) -> ad.Tensor:
+        ks = np.array([spans[i].start for i in members])[:, None] + np.arange(length)
+        return ad.weighted_sum(ad.take_rows(enc.v, ks), ad.softmax(ad.take_rows(logits, ks)))
 
-def mention_repr(span: MentionSpan, enc: EncodedDocument, params: EncoderParams) -> ad.Tensor:
-    """Project [x_start; x_end; soft head] down to entity-embedding size."""
-    head = soft_head(span, enc, params)
-    g = ad.concat([ad.row(enc.x, span.start), ad.row(enc.x, span.end), head])
-    if params.proj_w.shape[1] != g.shape[0]:
+    g = ad.concat([ad.take_rows(enc.x, [span.start for span in spans]),
+                   ad.take_rows(enc.x, [span.end for span in spans]),
+                   rows_by_group([span.length for span in spans], heads)])
+    if params.proj_w.shape[1] != g.shape[1]:
         raise ValueError(
-            f"mention projection expects {params.proj_w.shape[1]}-d input, got {g.shape[0]}-d")
+            f"mention projection expects {params.proj_w.shape[1]}-d input, got {g.shape[1]}-d")
     return ad.add(ad.matvec(params.proj_w, g), params.proj_b)

@@ -1,10 +1,10 @@
 """The linking model: stores, encoder and scorer wired into one unit.
 
-Scoring a document is two-phase: every pair first gets its local score,
-then (when the global layer is on) the confident pairs are frozen into a
-voter set, summed once per document, and each pair is rescored against
-that sum minus its own mention's votes. Each score of a span's candidates
-is one (C,) vector node, and a pair's scores are element views of those.
+A document's (span, candidate) pairs are the rows of one table. Scoring
+is two-phase: every pair first gets its local score, then (when the global
+layer is on) the pairs that pass the voting threshold vote, and each pair
+is rescored against the votes of the other mentions. Each score is one
+(pairs,) vector node, and a pair's scores are element views of those.
 Training mode returns graph nodes for the loss; evaluation mode returns
 plain floats.
 """
@@ -27,7 +27,7 @@ from .encoder import EncodedDocument, EncoderDims, encode_document, init_encoder
 @dataclass
 class PairScore:
     """Graph-node scores for one (span, candidate) pair: scalar views of
-    its span's score vectors."""
+    its row in the document's score vectors."""
 
     span: MentionSpan
     entity_id: str
@@ -97,20 +97,21 @@ class LinkingModel:
         else:
             self._entity_rows = None
 
-    def candidate_rows(self, span: MentionSpan) -> ad.Tensor:
-        """The span's candidate vectors as the rows of one (C × d) block:
-        rows gathered from the trainable entity matrix, or a constant when
-        the entities are frozen. An entity without a vector has a zero row."""
-        ids = [c.entity_id for c in span.candidates]
-        if self._entity_rows is None:
-            return ad.constant(np.stack([self.entities.vector(e) for e in ids]))
+    def candidate_rows(self, spans: list[MentionSpan]) -> ad.Tensor:
+        """The candidate vectors of every pair of `spans`, in pair order, as
+        the rows of one (pairs × d) table: gathered from the trainable
+        entity matrix, or from the frozen one as constants. An entity
+        without a vector has a zero row."""
+        ids = [c.entity_id for span in spans for c in span.candidates]
         rows = [self.entities.index(e) for e in ids]
-        block = ad.take_rows(self._entity_rows, [r or 0 for r in rows])
+        idx = [r or 0 for r in rows]
+        y = (ad.constant(self.entities.matrix[idx]) if self._entity_rows is None
+             else ad.take_rows(self._entity_rows, idx))
         if None not in rows:
-            return block
+            return y
         for e in {e for e, r in zip(ids, rows) if r is None}:
             self.entities.vector(e)  # logs the missing vector once
-        return ad.mul(block, ad.constant([[r is not None] * block.shape[1] for r in rows]))
+        return ad.mul(y, ad.constant(np.outer([r is not None for r in rows], np.ones(y.shape[1]))))
 
     def encode(self, doc: Document, mode: str = "eval",
                rng: np.random.Generator | None = None) -> EncodedDocument:
@@ -119,35 +120,29 @@ class LinkingModel:
 
     def pair_scores(self, doc: Document, spans: list[MentionSpan], mode: str = "eval",
                     rng: np.random.Generator | None = None) -> list[PairScore]:
-        """Score every (span, candidate) pair of the document, each span's
-        candidates as one block."""
+        """Score every (span, candidate) pair of the document, all pairs as
+        the rows of one table."""
         enc = self.encode(doc, mode=mode, rng=rng)
         spans = [span for span in spans if span.candidates]
-        ys = [self.candidate_rows(span) for span in spans]
-        psis = []
-        for span, y in zip(spans, ys):
-            x_m = mention_repr(span, enc, self.encoder)
-            ctx = None
-            if self.use_attention:
-                ctx = scoring.long_range_feature(span, enc, y, self.attention_window,
-                                                 self.attention_keep, self.scorer)
-            psis.append(scoring.local_score(x_m, span, y, ctx, self.scorer))
-        gs = phis = [None] * len(spans)
+        if not spans:
+            return []
+        y = self.candidate_rows(spans)
+        ctx = None
+        if self.use_attention:
+            ctx = scoring.long_range_feature(spans, enc, y, self.attention_window,
+                                             self.attention_keep, self.scorer)
+        psi = scoring.local_score(mention_repr(spans, enc, self.encoder), spans, y, ctx,
+                                  self.scorer)
+        g = phi = None
         if self.use_global:
-            # phase two: voter set from the completed local scores
-            local = [scoring.ScoredPair(span=span, entity_id=c.entity_id, prior=c.prior,
-                                        psi=float(value))
-                     for span, psi in zip(spans, psis)
-                     for c, value in zip(span.candidates, psi.data)]
-            voters = scoring.filter_voters(local, self.global_cfg)
-            votes = scoring.vote_vector(spans, ys, voters)
-            gs = [scoring.global_score(y, vote) for y, vote in zip(ys, votes)]
-            phis = [scoring.combine_global(psi, g, self.scorer) for psi, g in zip(psis, gs)]
+            # phase two: the voters are the pairs whose completed local score passes
+            voters = scoring.filter_voters(psi.data, self.global_cfg)
+            g = scoring.global_score(y, scoring.vote_vector(spans, y, voters))
+            phi = scoring.combine_global(psi, g, self.scorer)
         return [PairScore(span=span, entity_id=c.entity_id, prior=c.prior, psi=ad.row(psi, j),
                           g=None if g is None else ad.row(g, j),
                           phi=None if phi is None else ad.row(phi, j))
-                for span, psi, g, phi in zip(spans, psis, gs, phis)
-                for j, c in enumerate(span.candidates)]
+                for j, (span, c) in enumerate((s, c) for s in spans for c in s.candidates)]
 
     def score_pairs(self, doc: Document, spans: list[MentionSpan]) -> list[scoring.ScoredPair]:
         """Evaluation-mode scores as plain floats."""

@@ -1,18 +1,15 @@
 """Candidate scoring: the local score, long-range attention, global voting.
 
-Each function scores one span's candidates at once, as the rows of one
-(C × d) block Y, and returns one (C,) vector. The local score is an affine
-combination of a candidate's log prior and its dot product with the
-mention representation (plus, when enabled, a long-range context
-feature). The attention ranks the words of its window off the graph, with
-one matrix product per span, and gathers only the words it keeps into the
-graph; the hard selection leaves the dropped words without a gradient in
-any case. The global layer rescores each pair by cosine similarity against
-the vote of the *other* mentions, combined with the local score through a
-second affine layer. The vote is the document's sum of confident
-candidates' entity vectors minus the mention's own votes; it is None (so
-the global score is 0) when every voter belongs to the mention, or the
-document has no voters.
+A document's (span, candidate) pairs are the rows of one table, spans in
+order and each span's candidates in order. Each function takes the pairs'
+candidate vectors as one (pairs × d) block Y and returns one (pairs,)
+vector. The local score is an affine map of a candidate's log prior, its
+dot product with its span's mention representation and, when enabled, a
+long-range context feature. The global layer rescores each pair by cosine
+similarity against the vote of the *other* mentions, combined with the
+local score through a second affine layer. The vote is the document's sum
+of confident candidates' entity vectors minus those of the pair's own
+span: exactly zero, so g = 0, when the span holds every vote.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .candidates import MentionSpan
-from .encoder import EncodedDocument
+from .encoder import EncodedDocument, rows_by_group
 
 
 @dataclass
@@ -83,15 +80,20 @@ class ScoredPair:
         return self.phi if self.phi is not None else self.psi
 
 
-def local_score(x_m: ad.Tensor, span: MentionSpan, y: ad.Tensor,
+def _pair_spans(spans: list[MentionSpan]) -> np.ndarray:
+    """The index in `spans` of each pair's span, in pair order."""
+    return np.repeat(np.arange(len(spans)), [len(span.candidates) for span in spans])
+
+
+def local_score(x_m: ad.Tensor, spans: list[MentionSpan], y: ad.Tensor,
                 ctx_feature: ad.Tensor | None, params: ScorerParams) -> ad.Tensor:
-    """One score per candidate (row of `y`): an affine map of
-    [log prior, <x_m, y_e>] and the optional context feature."""
-    for entry in span.candidates:
+    """One score per pair (row of `y`): an affine map of [log prior,
+    <x_m of its span, y_e>] and the optional context feature."""
+    for entry in (entry for span in spans for entry in span.candidates):
         if entry.prior <= 0.0:
             raise ValueError(f"candidate {entry.entity_id!r} has non-positive prior {entry.prior}")
-    log_prior = np.log([entry.prior for entry in span.candidates])
-    feats = [ad.constant(log_prior), ad.matvec(y, x_m)]
+    log_prior = np.log([entry.prior for span in spans for entry in span.candidates])
+    feats = [ad.constant(log_prior), ad.dot(ad.take_rows(x_m, _pair_spans(spans)), y)]
     if params.psi_w.shape == (3,):
         if ctx_feature is None:
             raise ValueError("attention enabled but no context feature given")
@@ -112,42 +114,52 @@ def context_window(span: MentionSpan, n_tokens: int, window: int) -> list[int]:
     return [k for k in range(lo, hi + 1) if k < span.start or k > span.end]
 
 
-def long_range_feature(span: MentionSpan, enc: EncodedDocument, y: ad.Tensor,
+def long_range_feature(spans: list[MentionSpan], enc: EncodedDocument, y: ad.Tensor,
                        window: int, keep: int, params: ScorerParams) -> ad.Tensor:
-    """The context-attention feature of each candidate, one per row of `y`.
+    """The context-attention feature of each pair, one per row of `y`.
 
-    Context words score u(w) = max_e <y_e, A . x_w> with a diagonal A; the
-    top `keep` words are hard-selected (higher score first, then lower
-    position), softmaxed into weights, and summed into a context embedding
-    c; each candidate's feature is <y_e, B . c>.
+    Context words of a span score u(w) = max_e <y_e, A . x_w> over its
+    candidates, with a diagonal A; the top `keep` words are hard-selected
+    (higher score first, then lower position), softmaxed into weights, and
+    summed into a context embedding c (0 with no context word); each
+    candidate's feature is <y_e, B . c>.
 
-    The ranking runs off the graph, as one (window × d)·(d × candidates)
-    product over the window's A-scaled context vectors, checked once for
-    non-finite scores, so an overflow raises even in a word that is then
-    dropped. Only the kept words enter the graph, as one gathered block
-    scored against each word's best candidate; the hard selection cuts the
-    other words off from the loss, so building them would add nodes but no
-    gradient.
+    The ranking runs off the graph, per span as one (window × d)·(d ×
+    candidates) product, checked for non-finite scores, so an overflow
+    raises even in a word that is then dropped. Only the kept words enter
+    the graph, as one batch per kept count: the dropped words would add
+    nodes but, cut off by the hard selection, no gradient.
     """
     if not 1 <= keep <= window:
         raise ValueError(f"need window >= keep >= 1, got window={window} keep={keep}")
     if params.att_a is None or params.att_b is None:
         raise ValueError("attention parameters not initialized")
-    positions = context_window(span, len(enc), window)
-    if not positions:
-        return ad.constant(np.zeros(y.shape[0]))
-    # einsum, not BLAS: a BLAS product may round two equal rows differently,
-    # and equal words must tie exactly for the tie rule to hold
-    word_scores = np.einsum("wd,cd->wc", enc.x.data[positions] * params.att_a.data, y.data)
-    if not np.all(np.isfinite(word_scores)):
-        raise FloatingPointError("non-finite values in attention word scores")
-    u = word_scores.max(axis=1)
-    kept = np.sort(np.argsort(-u, kind="stable")[:keep])
-    x_kept = ad.take_rows(enc.x, np.asarray(positions)[kept])
-    best = ad.take_rows(y, word_scores[kept].argmax(axis=1))
-    beta = ad.softmax(ad.dot(best, ad.mul(x_kept, params.att_a)))
-    c = ad.weighted_sum(x_kept, beta)
-    return ad.matvec(y, ad.mul(params.att_b, c))
+    bounds = np.cumsum([0] + [len(span.candidates) for span in spans])
+    kept, best = [], []  # per span: the kept positions, and each one's best pair
+    for i, span in enumerate(spans):
+        positions = context_window(span, len(enc), window)
+        scores = np.zeros((0, 1))  # no context word: nothing is kept
+        if positions:
+            # einsum, not BLAS: a BLAS product may round two equal rows
+            # differently, and equal words must tie exactly for the tie rule
+            scores = np.einsum("wd,cd->wc", enc.x.data[positions] * params.att_a.data,
+                               y.data[bounds[i]:bounds[i + 1]])
+            if not np.all(np.isfinite(scores)):
+                raise FloatingPointError("non-finite values in attention word scores")
+        top = np.sort(np.argsort(-scores.max(axis=1), kind="stable")[:keep])
+        kept.append(np.asarray(positions, dtype=np.intp)[top])
+        best.append(bounds[i] + scores[top].argmax(axis=1))
+
+    def contexts(count: int, members: list[int]) -> ad.Tensor:
+        if count == 0:
+            return ad.constant(np.zeros((len(members), enc.x.shape[1])))
+        x_kept = ad.take_rows(enc.x, [kept[i] for i in members])  # (batch × count × d)
+        beta = ad.softmax(ad.dot(ad.take_rows(y, [best[i] for i in members]),
+                                 ad.mul(x_kept, params.att_a)))
+        return ad.weighted_sum(x_kept, beta)
+
+    c = rows_by_group([len(k) for k in kept], contexts)
+    return ad.dot(y, ad.mul(ad.take_rows(c, _pair_spans(spans)), params.att_b))
 
 
 def combine_global(psi: ad.Tensor, g: ad.Tensor, params: ScorerParams) -> ad.Tensor:
@@ -157,46 +169,28 @@ def combine_global(psi: ad.Tensor, g: ad.Tensor, params: ScorerParams) -> ad.Ten
     return ad.add(ad.matvec(ad.stack([psi, g]), params.phi_w), params.phi_b)
 
 
-def filter_voters(pairs: list[ScoredPair], cfg: GlobalConfig) -> list[ScoredPair]:
-    """Exactly the pairs whose local score reaches the voting threshold."""
-    return [p for p in pairs if p.psi >= cfg.gamma_prime]
+def filter_voters(psi: np.ndarray, cfg: GlobalConfig) -> np.ndarray:
+    """The indices of the pairs whose local score reaches the threshold."""
+    return np.flatnonzero(np.asarray(psi, dtype=np.float64) >= cfg.gamma_prime)
 
 
-def vote_vector(spans: list[MentionSpan], ys: list[ad.Tensor],
-                voters: list[ScoredPair]) -> list[ad.Tensor | None]:
-    """Each span's vote: the entity vectors of the voters from other
-    mentions, summed.
+def vote_vector(spans: list[MentionSpan], y: ad.Tensor, voters: np.ndarray) -> ad.Tensor:
+    """Each pair's vote, one row per pair: the candidate vectors (rows of
+    `y`) of the voting pairs indexed by `voters` that belong to other
+    mentions, summed, so an entity voted for by two mentions counts twice.
 
-    `ys[i]` holds the candidate vectors of `spans[i]` as rows, in candidate
-    order (a span's candidate ids are distinct), and each voter is one of
-    those (span, candidate) pairs, so an entity voted for by two mentions
-    counts twice. A span's own votes are one masked sum over its rows, the
-    document total is the sum of those, and each span subtracts its own
-    votes: O(spans) nodes. A span that casts no vote sees the total; the
-    vote is None when every voter belongs to the span, or there are none.
+    Each span's own votes are one product over `y`, and the total is the
+    sum of those rows, so a span that holds every vote gets exactly zero.
     """
-    slot = {(span.start, span.end): i for i, span in enumerate(spans)}
-    voted: dict[int, set[str]] = {}
-    for v in voters:
-        voted.setdefault(slot[v.span.start, v.span.end], set()).add(v.entity_id)
-    own = {i: ad.weighted_sum(ys[i], ad.constant([c.entity_id in ids
-                                                  for c in spans[i].candidates]))
-           for i, ids in voted.items()}
-    total = ad.addn(list(own.values())) if own else None
-    votes: list[ad.Tensor | None] = []
-    for i in range(len(spans)):
-        if i not in own:
-            votes.append(total)
-        elif len(own) == 1:
-            votes.append(None)
-        else:
-            votes.append(ad.sub(total, own[i]))
-    return votes
+    span_of = _pair_spans(spans)
+    # column p of the mask is pair p's span indicator, if p votes
+    mask = np.eye(len(spans))[:, span_of] * np.isin(np.arange(len(span_of)), voters)
+    own = ad.matmul(ad.constant(mask), y)  # (spans × d)
+    total = ad.matmul(ad.constant(np.ones((1, len(spans)))), own)
+    return ad.sub(ad.take_rows(total, np.zeros(len(span_of), dtype=np.intp)),
+                  ad.take_rows(own, span_of))
 
 
-def global_score(y: ad.Tensor, vote: ad.Tensor | None) -> ad.Tensor:
-    """Cosine of each candidate vector (a row of `y`) with the vote sum; 0
-    with no voters."""
-    if vote is None:
-        return ad.constant(np.zeros(y.shape[0]))
+def global_score(y: ad.Tensor, vote: ad.Tensor) -> ad.Tensor:
+    """Cosine of each candidate vector with its pair's vote; 0 for no vote."""
     return ad.cosine(y, vote)

@@ -108,14 +108,12 @@ def document_loss(doc: Document, spans: Sequence[MentionSpan],
                   mode: str = "train") -> LossResult:
     """Sum of violations of every (span, candidate) pair's psi, and phi when it has one."""
     gold_set = {(s, e, ent) for s, e, ent in gold}
-    covered = 0
-    for s, e, ent in gold_set:
-        if any(sp.start == s and sp.end == e and
-               any(c.entity_id == ent for c in sp.candidates) for sp in spans):
-            covered += 1
-        else:
-            log.debug("document %s: gold (%d, %d, %s) not coverable by candidates",
-                      doc.doc_id, s, e, ent)
+    uncoverable = gold_set - {(sp.start, sp.end, c.entity_id)
+                              for sp in spans for c in sp.candidates}
+    for s, e, ent in sorted(uncoverable):
+        log.debug("document %s: gold (%d, %d, %s) not coverable by candidates",
+                  doc.doc_id, s, e, ent)
+    covered = len(gold_set) - len(uncoverable)
     pairs = model.pair_scores(doc, spans, mode=mode, rng=rng)
     if not pairs:
         log.warning("document %s: no scorable spans, loss is 0", doc.doc_id)

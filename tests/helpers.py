@@ -105,7 +105,16 @@ def per_step_encode_document(doc, words, chars, params, dims, mode="eval", rng=N
 
 
 # ---------------------------------------------------------------------------
-# per-pair scorer: the oracle for the span blocks of `LinkingModel.pair_scores`
+# per-pair scorer: the oracle for the pair table of `LinkingModel.pair_scores`
+
+
+def soft_head(span, enc, params):
+    """One span's attention-weighted sum of its word-character vectors, with
+    logits from its context vectors: the per-span form of the soft heads
+    that `encoder.mention_repr` batches by span length."""
+    ks = np.arange(span.start, span.end + 1)
+    weights = ad.softmax(ad.matvec(ad.take_rows(enc.x, ks), params.attn_w))
+    return ad.weighted_sum(ad.take_rows(enc.v, ks), weights)
 
 
 def per_word_context(span, x, ys, window, keep, params):
@@ -174,7 +183,8 @@ def per_pair_scores(model, enc, spans):
             pairs.append(PairScore(span=span, entity_id=entry.entity_id, prior=entry.prior,
                                    psi=psi))
     if model.use_global:
-        voters = scoring.filter_voters([p.detach() for p in pairs], model.global_cfg)
+        voters = [pairs[i] for i in scoring.filter_voters(
+            np.array([p.psi.item() for p in pairs]), model.global_cfg)]
         votes = {}
         for p in pairs:
             key = (p.span.start, p.span.end)

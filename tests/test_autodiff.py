@@ -230,9 +230,16 @@ class TestBlockOps:
             v = ad.parameter(rng.normal(size=4))
             w = ad.parameter(rng.normal(size=3))
             s = ad.parameter(np.asarray(0.3))
+            cube = ad.parameter(rng.normal(size=(2, 3, 4)))
+            cw = ad.parameter(rng.normal(size=(2, 3)))
+            w2 = ad.parameter(rng.normal(size=(2, 4)))
             p3 = ad.constant(rng.normal(size=3))
             p34 = ad.constant(rng.normal(size=(3, 4)))
             p32 = ad.constant(rng.normal(size=(3, 2)))
+            p23 = ad.constant(rng.normal(size=(2, 3)))
+            p24 = ad.constant(rng.normal(size=(2, 4)))
+            p234 = ad.constant(rng.normal(size=(2, 3, 4)))
+            p334 = ad.constant(rng.normal(size=(3, 3, 4)))
             builders = {
                 "add scalar": lambda: _total(ad.mul(ad.add(m, s), p34)),
                 "add row": lambda: _total(ad.mul(ad.add(m, v), p34)),
@@ -243,9 +250,17 @@ class TestBlockOps:
                 "row of vector": lambda: ad.row(ad.matvec(m, v), 1),
                 "weighted_sum rows": lambda: ad.dot(ad.weighted_sum(m, w), v),
                 "cosine rows": lambda: ad.dot(ad.cosine(m, v), p3),
+                "take_rows of vector": lambda: ad.dot(ad.take_rows(w, [2, 0, 2]), p3),
+                "take_rows of 3-d": lambda: _total(ad.mul(ad.take_rows(cube, [1, 1, 0]), p334)),
+                "softmax rows": lambda: _total(ad.mul(ad.softmax(m), p34)),
+                "softmax batch": lambda: _total(ad.mul(ad.softmax(cube), p234)),
+                "weighted_sum batch": lambda: _total(ad.mul(ad.weighted_sum(cube, cw), p24)),
+                "matvec rows": lambda: _total(ad.mul(ad.matvec(w2, m), p32)),
+                "dot batch": lambda: _total(ad.mul(ad.dot(cube, ad.mul(cube, v)), p23)),
+                "cosine matrices": lambda: ad.dot(ad.cosine(m, n), p3),
             }
             for name, build in builders.items():
-                for p in (m, n, v, w, s):
+                for p in (m, n, v, w, s, cube, cw, w2):
                     err = ad.grad_check(build, p)
                     assert err <= 1e-6, f"{name} wrt {p.shape}: {err}"
 
@@ -263,6 +278,29 @@ class TestBlockOps:
         assert np.allclose(ad.mul(ad.constant(m), ad.constant(v)).data, m * v)
         assert ad.stack([ad.constant(v), ad.constant(w)]).shape == (4, 2)
         assert ad.row(ad.constant(v), 2).shape == ()
+
+    def test_batches_match_the_vector_ops(self):
+        # each new shape against the vector form, row by row or block by block
+        rng = np.random.default_rng(8)
+        cube, other = rng.normal(size=(2, 2, 3, 4)).astype(np.float32)
+        m, n = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        weights = rng.normal(size=(2, 3)).astype(np.float32)
+        w = rng.normal(size=(5, 4)).astype(np.float32)
+        c = ad.constant
+        assert np.array_equal(ad.take_rows(c(w[0]), [[3, 0], [1, 1]]).data, w[0][[[3, 0], [1, 1]]])
+        assert np.array_equal(ad.take_rows(c(cube), [1, 0, 1]).data, cube[[1, 0, 1]])
+        softmax = ad.softmax(c(cube)).data
+        dots = ad.dot(c(cube), c(other)).data
+        sums = ad.weighted_sum(c(cube), c(weights)).data
+        for b in range(2):
+            assert np.allclose(sums[b], ad.weighted_sum(c(cube[b]), c(weights[b])).data)
+            for i in range(3):
+                assert np.allclose(softmax[b, i], ad.softmax(c(cube[b, i])).data)
+                assert np.isclose(dots[b, i], ad.dot(c(cube[b, i]), c(other[b, i])).item())
+        assert np.allclose(ad.softmax(c(m)).data, [ad.softmax(c(r)).data for r in m])
+        assert np.allclose(ad.matvec(c(w), c(m)).data, [ad.matvec(c(w), c(r)).data for r in m])
+        assert np.allclose(ad.cosine(c(m), c(n)).data,
+                           [ad.cosine(c(r), c(q)).item() for r, q in zip(m, n)])
 
     def test_cosine_zero_norm_row_is_zero_without_gradient(self):
         with ad.precision("float64"):

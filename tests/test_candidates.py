@@ -217,6 +217,21 @@ class TestIndexPersistence:
         assert cand.load_index(out).entries == index.entries
 
 
+    @pytest.mark.parametrize("s, max_len", [(0, 6), (30, 0), (-3, 6), (30, -3)])
+    def test_sizes_below_one_rejected(self, s, max_len):
+        with pytest.raises(ValueError, match="must both be at least 1"):
+            cand.AliasIndex({}, s=s, max_span_length=max_len)
+
+    @pytest.mark.parametrize("s, max_len", [(0, 6), (30, 0)])
+    def test_binary_header_sizes_below_one(self, tmp_path, s, max_len):
+        out = tmp_path / "index.bin"
+        out.write_bytes(cand.INDEX_MAGIC + cand.INDEX_HEADER.pack(s, max_len, 0))
+        with pytest.raises(ValueError) as err:
+            cand.load_index(str(out))
+        msg = str(err.value)
+        assert msg.startswith(f"{out}: candidate limit s={s} and max span length {max_len}")
+        assert msg.endswith("at byte 4 reading header")
+
 class TestCandidateRecall:
     def test_hand_countable_fixture(self, tmp_path):
         # surface "big" has 35 candidates; gold E31 ranks 32nd by count so it

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import helpers
@@ -96,6 +97,21 @@ class TestPipeline:
         err = capfd.readouterr().err
         assert f"{cut}: checkpoint lacks meta.delta" in err
 
+    def test_checkpoint_nan_delta(self, pipeline, tmp_path, capfd):
+        from e2el.training import load_checkpoint, save_checkpoint
+        paths, _ = pipeline
+        state = load_checkpoint(paths["checkpoint"])
+        state["meta.delta"] = np.float32("nan")
+        bad = str(tmp_path / "nan.ckpt")
+        save_checkpoint(state, bad)
+        capfd.readouterr()
+        rc = cli.run_command(["annotate", "--config", paths["config"],
+                              "--in", paths["corpus"], "--out", str(tmp_path / "a.jsonl"),
+                              "--set", f"paths.checkpoint={bad}"])
+        assert rc == 1
+        assert f"{bad}: meta.delta is nan" in capfd.readouterr().err
+        assert not (tmp_path / "a.jsonl").exists()
+
     def test_annotate_bad_index_prior(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline
         bad = str(tmp_path / "bad-index.bin")
@@ -180,6 +196,19 @@ class TestExitCodes:
                               "--out", str(tmp_path / "i.bin")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [("--max-span-length", "0"),
+                                             ("--max-candidates", "0"),
+                                             ("--max-span-length", "-3"),
+                                             ("--max-candidates", "-3")])
+    def test_index_size_below_one(self, tmp_path, capfd, flag, value):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("Paris\tParis_city\t3\n", encoding="utf-8")
+        out = tmp_path / "i.bin"
+        rc = cli.run_command(["build-candidates", "--counts", str(counts),
+                              "--out", str(out), flag, value])
+        assert rc == 1 and not out.exists()
+        assert "must both be at least 1" in capfd.readouterr().err
+
     def test_evaluate_on_unknown_doc(self, tmp_path):
         gold = tmp_path / "gold.jsonl"
         write_corpus_jsonl([Document("d1", ["a"], [(0, 0, "E")])], str(gold))
@@ -222,6 +251,19 @@ class TestConfigErrorsBeforeInputs:
         err = capfd.readouterr().err
         assert rc == 1
         assert reported in err and bad not in err
+
+
+    def test_nan_delta_exits_1(self, unreadable_inputs, capfd):
+        config, bad, sets = unreadable_inputs
+        argv = ["annotate", "--config", config, "--in", bad, "--out", bad + ".out",
+                "--delta", "nan"]
+        for item in sets:
+            argv += ["--set", item]
+        rc = cli.run_command(argv)
+        err = capfd.readouterr().err
+        assert rc == 1
+        assert "--delta must be a number, got nan" in err and bad not in err
+        assert not os.path.exists(bad + ".out")
 
 
 class TestModuleEntryPoints:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,7 +203,7 @@ class TestEncodeDocument:
         for key, doc in (("a", doc_a), ("b", doc_b), ("c", doc_c)):
             e = enc.encode_document(doc, words, chars, params, TOY)
             assert np.allclose(e.x.data[0], 0.0)
-            reprs[key] = enc.mention_repr(span_at(doc, 0, 1), e, params).data
+            reprs[key] = enc.mention_repr([span_at(doc, 0, 1)], e, params).data
         assert np.array_equal(reprs["a"], reprs["b"])
         assert not np.allclose(reprs["a"], reprs["c"])
 
@@ -252,12 +254,23 @@ class TestEncodeDocument:
         assert np.isfinite(out.x.data).all()
 
 
+def heads(spans, e, params):
+    """The soft heads `mention_repr` builds for `spans`, one row per span:
+    its output under a projection that keeps the head part of
+    [x_start; x_end; head]."""
+    x_dim, v_dim = e.x.shape[1], e.v.shape[1]
+    select = np.hstack([np.zeros((v_dim, 2 * x_dim)), np.eye(v_dim)])
+    keep_head = dataclasses.replace(params, proj_w=ad.constant(select),
+                                    proj_b=ad.constant(np.zeros(v_dim)))
+    return enc.mention_repr(spans, e, keep_head)
+
+
 class TestSoftHead:
     def test_single_token_span_returns_v(self):
         words, chars, params = make_model(seed=13)
         doc = Document("d", ["alpha", "beta"])
         e = enc.encode_document(doc, words, chars, params, TOY)
-        head = enc.soft_head(span_at(doc, 1, 1), e, params)
+        head = heads([span_at(doc, 1, 1)], e, params)
         assert np.allclose(head.data, e.v.data[1])
 
     def test_zero_attention_is_uniform_average(self):
@@ -265,7 +278,7 @@ class TestSoftHead:
         params.attn_w.data = np.zeros_like(params.attn_w.data)
         doc = Document("d", ["alpha", "beta", "gamma"])
         e = enc.encode_document(doc, words, chars, params, TOY)
-        head = enc.soft_head(span_at(doc, 0, 2), e, params)
+        head = heads([span_at(doc, 0, 2)], e, params)
         mean = (e.v.data[0] + e.v.data[1] + e.v.data[2]) / 3.0
         assert np.allclose(head.data, mean, atol=1e-6)
 
@@ -273,7 +286,7 @@ class TestSoftHead:
         words, chars, params = make_model(seed=17)
         doc = Document("d", ["alpha", "beta"])
         e = enc.encode_document(doc, words, chars, params, TOY)
-        head = enc.soft_head(span_at(doc, 0, 1), e, params)
+        head = heads([span_at(doc, 0, 1)], e, params)
         # independent evaluation of the attention formula
         a0 = float(params.attn_w.data @ e.x.data[0])
         a1 = float(params.attn_w.data @ e.x.data[1])
@@ -286,7 +299,7 @@ class TestSoftHead:
         words, chars, params = make_model(seed=19)
         doc = Document("d", ["alpha", "beta", "gamma"])
         e = enc.encode_document(doc, words, chars, params, TOY)
-        head1 = enc.soft_head(span_at(doc, 0, 2), e, params)
+        head1 = heads([span_at(doc, 0, 2)], e, params)
         # adding a constant to every logit happens when attn_w gets a shift
         # along a direction constant across x_k; emulate by direct check on
         # softmax instead
@@ -297,6 +310,38 @@ class TestSoftHead:
         assert np.allclose(w, w2, atol=1e-6)
         assert np.isfinite(head1.data).all()
 
+    def test_length_batches_match_per_span_heads(self):
+        # spans of every length 1-6 out of length order, so that the batches
+        # must be put back in span order; values and gradients against the
+        # per-span oracle
+        rng = np.random.default_rng(29)
+        with ad.precision("float64"):
+            _, _, params = make_model(seed=29)
+            params.attn_w = ad.parameter(rng.standard_normal(TOY.x_dim))
+            e = enc.EncodedDocument("d", v=ad.parameter(rng.standard_normal((9, TOY.v_dim))),
+                                    x=ad.parameter(rng.standard_normal((9, TOY.x_dim))))
+            doc = Document("d", ["w"] * 9)
+            spans = []
+            for length in (3, 1, 6, 2, 1, 5, 4, 3):
+                start = int(rng.integers(0, 10 - length))
+                spans.append(span_at(doc, start, start + length - 1))
+            probe = rng.standard_normal((len(spans), TOY.v_dim))
+
+            def run(head_rows):
+                for t in (params.attn_w, e.v, e.x):
+                    t.grad = None
+                rows = head_rows()
+                ad.backward(ad.addn([ad.dot(row, ad.constant(p)) for row, p in zip(rows, probe)]))
+                return ([row.data for row in rows],
+                        [t.grad.copy() for t in (params.attn_w, e.v, e.x)])
+
+            table, grads = run(lambda: [ad.row(heads(spans, e, params), i)
+                                        for i in range(len(spans))])
+            oracle, grads_ref = run(lambda: [helpers.soft_head(sp, e, params) for sp in spans])
+        np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-12)
+        for g, g_ref in zip(grads, grads_ref):
+            np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12)
+
 
 class TestMentionRepr:
     def test_zero_projection_gives_zero(self):
@@ -305,20 +350,20 @@ class TestMentionRepr:
         params.proj_b.data = np.zeros_like(params.proj_b.data)
         doc = Document("d", ["alpha", "beta"])
         e = enc.encode_document(doc, words, chars, params, TOY)
-        out = enc.mention_repr(span_at(doc, 0, 1), e, params)
+        out = enc.mention_repr([span_at(doc, 0, 1)], e, params)
         assert np.allclose(out.data, 0.0)
-        assert out.shape == (TOY.entity_dim,)
+        assert out.shape == (1, TOY.entity_dim)
 
     def test_single_token_concat_structure(self):
         words, chars, params = make_model(seed=23)
         doc = Document("d", ["alpha", "beta"])
         e = enc.encode_document(doc, words, chars, params, TOY)
         span = span_at(doc, 1, 1)
-        head = enc.soft_head(span, e, params)
+        head = heads([span], e, params)
         g = np.concatenate([e.x.data[1], e.x.data[1], e.v.data[1]])
         assert np.allclose(head.data, e.v.data[1])
         expect = params.proj_w.data @ g + params.proj_b.data
-        out = enc.mention_repr(span, e, params)
+        out = enc.mention_repr([span], e, params)
         assert np.allclose(out.data, expect, atol=1e-5)
 
     def test_dimension_mismatch(self):
@@ -327,7 +372,7 @@ class TestMentionRepr:
         doc = Document("d", ["alpha"])
         e = enc.encode_document(doc, words, chars, params, TOY)
         with pytest.raises(ValueError, match="projection"):
-            enc.mention_repr(span_at(doc, 0, 0), e, params)
+            enc.mention_repr([span_at(doc, 0, 0)], e, params)
 
     def test_gradient_wrt_attention_vector(self):
         rng = np.random.default_rng(27)
@@ -342,6 +387,7 @@ class TestMentionRepr:
 
             def loss():
                 e = enc.encode_document(doc, words, chars, params, dims)
-                return ad.dot(enc.mention_repr(span_at(doc, 0, 1), e, params), probe)
+                return ad.dot(ad.row(enc.mention_repr([span_at(doc, 0, 1)], e, params), 0),
+                              probe)
 
             assert ad.grad_check(loss, params.attn_w) <= 1e-4

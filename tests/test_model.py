@@ -3,6 +3,8 @@ import pytest
 
 import helpers
 from e2el import autodiff as ad
+from e2el import model as model_module
+from e2el import scoring
 from e2el.candidates import CandidateEntry, MentionSpan, enumerate_spans
 from e2el.corpus import Document
 from e2el.encoder import EncodedDocument
@@ -64,7 +66,7 @@ class TestScoring:
             ents = helpers.entity_store(["E0", "E1"], seed=2)
             ents.frozen = frozen
             model = helpers.build_model(helpers.word_store(["sa"], seed=1), ents)
-            y = model.candidate_rows(sp)
+            y = model.candidate_rows([sp])
             assert np.array_equal(y.data, [ents.vector("E1"), np.zeros(16),
                                            ents.vector("E0")])
             assert y.requires_grad is not frozen
@@ -93,27 +95,29 @@ class TestScoring:
         return model, doc, spans
 
     def test_vote_graph_is_linear_in_voters(self):
-        # the document sum has one edge per voting span and each span's vote
-        # two (the sum and its own votes), whose masked sums over the span's
-        # candidate rows add two edges per voting span; a per-span scan has
-        # spans × voters
+        # the votes are one table over the pairs: one cosine, and between it
+        # and the gathered candidate rows a fixed handful of nodes (the
+        # spans' own votes, their sum, and each pair's difference of the
+        # two); a per-span scan has spans × voters edges
         model, doc, spans = self.voting_document(frozen=False)
         pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
         cosines = {id(p.g._parents[0]): p.g._parents[0] for p in pairs}
         votes = {id(c._parents[1]): c._parents[1] for c in cosines.values()}
-        assert len(pairs) == 36 and len(spans) == 12 and len(cosines) == 12
+        rows = {id(c._parents[0]) for c in cosines.values()}
+        assert len(pairs) == 36 and len(spans) == 12 and len(cosines) == len(rows) == 1
         assert sum(len(v._parents) for v in votes.values()) <= 36 + 2 * 12
         below, todo = dict(votes), list(votes.values())
         while todo:  # every node between the votes and the gathered entity rows
             for parent in todo.pop()._parents:
-                if parent.op != "take_rows" and id(parent) not in below:
+                if id(parent) not in rows and id(parent) not in below:
                     below[id(parent)] = parent
                     todo.append(parent)
         assert sum(len(v._parents) for v in below.values()) <= 2 * 36 + 2 * 12
 
-    def test_pair_scores_graph_is_linear_in_spans_and_pairs(self, monkeypatch):
-        # K=10 kept words and 9 candidates per span, attention and global on:
-        # a node per kept word or candidate would pass 50 nodes per span
+    @staticmethod
+    def attention_document():
+        """120 tokens with a span on most, 9 candidates per span, the model
+        with attention (K=10) and global voting on and every pair voting."""
         ids = [f"E{k}" for k in range(12)]
         words = helpers.word_store([f"t{k}" for k in range(7)], seed=1)
         ents = helpers.entity_store(ids, seed=2)
@@ -124,7 +128,13 @@ class TestScoring:
                                     attention_window=200, attention_keep=10,
                                     global_cfg=GlobalConfig(gamma_prime=-100.0))
         doc = Document("d", [f"t{k % 7}" for k in range(120)])
-        spans = enumerate_spans(doc, helpers.alias_index(table))
+        return model, doc, enumerate_spans(doc, helpers.alias_index(table))
+
+    def test_pair_scores_graph_is_linear_in_spans_and_pairs(self, monkeypatch):
+        # beyond the encoder, the table builds a fixed handful of nodes per
+        # span length and kept count, plus the three element views (psi, g,
+        # phi) of each pair; a node per span would pass 200
+        model, doc, spans = self.attention_document()
         built, by_encoder = [0], [0]
         init, encode = ad.Tensor.__init__, model.encode
 
@@ -142,7 +152,30 @@ class TestScoring:
         monkeypatch.setattr(model, "encode", counted_encode)
         pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
         assert len(pairs) == 9 * len(spans) and len(spans) >= 80
-        assert built[0] - by_encoder[0] <= 50 * len(spans) + 3 * len(pairs)
+        assert built[0] - by_encoder[0] <= 3 * len(pairs) + 200
+
+    def test_each_layer_runs_once_per_document(self, monkeypatch):
+        model, doc, spans = self.attention_document()
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(model_module, "mention_repr")
+        for name in ("local_score", "long_range_feature", "filter_voters", "vote_vector",
+                     "global_score", "combine_global"):
+            counted(scoring, name)
+        model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
+        model.score_pairs(doc, spans)
+        assert calls == dict.fromkeys(["mention_repr", "local_score", "long_range_feature",
+                                       "filter_voters", "vote_vector", "global_score",
+                                       "combine_global"], 2)
 
     def test_global_scores_match_per_span_votes(self):
         # the model's g against cosines with each span's other-mention votes
@@ -168,24 +201,28 @@ class TestScoring:
             model.load_state_arrays(state)
 
 
-def block_case(rng, dtype, case_no):
+def table_case(rng, dtype, case_no):
     """A seeded model and encoded document whose V and X are trainable
     matrices: case_no cycles attention, the global layer and frozen entities
-    on and off; half the documents draw X from three rows, so that attention
-    scores tie; candidates include an entity without a vector."""
+    on and off, and a voting threshold that no pair, one span's pairs, some
+    pairs or every pair reaches; half the documents draw X from three rows,
+    so that attention scores tie; a fifth of the attention windows hold no
+    context word; candidates include an entity without a vector."""
     use_attention, use_global, frozen = (bool(case_no >> bit & 1) for bit in range(3))
     dims = helpers.toy_dims(entity_dim=4, word_dim=4, char_dim=2, char_hidden=2,
                             ctx_hidden=2)
     ids = [f"E{i}" for i in range(8)]
     ents = helpers.entity_store(ids, dim=4, seed=int(rng.integers(1 << 30)))
     ents.frozen = frozen
-    window = int(rng.integers(1, 50))
-    gamma_prime = [1e9, 0.0, -1e9][case_no // 8 % 3]  # no voters, some, all
+    window = 1 if rng.random() < 0.2 else int(rng.integers(2, 50))
+    votes = ["none", "one", "some", "all"][case_no // 8 % 4]
     model = helpers.build_model(helpers.word_store(["w"], dim=4), ents, dims=dims,
                                 seed=int(rng.integers(1000)), use_attention=use_attention,
                                 use_global=use_global, attention_window=window,
                                 attention_keep=int(rng.integers(1, window + 1)),
-                                global_cfg=GlobalConfig(gamma_prime=gamma_prime))
+                                global_cfg=GlobalConfig(gamma_prime={"none": 1e9, "one": 0.0,
+                                                                     "some": 0.0,
+                                                                     "all": -1e9}[votes]))
     for t in model.params.tensors().values():
         if t.data.ndim < 2:  # biases start at zero and att.a, att.b at one
             t.data = rng.standard_normal(t.shape).astype(dtype)
@@ -203,19 +240,26 @@ def block_case(rng, dtype, case_no):
         chosen = rng.choice(ids + ["NOVEC"], size=int(rng.integers(1, 10)), replace=False)
         spans[start, end] = MentionSpan("d", start, end, "s", [
             CandidateEntry(str(e), float(rng.uniform(0.05, 1.0))) for e in chosen])
-    return model, enc, list(spans.values())
+    spans = list(spans.values())
+    model.encode = lambda doc, mode="eval", rng=None: enc
+    if use_global and votes == "one":
+        # halfway between the best and second-best span's best local score
+        pairs = model.pair_scores(Document("d", ["w"] * n), spans)
+        best = sorted((max(p.psi.item() for p in pairs if p.span is s) for s in spans),
+                      reverse=True) + [-1e9]
+        model.global_cfg = GlobalConfig(gamma_prime=(best[0] + best[1]) / 2)
+    return model, enc, spans
 
 
-class TestSpanBlocksMatchPerPair:
+class TestPairTableMatchesPerPair:
     """`pair_scores` against `helpers.per_pair_scores`, on random documents."""
 
     @staticmethod
-    def run(model, enc, spans, weights, blocks):
+    def run(model, enc, spans, weights, table):
         inputs = [*model.params.tensors().values(), enc.v, enc.x]
         for t in inputs:
             t.grad = None
-        if blocks:
-            model.encode = lambda doc, mode="eval", rng=None: enc
+        if table:
             pairs = model.pair_scores(Document("d", ["w"] * len(enc)), spans)
         else:
             pairs = helpers.per_pair_scores(model, enc, spans)
@@ -228,19 +272,46 @@ class TestSpanBlocksMatchPerPair:
         return values, [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                         for t in inputs]
 
-    @pytest.mark.parametrize("precision, tol, cases", [("float64", 1e-9, 128),
-                                                       ("float32", 1e-5, 64)])
-    def test_random_documents_agree(self, precision, tol, cases):
+    @staticmethod
+    def coverage(model, enc, spans, psi):
+        """The names of the cases the document covers, each with a count."""
+        seen = {f"length {s.length}": 1 for s in spans}
+        seen["unknown"] = sum(any(c.entity_id == "NOVEC" for c in s.candidates) for s in spans)
+        seen["frozen" if model.entities.frozen else "trainable"] = 1
+        if model.use_attention:
+            window, keep, n = model.attention_window, model.attention_keep, len(enc)
+            kept = [min(keep, len(context_window(s, n, window))) for s in spans]
+            seen["clipped_left"] = sum(s.start - window // 2 < 0 for s in spans)
+            seen["clipped_right"] = sum(s.end + window // 2 > n - 1 for s in spans)
+            seen["all_kept"] = sum(keep >= len(context_window(s, n, window)) for s in spans)
+            seen["kept 0"] = kept.count(0)
+            seen["kept K"] = kept.count(keep)
+            seen["kept between"] = sum(0 < k < keep for k in kept)
+            seen["kept counts mixed"] = len(set(kept)) > 1
+            seen["tied"] = len(np.unique(enc.x.data, axis=0)) <= 3
+        if model.use_global and len(spans) > 1:
+            span_of = np.repeat(np.arange(len(spans)), [len(s.candidates) for s in spans])
+            voting = len(set(span_of[psi >= model.global_cfg.gamma_prime]))
+            for count, name in ((0, "no_voters"), (1, "one voting span"),
+                                (len(spans), "every span voting")):
+                seen[name] = voting == count
+        return seen
+
+    @pytest.mark.parametrize("precision, tol", [("float64", 1e-9), ("float32", 1e-5)])
+    def test_random_documents_agree(self, precision, tol):
         rng = np.random.default_rng(31)
-        seen = dict.fromkeys(["clipped_left", "clipped_right", "all_kept", "tied",
-                              "no_voters", "unknown", "six_tokens"], 0)
+        seen = dict.fromkeys(
+            [f"length {k}" for k in range(1, 7)] + [
+                "frozen", "trainable", "unknown", "clipped_left", "clipped_right", "all_kept",
+                "kept 0", "kept between", "kept K", "kept counts mixed", "tied",
+                "no_voters", "one voting span", "every span voting"], 0)
         with ad.precision(precision):
             dtype = ad.default_dtype()
-            for case_no in range(cases):
-                model, enc, spans = block_case(rng, dtype, case_no)
+            for case_no in range(128):
+                model, enc, spans = table_case(rng, dtype, case_no)
                 weights = rng.standard_normal(3 * sum(len(s.candidates) for s in spans))
-                values, grads = self.run(model, enc, spans, weights, blocks=True)
-                values_ref, grads_ref = self.run(model, enc, spans, weights, blocks=False)
+                values, grads = self.run(model, enc, spans, weights, table=True)
+                values_ref, grads_ref = self.run(model, enc, spans, weights, table=False)
                 assert np.abs(values - values_ref).max() <= tol
                 # the same rows of X reached: span, boundary and kept attention words
                 assert np.array_equal(grads[-1].any(axis=1), grads_ref[-1].any(axis=1))
@@ -249,15 +320,7 @@ class TestSpanBlocksMatchPerPair:
                         rel = np.abs(g - g_ref) / np.maximum(
                             np.maximum(np.abs(g), np.abs(g_ref)), 1e-8)
                         assert rel.max() <= 1e-6
-                window, n = model.attention_window, len(enc)
-                for s in spans:
-                    if model.use_attention:
-                        seen["clipped_left"] += s.start - window // 2 < 0
-                        seen["clipped_right"] += s.end + window // 2 > n - 1
-                        seen["all_kept"] += model.attention_keep >= len(
-                            context_window(s, n, window))
-                    seen["unknown"] += any(c.entity_id == "NOVEC" for c in s.candidates)
-                    seen["six_tokens"] += s.length == 6
-                seen["tied"] += model.use_attention and len(np.unique(enc.x.data, axis=0)) <= 3
-                seen["no_voters"] += model.use_global and model.global_cfg.gamma_prime > 1e8
+                psi = values[:sum(len(s.candidates) for s in spans)]
+                for name, count in self.coverage(model, enc, spans, psi).items():
+                    seen[name] += count
         assert min(seen.values()) >= 10, seen

@@ -24,6 +24,11 @@ def span(start=0, end=0, cands=(("E", 1.0),)):
                        candidates=[CandidateEntry(e, p) for e, p in cands])
 
 
+def candidates(n):
+    """n distinct candidates of prior 1."""
+    return [(f"E{j}", 1.0) for j in range(n)]
+
+
 def scorer(w, b):
     return scoring.ScorerParams(psi_w=vec(*w), psi_b=scalar(b))
 
@@ -31,42 +36,42 @@ def scorer(w, b):
 class TestLocalScore:
     def test_projector_weights_give_dot(self):
         params = scorer((0.0, 1.0), 0.0)
-        out = scoring.local_score(vec(1.0, 2.0), span(cands=(("E", 0.5), ("F", 0.25))),
+        out = scoring.local_score(mat((1.0, 2.0)), [span(cands=(("E", 0.5), ("F", 0.25)))],
                                   mat((3.0, 4.0), (-1.0, 0.5)), None, params)
         assert out.shape == (2,)
         assert out.data == pytest.approx([11.0, 0.0])
 
     def test_prior_one_gives_zero(self):
         params = scorer((1.0, 0.0), 0.0)
-        out = scoring.local_score(vec(1.0), span(), mat((1.0,)), None, params)
+        out = scoring.local_score(mat((1.0,)), [span()], mat((1.0,)), None, params)
         assert out.data[0] == pytest.approx(0.0)
 
     def test_hand_computed(self):
         # 0.5*ln(0.5) + 0.25*11 + 0.1 = 2.50343
         params = scorer((0.5, 0.25), 0.1)
-        out = scoring.local_score(vec(1.0, 2.0), span(cands=(("E", 0.5),)),
+        out = scoring.local_score(mat((1.0, 2.0)), [span(cands=(("E", 0.5),))],
                                   mat((3.0, 4.0)), None, params)
         assert out.data[0] == pytest.approx(2.50343, abs=1e-4)
 
     def test_nonpositive_prior_rejected(self):
         params = scorer((1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="prior"):
-            scoring.local_score(vec(1.0), span(cands=(("E", 0.5), ("F", 0.0))),
+            scoring.local_score(mat((1.0,)), [span(cands=(("E", 0.5), ("F", 0.0)))],
                                 mat((1.0,), (1.0,)), None, params)
 
     def test_attention_arity_enforced(self):
         params = scorer((1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="context feature"):
-            scoring.local_score(vec(1.0), span(cands=(("E", 0.5),)), mat((1.0,)),
+            scoring.local_score(mat((1.0,)), [span(cands=(("E", 0.5),))], mat((1.0,)),
                                 vec(0.3), params)
         params3 = scorer((1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="context feature"):
-            scoring.local_score(vec(1.0), span(cands=(("E", 0.5),)), mat((1.0,)), None,
+            scoring.local_score(mat((1.0,)), [span(cands=(("E", 0.5),))], mat((1.0,)), None,
                                 params3)
 
     def test_attention_feature_enters_affine(self):
         params = scorer((0.0, 0.0, 2.0), 0.5)
-        out = scoring.local_score(vec(1.0), span(cands=(("E", 0.5), ("F", 0.5))),
+        out = scoring.local_score(mat((1.0,)), [span(cands=(("E", 0.5), ("F", 0.5)))],
                                   mat((1.0,), (1.0,)), vec(0.25, -1.0), params)
         assert out.data == pytest.approx([1.0, -1.5])
 
@@ -86,7 +91,7 @@ class TestLongRangeFeature:
     def test_degenerate_window(self):
         # identity diagonals, one candidate, one context word: feature = <y, x_w>
         enc = enc_from([[1.0, 2.0], [0.5, -1.0]])
-        feats = scoring.long_range_feature(span(0, 0), enc, mat((2.0, 3.0)), window=4,
+        feats = scoring.long_range_feature([span(0, 0)], enc, mat((2.0, 3.0)), window=4,
                                            keep=1, params=att_params(2))
         assert feats.shape == (1,)
         assert feats.data[0] == pytest.approx(0.5 * 2.0 + -1.0 * 3.0)
@@ -94,7 +99,7 @@ class TestLongRangeFeature:
     def test_equal_scores_give_uniform_beta(self):
         # all context words identical, so kept scores tie and beta is uniform
         enc = enc_from([[1.0, 0.0]] * 5)
-        feats = scoring.long_range_feature(span(2, 2), enc, mat((1.0, 0.0)), window=8,
+        feats = scoring.long_range_feature([span(2, 2)], enc, mat((1.0, 0.0)), window=8,
                                            keep=2, params=att_params(2))
         # context embedding is the word vector itself under uniform weights
         assert feats.data[0] == pytest.approx(1.0)
@@ -108,9 +113,9 @@ class TestLongRangeFeature:
         a = rng.standard_normal(dim).astype(np.float32)
         b = rng.standard_normal(dim).astype(np.float32)
         ys = rng.standard_normal((3, dim)).astype(np.float32)
-        sp = span(5, 6)
+        sp = span(5, 6, candidates(3))
         window, keep = 8, 2
-        feats = scoring.long_range_feature(sp, enc, mat(*ys), window=window, keep=keep,
+        feats = scoring.long_range_feature([sp], enc, mat(*ys), window=window, keep=keep,
                                            params=att_params(dim, a, b))
 
         # independent evaluation of the formula
@@ -133,7 +138,7 @@ class TestLongRangeFeature:
         gold_dir[0] = 1.0
         xs[9] = gold_dir * 3.0  # exactly one context word correlates with the entity
         enc = enc_from(xs.tolist())
-        feats = scoring.long_range_feature(span(4, 4), enc, mat(gold_dir), window=12, keep=2,
+        feats = scoring.long_range_feature([span(4, 4)], enc, mat(gold_dir), window=12, keep=2,
                                            params=att_params(dim))
         u = {k: float(gold_dir @ xs[k]) for k in range(12) if k != 4}
         best = max(u, key=u.get)
@@ -143,36 +148,43 @@ class TestLongRangeFeature:
 
     def test_window_smaller_than_keep_keeps_all(self):
         enc = enc_from([[1.0], [2.0], [3.0]])
-        feats = scoring.long_range_feature(span(1, 1), enc, mat((1.0,)), window=200,
+        feats = scoring.long_range_feature([span(1, 1)], enc, mat((1.0,)), window=200,
                                            keep=10, params=att_params(1))
         assert np.isfinite(feats.data[0])
 
     def test_bad_window_config(self):
         enc = enc_from([[1.0]])
         with pytest.raises(ValueError, match="keep"):
-            scoring.long_range_feature(span(0, 0), enc, mat((1.0,)), window=2, keep=3,
+            scoring.long_range_feature([span(0, 0)], enc, mat((1.0,)), window=2, keep=3,
                                        params=att_params(1))
 
 
-def per_word_long_range_feature(sp, enc, y, window, keep, params):
+def per_word_long_range_feature(spans, enc, y, window, keep, params):
     """Every window word as graph nodes, one per candidate, on row views of
-    X and Y, ranked from the node values; the reference the off-graph
-    ranking and kept-word block of `long_range_feature` must match."""
+    X and Y, ranked from the node values, span by span; the reference the
+    off-graph ranking and kept-word batches of `long_range_feature` must
+    match."""
     x = [ad.row(enc.x, k) for k in range(len(enc))]
-    entity_vectors = [ad.row(y, j) for j in range(y.shape[0])]
-    positions = scoring.context_window(sp, len(enc), window)
-    if not positions:
-        return ad.constant(np.zeros(len(entity_vectors)))
-    scores = []
-    for k in positions:
-        ax = ad.mul(params.att_a, x[k])
-        scores.append(ad.max1d(ad.stack([ad.dot(yj, ax) for yj in entity_vectors])))
-    ranked = sorted(range(len(positions)), key=lambda i: (-float(scores[i].data), positions[i]))
-    kept = sorted(ranked[:keep])
-    beta = ad.softmax(ad.stack([scores[i] for i in kept]))
-    c = ad.weighted_sum([x[positions[i]] for i in kept], beta)
-    bc = ad.mul(params.att_b, c)
-    return ad.stack([ad.dot(yj, bc) for yj in entity_vectors])
+    rows = iter(ad.row(y, j) for j in range(y.shape[0]))
+    features = []
+    for sp in spans:
+        entity_vectors = [next(rows) for _ in sp.candidates]
+        positions = scoring.context_window(sp, len(enc), window)
+        if not positions:
+            features += [ad.constant(np.asarray(0.0)) for _ in entity_vectors]
+            continue
+        scores = []
+        for k in positions:
+            ax = ad.mul(params.att_a, x[k])
+            scores.append(ad.max1d(ad.stack([ad.dot(yj, ax) for yj in entity_vectors])))
+        ranked = sorted(range(len(positions)),
+                        key=lambda i: (-float(scores[i].data), positions[i]))
+        kept = sorted(ranked[:keep])
+        beta = ad.softmax(ad.stack([scores[i] for i in kept]))
+        c = ad.weighted_sum([x[positions[i]] for i in kept], beta)
+        bc = ad.mul(params.att_b, c)
+        features += [ad.dot(yj, bc) for yj in entity_vectors]
+    return ad.stack(features)
 
 
 def reachable(roots):
@@ -211,7 +223,7 @@ def attention_case(rng, dtype):
     params.att_a = ad.parameter(rng.standard_normal(dim).astype(dtype))
     params.att_b = ad.parameter(rng.standard_normal(dim).astype(dtype))
     y = ad.parameter(rng.standard_normal((n_cands, dim)).astype(dtype))
-    return span(start, end), enc, y, window, keep, params
+    return [span(start, end, candidates(n_cands))], enc, y, window, keep, params
 
 
 def kept_words(x):
@@ -225,10 +237,10 @@ class TestLongRangeOracle:
 
     @staticmethod
     def run(fn, case, weights):
-        sp, enc, y, window, keep, params = case
+        spans, enc, y, window, keep, params = case
         for t in [params.att_a, params.att_b, enc.x, y]:
             t.grad = None
-        feats = fn(sp, enc, y, window, keep, params)
+        feats = fn(spans, enc, y, window, keep, params)
         ad.backward(ad.dot(ad.constant(weights), feats))
         grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                  for t in [params.att_a, params.att_b, enc.x, y]]
@@ -242,7 +254,7 @@ class TestLongRangeOracle:
             dtype = ad.default_dtype()
             for _ in range(150):
                 case = attention_case(rng, dtype)
-                sp, enc, y, window, keep, _ = case
+                (sp,), enc, y, window, keep, _ = case
                 positions = scoring.context_window(sp, len(enc), window)
                 clipped_left += sp.start - window // 2 < 0
                 clipped_right += sp.end + window // 2 > len(enc) - 1
@@ -266,7 +278,7 @@ class TestLongRangeOracle:
         # six identical words around the span: the two kept are the first two
         x = ad.parameter(np.tile([1.0, 0.0], (7, 1)))
         enc = EncodedDocument(doc_id="d", v=x, x=x)
-        feats = scoring.long_range_feature(span(3, 3), enc, mat((1.0, 0.0)), window=8,
+        feats = scoring.long_range_feature([span(3, 3)], enc, mat((1.0, 0.0)), window=8,
                                            keep=2, params=att_params(2))
         ad.backward(ad.sum1d(feats))
         assert kept_words(x) == [0, 1]
@@ -278,11 +290,11 @@ class TestLongRangeOracle:
         xs = [[1.0, 1.0], [0.5, 0.5], [0.2, 0.1], [1.0, 0.3], [-1e30, -1e30]]
         ys = mat(*[(1e9, 1e9), (1.0, 1.0)][:n_cands])
         with pytest.raises(FloatingPointError, match="attention word scores"):
-            scoring.long_range_feature(span(0, 0), enc_from(xs), ys, window=10, keep=1,
-                                       params=att_params(2))
+            scoring.long_range_feature([span(0, 0, candidates(n_cands))], enc_from(xs), ys,
+                                       window=10, keep=1, params=att_params(2))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            per_word_long_range_feature(span(0, 0), enc_from(xs), ys, window=10, keep=1,
-                                        params=att_params(2))
+            per_word_long_range_feature([span(0, 0, candidates(n_cands))], enc_from(xs), ys,
+                                        window=10, keep=1, params=att_params(2))
 
     def test_graph_size_does_not_grow_with_window(self, monkeypatch):
         # both the nodes built by one call and those reachable from its
@@ -305,7 +317,8 @@ class TestLongRangeOracle:
         sizes = []
         for window in (20, 200):
             built[0] = 0
-            feats = scoring.long_range_feature(span(150, 151), enc, y, window=window,
+            feats = scoring.long_range_feature([span(150, 151, candidates(9))], enc, y,
+                                               window=window,
                                                keep=10, params=params)
             sizes.append((built[0], len(reachable([feats]))))
         assert sizes[0] == sizes[1]
@@ -315,50 +328,52 @@ class TestLongRangeOracle:
         enc = enc_from([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         params = att_params(2, a=[1.0, 1.0], b=[1.0, 3.0])
         y = mat((1.0, 1.0))
-        feats = scoring.long_range_feature(span(2, 2), enc, y, window=4, keep=1,
+        feats = scoring.long_range_feature([span(2, 2)], enc, y, window=4, keep=1,
                                            params=params)
         assert feats.data[0] == pytest.approx(1.0)  # the tie keeps word 0
         params.att_a.data[1] = 2.0
-        feats = scoring.long_range_feature(span(2, 2), enc, y, window=4, keep=1,
+        feats = scoring.long_range_feature([span(2, 2)], enc, y, window=4, keep=1,
                                            params=params)
         assert feats.data[0] == pytest.approx(3.0)
 
 
 class TestFilterVoters:
-    def make_pairs(self, psis):
-        return [scoring.ScoredPair(span(i, i), f"E{i}", 1.0, psi)
-                for i, psi in enumerate(psis)]
-
     def test_very_negative_threshold_keeps_all(self):
-        pairs = self.make_pairs([-5.0, 0.0, 3.0])
+        psi = np.array([-5.0, 0.0, 3.0])
         cfg = scoring.GlobalConfig(gamma_prime=-1e18)
-        assert len(scoring.filter_voters(pairs, cfg)) == 3
+        assert len(scoring.filter_voters(psi, cfg)) == 3
 
     def test_boundary_inclusive(self):
-        pairs = self.make_pairs([-0.1, 0.0, 0.2])
-        voters = scoring.filter_voters(pairs, scoring.GlobalConfig(gamma_prime=0.0))
-        assert [v.entity_id for v in voters] == ["E1", "E2"]
+        voters = scoring.filter_voters(np.array([-0.1, 0.0, 0.2]),
+                                       scoring.GlobalConfig(gamma_prime=0.0))
+        assert voters.tolist() == [1, 2]
+
+    def test_threshold_compared_in_64_bits(self):
+        # a float32 score just below the threshold, which rounds onto it in 32 bits
+        psi = np.array([0.1], dtype=np.float32)
+        cfg = scoring.GlobalConfig(gamma_prime=float(psi[0]) + 1e-12)
+        assert scoring.filter_voters(psi, cfg).size == 0
 
     def test_empty(self):
-        assert scoring.filter_voters([], scoring.GlobalConfig()) == []
+        assert scoring.filter_voters(np.zeros(0), scoring.GlobalConfig()).size == 0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(2)
-        pairs = self.make_pairs(rng.normal(size=20).tolist())
-        sizes = [len(scoring.filter_voters(pairs, scoring.GlobalConfig(gamma_prime=g)))
+        psi = rng.normal(size=20)
+        sizes = [len(scoring.filter_voters(psi, scoring.GlobalConfig(gamma_prime=g)))
                  for g in (-2.0, -1.0, 0.0, 1.0, 2.0)]
         assert sizes == sorted(sizes, reverse=True)
 
 
 def voter(i, entity_id):
-    """A voting pair of the one-token mention at position i, whose one
-    candidate is `entity_id`."""
-    return scoring.ScoredPair(span(i, i, ((entity_id, 1.0),)), entity_id, 1.0, 0.0)
+    """The one-token mention at position i, whose one candidate is
+    `entity_id`; it votes for that candidate."""
+    return span(i, i, ((entity_id, 1.0),))
 
 
 def per_span_vote_vector(sp, voters, entity_tensor):
-    """The entity vectors of the voters from other mentions, summed by a
-    scan of every voter; the reference `vote_vector` must match."""
+    """The entity vectors of the voting pairs from other mentions, summed
+    by a scan of every voter; the reference `vote_vector` must match."""
     contributing = [v for v in voters if (v.span.start, v.span.end) != (sp.start, sp.end)]
     if not contributing:
         return None
@@ -368,16 +383,17 @@ def per_span_vote_vector(sp, voters, entity_tensor):
 class TestGlobalScore:
     @staticmethod
     def vote_of(sp, voters, table):
-        """The vote `sp` gets among the voters' spans; an entity missing
+        """The vote `sp` gets among the voting mentions; an entity missing
         from `table` has a zero row."""
         zero = (0.0,) * len(next(iter(table.values())))
-        spans = {(v.span.start, v.span.end): v.span for v in voters}
+        spans = {(v.start, v.end): v for v in voters}
         spans.setdefault((sp.start, sp.end), sp)
-        keys = list(spans)
-        ys = [mat(*(table.get(c.entity_id, zero) for c in s.candidates))
-              for s in spans.values()]
-        votes = scoring.vote_vector(list(spans.values()), ys, voters)
-        return votes[keys.index((sp.start, sp.end))]
+        keys, spans = list(spans), list(spans.values())
+        y = mat(*(table.get(c.entity_id, zero) for s in spans for c in s.candidates))
+        first = np.cumsum([0] + [len(s.candidates) for s in spans])
+        voting = [first[i] for i, s in enumerate(spans) if s in voters]
+        votes = scoring.vote_vector(spans, y, np.asarray(voting, dtype=np.intp))
+        return ad.row(votes, first[keys.index((sp.start, sp.end))])
 
     def test_closed_form(self):
         voters = [voter(1, "A"), voter(2, "B")]
@@ -388,7 +404,7 @@ class TestGlobalScore:
 
     def test_self_votes_excluded(self):
         vote = self.vote_of(span(0, 0), [voter(0, "A")], {"A": (1.0, 0.0)})
-        assert vote is None
+        assert not vote.data.any()
         g = scoring.global_score(mat((1.0, 0.0), (0.0, 1.0)), vote)
         assert g.shape == (2,) and not g.data.any()
 
@@ -407,8 +423,8 @@ class TestGlobalScore:
             vote = self.vote_of(span(m, m), voters, table)
             expect = np.zeros(3)
             for v in voters:
-                if v.span.start != m:
-                    expect += np.asarray(table[v.entity_id])
+                if v.start != m:
+                    expect += np.asarray(table[v.candidates[0].entity_id])
             g = scoring.global_score(mat(*y), vote).data
             denom = np.linalg.norm(y, axis=1) * np.linalg.norm(expect)
             assert g == pytest.approx(y @ expect / denom, abs=1e-5)
@@ -417,7 +433,7 @@ class TestGlobalScore:
         rng = np.random.default_rng(4)
         for _ in range(30):
             y = mat(*rng.standard_normal((5, 4)))
-            v = vec(*rng.standard_normal(4))
+            v = mat(*rng.standard_normal((5, 4)))
             g = scoring.global_score(y, v).data
             assert np.all(-1.0 - 1e-6 <= g) and np.all(g <= 1.0 + 1e-6)
 
@@ -459,17 +475,15 @@ def vote_case(rng, dtype, kind):
     return matrix, spans, pairs, scoring.GlobalConfig(gamma_prime=gamma_prime)
 
 
-def block_votes(matrix, spans, voters):
-    """Each pair's g from `vote_vector` and `global_score` on the spans'
-    gathered candidate rows."""
-    ys = [ad.take_rows(matrix, [int(c.entity_id[1:]) for c in sp.candidates])
-          for sp in spans]
-    votes = scoring.vote_vector(spans, ys, voters)
-    return [ad.row(g, j) for y, vote in zip(ys, votes)
-            for g in [scoring.global_score(y, vote)] for j in range(y.shape[0])]
+def table_votes(matrix, spans, pairs, voters):
+    """Each pair's g from `vote_vector` and `global_score` on the table of
+    the pairs' gathered candidate rows; `voters` indexes the voting pairs."""
+    y = ad.take_rows(matrix, [int(p.entity_id[1:]) for p in pairs])
+    g = scoring.global_score(y, scoring.vote_vector(spans, y, voters))
+    return [ad.row(g, j) for j in range(len(pairs))]
 
 
-def per_pair_votes(matrix, spans, voters):
+def per_pair_votes(matrix, spans, pairs, voters):
     """Each pair's g from the per-span scan, one cosine per pair on entity
     row views."""
     rows = {}
@@ -481,7 +495,7 @@ def per_pair_votes(matrix, spans, voters):
 
     g = []
     for sp in spans:
-        vote = per_span_vote_vector(sp, voters, y_of)
+        vote = per_span_vote_vector(sp, [pairs[i] for i in voters], y_of)
         for c in sp.candidates:
             g.append(ad.constant(np.asarray(0.0, dtype=ad.default_dtype())) if vote is None
                      else ad.cosine(y_of(c.entity_id), vote))
@@ -489,14 +503,17 @@ def per_pair_votes(matrix, spans, voters):
 
 
 class TestVoteOracle:
-    """The document sum minus own votes, over span blocks, against the
+    """The document sum minus own votes, over the pair table, against the
     per-span scan and per-pair cosines it replaced."""
 
     @staticmethod
-    def run(g_of, case, weights):
+    def voters(pairs, cfg):
+        return scoring.filter_voters(np.array([p.psi for p in pairs]), cfg)
+
+    def run(self, g_of, case, weights):
         matrix, spans, pairs, cfg = case
         matrix.grad = None
-        g = g_of(matrix, spans, scoring.filter_voters(pairs, cfg))
+        g = g_of(matrix, spans, pairs, self.voters(pairs, cfg))
         loss = ad.dot(ad.constant(weights), ad.stack(g))
         if loss.requires_grad:
             ad.backward(loss)
@@ -513,12 +530,12 @@ class TestVoteOracle:
             for n in range(120):
                 kind = kinds[n % 4]
                 case = vote_case(rng, dtype, kind)
-                voters = scoring.filter_voters(case[2], case[3])
+                voters = [case[2][i] for i in self.voters(case[2], case[3])]
                 voting_spans = {(v.span.start, v.span.end) for v in voters}
                 assert len(voting_spans) == {"none": 0, "one": 1}.get(kind, len(voting_spans))
                 seen[kind] += len(case[1]) > 1
                 weights = rng.standard_normal(len(case[2])).astype(dtype)
-                g, grad = self.run(block_votes, case, weights)
+                g, grad = self.run(table_votes, case, weights)
                 g_ref, grad_ref = self.run(per_pair_votes, case, weights)
                 np.testing.assert_allclose(g, g_ref, rtol=0, atol=g_tol)
                 if precision == "float64":
