@@ -177,11 +177,17 @@ def cmd_select_threshold(args) -> int:
     coref = cfg["coref.enabled"]
     pairs = [p for doc in docs
              for p in model.score_pairs(doc, training.el_spans(doc, index, coref))]
+    if not pairs:
+        raise ValueError(f"{args.dev}: no scored pairs to tune the threshold on")
     gold = {doc.doc_id: list(doc.gold) for doc in docs}
     delta = inference.select_threshold(pairs, gold, mode=args.mode)
-    report = inference.evaluate(inference.greedy_decode(pairs, delta), gold, mode=args.mode)
+    annotations = inference.greedy_decode(pairs, delta)
+    report = inference.evaluate(annotations, gold, mode=args.mode)
     print(json.dumps({"delta": None if math.isinf(delta) else delta,
-                      "micro_f1": report.micro_f1}))
+                      "micro_f1": report.micro_f1, "documents": len(docs),
+                      "pairs": len(pairs),
+                      "thresholds": len(inference.threshold_candidates(pairs)),
+                      "annotations": len(annotations)}))
     return 0
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from e2el import autodiff as ad
-from e2el import scoring
+from e2el import inference, scoring
 from e2el.candidates import AliasIndex, build_index, CandidateEntry
 from e2el.corpus import Document, write_corpus_jsonl
 from e2el.embeddings import CharTable, EntityVectors, WordVectors, save_text_embeddings
@@ -195,6 +195,26 @@ def per_pair_scores(model, enc, spans):
                    else ad.cosine(y_of(p.entity_id), votes[key]))
             p.phi = ad.add(ad.dot(sp.phi_w, ad.stack([p.psi, p.g])), sp.phi_b)
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# brute-force threshold sweep: the oracle for `inference.select_threshold`
+
+
+def brute_select_threshold(pairs, gold, mode="strong"):
+    """One full decode and evaluation per candidate threshold: every
+    observed best-per-span score plus -inf, ties toward the larger one."""
+    if not pairs:
+        raise ValueError("empty dev set")
+    candidates = sorted({p.score for p in inference.best_per_span(pairs)})
+    best_delta = float("-inf")
+    best_f1 = -1.0
+    for delta in [float("-inf")] + candidates:
+        report = inference.evaluate(inference.greedy_decode(pairs, delta), gold, mode=mode)
+        if report.micro_f1 >= best_f1:
+            best_f1 = report.micro_f1
+            best_delta = delta
+    return best_delta
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,25 @@ class TestPipeline:
         state = load_checkpoint(paths["checkpoint"])
         assert "meta.delta" in state and "meta.char_vocab" in state
 
-    def test_select_threshold_command(self, pipeline, capfd):
-        paths, _ = pipeline
+    def test_select_threshold_command(self, pipeline, capfd, tmp_path):
+        paths, docs = pipeline
         rc = cli.run_command(["select-threshold", "--config", paths["config"],
                               "--dev", paths["corpus"]])
         assert rc == 0
         out, _ = capfd.readouterr()
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["micro_f1"] >= 0.95
+        assert rec["documents"] == len(docs)
+        assert 2 <= rec["thresholds"] <= rec["pairs"] + 1
+        assert 1 <= rec["annotations"] <= rec["pairs"]
+
+        unlinkable = str(tmp_path / "unlinkable.jsonl")
+        write_corpus_jsonl([Document("plain", ["no", "alias", "here"])], unlinkable)
+        rc = cli.run_command(["select-threshold", "--config", paths["config"],
+                              "--dev", unlinkable])
+        assert rc == 1
+        assert (f"error: {unlinkable}: no scored pairs to tune the threshold on"
+                in capfd.readouterr().err)
 
     def test_checkpoint_missing_parameter(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from e2el import inference
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.scoring import ScoredPair
@@ -37,6 +38,18 @@ class TestGreedyDecode:
         out = inference.greedy_decode(pairs, 0.0)
         # equal scores: higher prior first, then lexicographic entity id
         assert out[0].entity_id == "B"
+
+    def test_best_per_span_ties(self):
+        span = MentionSpan(doc_id="d", start=0, end=0, surface="s", candidates=[])
+        scored = [ScoredPair(span=span, entity_id=e, prior=p, psi=score)
+                  for e, p, score in (("C", 0.5, 0.7), ("B", 0.5, 0.7), ("A", 0.2, 0.7),
+                                      ("D", 0.9, 0.1), ("B", 0.5, 0.7))]
+        # equal score: the higher prior wins, then the smaller id, then the first
+        assert inference.best_per_span(scored)[0] is scored[1]
+        other = MentionSpan(doc_id="d", start=1, end=2, surface="s", candidates=[])
+        scored += [ScoredPair(span=other, entity_id=e, prior=p, psi=0.3)
+                   for e, p in (("X", 0.4), ("Y", 0.6), ("Z", 0.6))]
+        assert inference.best_per_span(scored) == [scored[1], scored[6]]
 
     def test_matches_reference_sweep(self):
         rng = np.random.default_rng(0)
@@ -118,6 +131,43 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             inference.select_threshold([], {"d": []})
 
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_matches_brute_force(self, mode):
+        rng = np.random.default_rng(5 if mode == "strong" else 6)
+        compared = 0
+        while compared < 1000:
+            pairs, gold = random_dev_set(rng)
+            if pairs:
+                assert (inference.select_threshold(pairs, gold, mode=mode)
+                        == helpers.brute_select_threshold(pairs, gold, mode=mode))
+                compared += 1
+
+    def test_decodes_and_evaluates_once(self, monkeypatch):
+        pairs = [pair(doc, i, i + 1, "G", 0.1 * i) for doc in ("a", "b") for i in range(4)]
+        gold = {"a": [(0, 1, "G"), (2, 3, "G")], "b": [(1, 2, "G")]}
+        calls = {"greedy_decode": 0, "evaluate": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(inference, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(inference, name, counted)
+        inference.select_threshold(pairs, gold, mode="weak")
+        assert calls == {"greedy_decode": 1, "evaluate": 1}
+
+    def test_unknown_document_and_mode_rejected(self):
+        pairs = [pair("d", 0, 0, "G", 0.5), pair("zz", 1, 1, "G", 0.2)]
+        for fn in (inference.select_threshold, helpers.brute_select_threshold):
+            with pytest.raises(ValueError, match="unknown document 'zz'"):
+                fn(pairs, {"d": [(0, 0, "G")]})
+            with pytest.raises(ValueError, match="unknown matching mode"):
+                fn(pairs[:1], {"d": [(0, 0, "G")]}, mode="loose")
+
+    def test_nan_score_rejected(self):
+        pairs = [pair("d", 0, 0, "G", 0.5), pair("d", 2, 3, "H", float("nan"))]
+        with pytest.raises(ValueError, match="document 'd': span 2-3 scores NaN "
+                                             "for entity 'H'"):
+            inference.select_threshold(pairs, {"d": [(0, 0, "G")]})
+
     def test_matches_grid_scan(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
@@ -139,6 +189,43 @@ class TestSelectThreshold:
                 f1 = inference.evaluate(inference.greedy_decode(pairs, float(g)), gold).micro_f1
                 best = max(best, f1)
             assert ours == pytest.approx(best, abs=1e-9)
+
+
+def random_dev_set(rng):
+    """1-4 documents of overlapping 1-3 token spans with 1-3 candidates
+    each, scores and priors drawn from small sets (ties) with some -inf,
+    and gold that may repeat an entry; a document may have gold and no
+    pairs, or pairs and no gold."""
+    pairs, gold = [], {}
+    for d in range(int(rng.integers(1, 5))):
+        doc_id = f"d{d}"
+        kind = int(rng.integers(0, 4))  # 0: gold only, 1: pairs only, else both
+        spans = [] if kind == 0 else sorted({
+            (start, start + int(rng.integers(0, 3)))
+            for start in rng.integers(0, 10, size=int(rng.integers(1, 8)))})
+        for start, end in spans:
+            ids = [f"E{int(j)}" for j in rng.choice(5, size=int(rng.integers(1, 4)),
+                                                     replace=False)]
+            span = MentionSpan(doc_id=doc_id, start=int(start), end=int(end), surface="s",
+                               candidates=[CandidateEntry(e, float(rng.choice([0.2, 0.5, 1.0])))
+                                           for e in ids])
+            for c in span.candidates:
+                score = (float("-inf") if rng.random() < 0.1
+                         else float(rng.integers(-4, 5)) / 4.0)
+                pairs.append(ScoredPair(span=span, entity_id=c.entity_id, prior=c.prior,
+                                        psi=score))
+        gold[doc_id] = []
+        if kind != 1:
+            for _ in range(int(rng.integers(1, 5))):
+                if spans and rng.random() < 0.7:
+                    start, end = spans[int(rng.integers(0, len(spans)))]
+                else:
+                    start = int(rng.integers(0, 10))
+                    end = start + int(rng.integers(0, 3))
+                gold[doc_id].append((int(start), int(end), f"E{int(rng.integers(0, 5))}"))
+            if rng.random() < 0.3:
+                gold[doc_id].append(gold[doc_id][0])
+    return pairs, gold
 
 
 class FakeModel:
