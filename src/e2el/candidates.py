@@ -11,15 +11,26 @@ Binary index cache: magic ``E2EA``, little-endian u32 s and max span
 length, u32 surface count, then per surface a u16-length-prefixed UTF-8
 surface, u32 entry count, and per entry a u16-length-prefixed entity id
 plus an f64 prior. The string, length and error rules are those of
-``binfile``. Both formats reject a prior outside (0, 1], nan included.
+``binfile``. Both formats reject a prior outside (0, 1], nan included, and
+an entity listed twice for one surface; the cache also rejects a surface
+record that repeats an earlier one.
+
+An index holds millions of entries at the paper's scale, so the cache is
+decoded in one loop over its records. Each entity id is decoded once and
+shared by every surface that lists it, and an entry is a NamedTuple, which
+costs what a tuple costs. The decode runs with the cyclic garbage
+collector paused: it allocates a few objects per entry and no reference
+cycle, and left running the collector walks every entry made so far again
+and again and finds no garbage.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from . import autodiff as ad
 from . import binfile
 from .corpus import Document, text_lines
 
@@ -28,8 +39,7 @@ INDEX_HEADER = struct.Struct("<III")
 MAX_PRIOR = 1.0 + 1e-6  # priors lie in (0, MAX_PRIOR]; the slack absorbs rounding
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
+class CandidateEntry(NamedTuple):
     entity_id: str
     prior: float
 
@@ -150,30 +160,70 @@ def load_index(path: str) -> AliasIndex:
     if s < 1 or max_len < 1:
         raise reader.error(f"candidate limit s={s} and max span length {max_len} must both "
                            f"be at least 1", "header", len(INDEX_MAGIC))
-    entries: dict[str, list[CandidateEntry]] = {}
-    for _ in range(n_surfaces):
-        ((surface, n),) = reader.records(1, binfile.U32, "surface")
-        start = reader.pos
-        entries[surface] = reader.records(n, binfile.F64, "candidate", CandidateEntry)
-        for entry in entries[surface]:
-            if not 0.0 < entry.prior <= MAX_PRIOR:  # also false for nan
-                raise _bad_prior(reader, surface, entries[surface], entry, start)
-        if len(entries) % 1024 == 0:
-            reader.release()
+    with ad.cycle_gc_paused():  # the entries hold no reference cycle
+        entries = _decode_surfaces(reader, n_surfaces)
     reader.finish()
     return AliasIndex(entries, s=s, max_span_length=max_len)
 
 
-def _bad_prior(reader: binfile.Reader, surface: str, entries: list[CandidateEntry],
-               bad: CandidateEntry, start: int) -> ValueError:
-    """The error for entry `bad` of a surface whose records begin at `start`."""
-    at = start
-    for e in entries:
-        if e is bad:
-            break
-        at += 2 + len(e.entity_id.encode("utf-8")) + binfile.F64.size
-    return reader.error(f"prior {bad.prior} of {bad.entity_id!r} for surface {surface!r} "
-                        f"outside (0, 1]", "candidate", at)
+def _decode_surfaces(reader: binfile.Reader, n_surfaces: int) -> dict[str, list[CandidateEntry]]:
+    """`n_surfaces` surface records, each followed by its candidate records.
+
+    A short read or invalid UTF-8 raises at the record it hits, as
+    `binfile.Reader.records` would. A repeated surface raises at its
+    record. The candidates of a surface are all read before the first
+    prior outside (0, 1] or repeated entity among them raises, so the error
+    names the same byte as a read of the records followed by the checks.
+    """
+    buf, pos = reader.buf, reader.pos
+    u16, u32, f64 = binfile.U16.unpack_from, binfile.U32.unpack_from, binfile.F64.unpack_from
+    new = tuple.__new__  # CandidateEntry(eid, prior) without its Python-level wrapper
+    ids: dict[bytes, str] = {}  # entity ids repeat across surfaces: decode each once
+    entries: dict[str, list[CandidateEntry]] = {}
+    try:
+        for i in range(n_surfaces):
+            record = "surface"
+            (k,) = u16(buf, pos)
+            end = pos + 2 + k
+            (n,) = u32(buf, end)
+            surface = buf[pos + 2:end].decode("utf-8")
+            if surface in entries:
+                raise reader.error(f"repeated surface {surface!r}", record, pos)
+            pos = end + 4
+            record = "candidate"
+            cands: list[CandidateEntry] = []
+            seen: set[str] = set()
+            bad = None  # (offset, entity id, prior) of the first bad candidate
+            for _ in range(n):
+                (k,) = u16(buf, pos)
+                end = pos + 2 + k
+                (prior,) = f64(buf, end)
+                raw = buf[pos + 2:end]
+                eid = ids.get(raw)
+                if eid is None:
+                    eid = ids[raw] = raw.decode("utf-8")
+                if (not 0.0 < prior <= MAX_PRIOR or eid in seen) and bad is None:  # nan too
+                    bad = (pos, eid, prior)
+                seen.add(eid)
+                cands.append(new(CandidateEntry, (eid, prior)))
+                pos = end + 8
+            if bad is not None:
+                at, eid, prior = bad
+                if 0.0 < prior <= MAX_PRIOR:
+                    raise reader.error(f"repeated entity {eid!r} for surface {surface!r}",
+                                       record, at)
+                raise reader.error(f"prior {prior} of {eid!r} for surface {surface!r} "
+                                   f"outside (0, 1]", record, at)
+            entries[surface] = cands
+            if i % 1024 == 1023:
+                reader.pos = pos
+                reader.release()
+    except (struct.error, UnicodeDecodeError) as exc:
+        reader.pos = pos
+        raise reader.error("file ends" if isinstance(exc, struct.error) else "invalid UTF-8",
+                           record) from None
+    reader.pos = pos
+    return entries
 
 
 def load_any_index(path: str) -> AliasIndex:

@@ -10,6 +10,14 @@ per line, space separated, UTF-8 keys without spaces. Binary cache format:
 magic ``E2EV``, little-endian u32 count and dim, then per row a u16 key
 length, the key bytes and ``dim`` 32-bit floats. The string, length and
 error rules are those of ``binfile``. Both formats reject non-finite values.
+
+GloVe-sized text files hold millions of values, so the text loader reads
+keys line by line but parses values a block of rows at a time, in one
+`np.loadtxt` call per block into float64, cast to float32 as a `float()`
+per value would be. A block that call rejects, or reads into another
+shape, is parsed again line by line with `float()`: that names the bad
+line, and accepts what `float()` accepts and `np.loadtxt` does not, such
+as ``1_0`` and non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -32,12 +40,20 @@ log = logging.getLogger(__name__)
 UNK_TOKEN = "<unk>"
 BINARY_MAGIC = b"E2EV"
 BINARY_HEADER = struct.Struct("<II")
+BLOCK_ROWS = 1024  # text rows whose values are parsed in one call
 
 
 def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
-    """Load a text embedding file into (key -> row index, matrix)."""
+    """Load a text embedding file into (key -> row index, matrix).
+
+    Each line's key is checked as it is read; the values of up to
+    `BLOCK_ROWS` rows are parsed in one `np.loadtxt` call. A block that
+    call cannot read as (rows, dim) is parsed again line by line with
+    `float()`, which names the bad line, so an error always names the first
+    bad line of the file.
+    """
     vocab: dict[str, int] = {}
-    linenos: list[int] = []  # each row's line, for the finiteness check after the loop
+    linenos: list[int] = []  # each row's line, for error messages
     with closing(text_lines(path)) as lines:
         _, header = next(lines, (1, ""))
         parts = header.split()
@@ -57,31 +73,67 @@ def load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
             raise ValueError(f"{path}:1: {count} rows of dim {dim} need at least {need} "
                              f"bytes, the file has {left} after the header")
         matrix = np.zeros((count, dim), dtype=np.float32)
+        block: list[str] = []  # value text of the rows whose values are not parsed yet
+
+        def parse_block() -> None:
+            if block:
+                rows = slice(len(vocab) - len(block), len(vocab))
+                _parse_values(path, block, linenos[rows], matrix[rows])
+                block.clear()
+
         for lineno, line in lines:
             if not line.strip():
                 continue
-            fields = line.split()
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}")
-            key = fields[0]
-            if key in vocab:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            idx = len(vocab)
-            if idx >= count:
+            key, *rest = line.split(None, 1)
+            text = rest[0] if rest else ""
+            if key in vocab or len(vocab) == count:
+                parse_block()  # an error on an earlier line comes first
+                _split_values(path, lineno, text, dim)
+                if key in vocab:
+                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
                 raise ValueError(f"{path}:{lineno}: more rows than declared count {count}")
-            try:
-                matrix[idx] = [float(v) for v in fields[1:]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed float") from None
-            vocab[key] = idx
+            vocab[key] = len(vocab)
             linenos.append(lineno)
+            block.append(text)
+            if len(block) == BLOCK_ROWS:
+                parse_block()
+        parse_block()
     if len(vocab) != count:
         raise ValueError(f"{path}: declared {count} rows, found {len(vocab)}")
     bad = _non_finite_rows(matrix)
     if bad.size:
         raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return vocab, matrix
+
+
+def _parse_values(path: str, texts: list[str], linenos: list[int], out: np.ndarray) -> None:
+    """Parse the value text of `out`'s rows into it, in one C call when it
+    reads every row as `out`'s width, else line by line."""
+    values = None
+    if all(texts):  # loadtxt would skip a row without values
+        try:
+            values = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != out.shape:
+        values = [_row_values(path, lineno, text, out.shape[1])
+                  for lineno, text in zip(linenos, texts)]
+    out[:] = values
+
+
+def _split_values(path: str, lineno: int, text: str, dim: int) -> list[str]:
+    fields = text.split()
+    if len(fields) != dim:
+        raise ValueError(f"{path}:{lineno}: expected {dim} values, got {len(fields)}")
+    return fields
+
+
+def _row_values(path: str, lineno: int, text: str, dim: int) -> list[float]:
+    fields = _split_values(path, lineno, text, dim)
+    try:
+        return [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed float") from None
 
 
 def save_text_embeddings(vocab: Mapping[str, int], matrix: np.ndarray, path: str) -> None:

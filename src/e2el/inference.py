@@ -106,7 +106,11 @@ def greedy_decode(pairs: Sequence[ScoredPair], delta: float) -> list[Annotation]
 def threshold_candidates(pairs: Sequence[ScoredPair]) -> list[float]:
     """Every behaviorally distinct threshold, high to low: each observed
     best-per-span score, then -inf."""
-    return sorted({p.score for p in best_per_span(pairs)} | {float("-inf")}, reverse=True)
+    return _descending_thresholds(best_per_span(pairs))
+
+
+def _descending_thresholds(best: Sequence[ScoredPair]) -> list[float]:
+    return sorted({p.score for p in best} | {float("-inf")}, reverse=True)
 
 
 def select_threshold(pairs: Sequence[ScoredPair],
@@ -118,13 +122,13 @@ def select_threshold(pairs: Sequence[ScoredPair],
     everything), including the score of a span that loses an overlap; ties
     break toward the larger threshold, i.e. fewer annotations. The decode
     at delta keeps exactly the -inf decode's annotations scoring above
-    delta, so the pairs are decoded and evaluated once, and the candidates
-    are swept from high to low, adding those annotations and rematching
-    only the documents that gained one. Micro F1 comes from the same
-    integer counts as `evaluate`'s, so the pick equals that of decoding and
-    evaluating at every candidate. A NaN score has no place in that order
-    and raises ValueError, as do a bad mode and a pair from a document
-    missing from `gold`.
+    delta, so each span's best pair is found once, decoded and evaluated
+    once, and the candidates are swept from high to low, adding those
+    annotations and rematching only the documents that gained one. Micro
+    F1 comes from the same integer counts as `evaluate`'s, so the pick
+    equals that of decoding and evaluating at every candidate. A NaN score
+    has no place in that order and raises ValueError, as do a bad mode and
+    a pair from a document missing from `gold`.
     """
     if not pairs:
         raise ValueError("empty dev set")
@@ -132,7 +136,8 @@ def select_threshold(pairs: Sequence[ScoredPair],
         if math.isnan(p.score):
             raise ValueError(f"document {p.span.doc_id!r}: span {p.span.start}-{p.span.end} "
                              f"scores NaN for entity {p.entity_id!r}")
-    kept = greedy_decode(pairs, float("-inf"))
+    best = best_per_span(pairs)  # decoding them gives the same annotations as all pairs
+    kept = greedy_decode(best, float("-inf"))
     evaluate(kept, gold, mode=mode)  # validates the mode and the documents
     kept.sort(key=lambda a: -a.score)
     golds = {doc_id: list(gold[doc_id]) for doc_id in gold}
@@ -142,7 +147,7 @@ def select_threshold(pairs: Sequence[ScoredPair],
     best_delta = float("-inf")
     best_f1 = -1.0
     i = 0
-    for delta in threshold_candidates(pairs):
+    for delta in _descending_thresholds(best):
         changed = set()
         while i < len(kept) and kept[i].score > delta:
             preds[kept[i].doc_id].append(kept[i])

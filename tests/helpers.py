@@ -3,14 +3,17 @@
 import json
 import math
 import os
+from contextlib import closing
 
 import numpy as np
 
 from e2el import autodiff as ad
-from e2el import inference, scoring
-from e2el.candidates import AliasIndex, build_index, CandidateEntry
-from e2el.corpus import Document, write_corpus_jsonl
-from e2el.embeddings import CharTable, EntityVectors, WordVectors, save_text_embeddings
+from e2el import binfile, inference, scoring
+from e2el.candidates import (INDEX_HEADER, INDEX_MAGIC, MAX_PRIOR, AliasIndex, build_index,
+                             CandidateEntry)
+from e2el.corpus import Document, text_lines, write_corpus_jsonl
+from e2el.embeddings import (CharTable, EntityVectors, WordVectors, _non_finite_rows,
+                             save_text_embeddings)
 from e2el.encoder import EncoderDims
 from e2el.model import LinkingModel, PairScore
 
@@ -215,6 +218,93 @@ def brute_select_threshold(pairs, gold, mode="strong"):
             best_f1 = report.micro_f1
             best_delta = delta
     return best_delta
+
+
+# ---------------------------------------------------------------------------
+# record-by-record loaders: the oracles for `candidates.load_index` and
+# `embeddings.load_text_embeddings`
+
+
+def reference_load_index(path: str) -> AliasIndex:
+    reader = binfile.Reader(path, INDEX_MAGIC)
+    s, max_len, n_surfaces = reader.unpack(INDEX_HEADER, "header")
+    if s < 1 or max_len < 1:
+        raise reader.error(f"candidate limit s={s} and max span length {max_len} must both "
+                           f"be at least 1", "header", len(INDEX_MAGIC))
+    entries: dict[str, list[CandidateEntry]] = {}
+    for _ in range(n_surfaces):
+        ((surface, n),) = reader.records(1, binfile.U32, "surface")
+        start = reader.pos
+        entries[surface] = reader.records(n, binfile.F64, "candidate", CandidateEntry)
+        for entry in entries[surface]:
+            if not 0.0 < entry.prior <= MAX_PRIOR:  # also false for nan
+                raise _bad_prior(reader, surface, entries[surface], entry, start)
+        if len(entries) % 1024 == 0:
+            reader.release()
+    reader.finish()
+    return AliasIndex(entries, s=s, max_span_length=max_len)
+
+
+def _bad_prior(reader: binfile.Reader, surface: str, entries: list[CandidateEntry],
+               bad: CandidateEntry, start: int) -> ValueError:
+    """The error for entry `bad` of a surface whose records begin at `start`."""
+    at = start
+    for e in entries:
+        if e is bad:
+            break
+        at += 2 + len(e.entity_id.encode("utf-8")) + binfile.F64.size
+    return reader.error(f"prior {bad.prior} of {bad.entity_id!r} for surface {surface!r} "
+                        f"outside (0, 1]", "candidate", at)
+
+
+def reference_load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarray]:
+    """Load a text embedding file into (key -> row index, matrix)."""
+    vocab: dict[str, int] = {}
+    linenos: list[int] = []  # each row's line, for the finiteness check after the loop
+    with closing(text_lines(path)) as lines:
+        _, header = next(lines, (1, ""))
+        parts = header.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:1: header must be '<count> <dim>', got {header!r}")
+        try:
+            count, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:1: header must be '<count> <dim>', got {header!r}") from None
+        if count < 0 or dim <= 0:
+            raise ValueError(f"{path}:1: bad count/dim {count}/{dim}")
+        # a row is at least a 1-byte key and dim 1-byte values, each followed
+        # by one separator byte (the last row may lack its newline)
+        need = 2 * (dim + 1) * count - 1
+        left = os.path.getsize(path) - len(header.encode("utf-8"))
+        if count and need > left:
+            raise ValueError(f"{path}:1: {count} rows of dim {dim} need at least {need} "
+                             f"bytes, the file has {left} after the header")
+        matrix = np.zeros((count, dim), dtype=np.float32)
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dim} values, got {len(fields) - 1}")
+            key = fields[0]
+            if key in vocab:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            idx = len(vocab)
+            if idx >= count:
+                raise ValueError(f"{path}:{lineno}: more rows than declared count {count}")
+            try:
+                matrix[idx] = [float(v) for v in fields[1:]]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed float") from None
+            vocab[key] = idx
+            linenos.append(lineno)
+    if len(vocab) != count:
+        raise ValueError(f"{path}: declared {count} rows, found {len(vocab)}")
+    bad = _non_finite_rows(matrix)
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
+    return vocab, matrix
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The shared binary codec: truncation, corruption, length limits and the
 exact bytes of the index, vector and checkpoint writers."""
 
+import gc
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from e2el import candidates, cli, embeddings, training
-from e2el.candidates import AliasIndex, CandidateEntry
+from e2el.candidates import MAX_PRIOR, AliasIndex, CandidateEntry
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -208,3 +210,122 @@ def test_cli_exits_1_naming_truncated_file(cli_fixture, tmp_path, capfd, name):
     capfd.readouterr()
     assert cli.run_command(argv) == 1
     assert bad in capfd.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the one-loop index decode against the record-by-record reference
+
+
+SURFACE_CHARS = "abcé北 "
+ENTITY_IDS = [f"E{i}" for i in range(40)] + ["Zürich", "北京", "Ωmega_(band)", ""]
+PRIORS = [1e-300, MAX_PRIOR, 1.0, 0.5, 0.25]
+
+
+def random_index(rng, n_surfaces):
+    """Surfaces of 1-4 characters, ASCII or not, with 0-5 candidates each
+    drawn from one shared pool of entity ids, so ids repeat across surfaces."""
+    entries = {}
+    while len(entries) < n_surfaces:
+        surface = "".join(rng.choice(list(SURFACE_CHARS), size=rng.integers(1, 5)))
+        ids = rng.choice(ENTITY_IDS, size=rng.integers(0, 6), replace=False)
+        entries[surface] = [CandidateEntry(str(e), PRIORS[rng.integers(len(PRIORS))]
+                                           if rng.random() < 0.3 else float(rng.uniform(1e-9, 1)))
+                            for e in ids]
+    return AliasIndex(entries, s=int(rng.integers(1, 40)), max_span_length=int(rng.integers(1, 9)))
+
+
+def load_both(path):
+    """(index or ValueError) from `load_index` and from the reference."""
+    out = []
+    for load in (candidates.load_index, helpers.reference_load_index):
+        try:
+            out.append(load(path))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def error_offset(exc):
+    return int(re.findall(r" at byte (\d+) reading ", str(exc))[-1])
+
+
+def assert_agrees(path):
+    """Both load the same index, or raise the same error. The reference
+    accepts a repeated surface or entity: where `load_index` rejects one,
+    the reference loads or fails further into the file."""
+    got, want = load_both(path)
+    if isinstance(got, ValueError) and str(got).startswith(f"{path}: repeated "):
+        assert isinstance(want, AliasIndex) or error_offset(want) > error_offset(got)
+    elif isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(want)
+    else:
+        assert isinstance(got, AliasIndex), got
+        assert (got.entries, got.s, got.max_span_length) == \
+            (want.entries, want.s, want.max_span_length)
+
+
+def test_index_decode_matches_reference(tmp_path):
+    rng = np.random.default_rng(12)
+    path = str(tmp_path / "index.bin")
+    seen = set()
+    for case in range(200):
+        index = random_index(rng, 1100 if case % 40 == 0 else int(rng.integers(0, 30)))
+        candidates.save_index(index, path)
+        got = candidates.load_index(path)
+        want = helpers.reference_load_index(path)
+        assert got.entries == want.entries == index.entries
+        assert (got.s, got.max_span_length) == (want.s, want.max_span_length) == \
+            (index.s, index.max_span_length)
+        ids = [e.entity_id for cands in got.entries.values() for e in cands]
+        priors = {e.prior for cands in got.entries.values() for e in cands}
+        cases = {"release": len(got.entries) > 1024,
+                 "non-ASCII surface": not "".join(got.entries).isascii(),
+                 "empty surface": not all(got.entries.values()),
+                 "shared id": len(set(ids)) < len(ids),
+                 "non-ASCII id": not "".join(ids).isascii(),
+                 "prior 1e-300": 1e-300 in priors,
+                 "prior MAX_PRIOR": MAX_PRIOR in priors}
+        seen |= {name for name, hit in cases.items() if hit}
+    assert seen == set(cases)
+
+
+def test_damaged_index_fails_as_the_reference_does(tmp_path):
+    rng = np.random.default_rng(13)
+    path = str(tmp_path / "index.bin")
+    candidates.save_index(random_index(rng, 6), path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    damaged = str(tmp_path / "damaged.bin")
+    for offset in range(len(blob)):
+        with open(damaged, "wb") as fh:
+            fh.write(blob[:offset])
+        assert_agrees(damaged)
+    for case in range(1500):
+        if case % 300 == 0:
+            candidates.save_index(random_index(rng, int(rng.integers(2, 12))), path)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        corrupt = bytearray(blob)
+        for _ in range(int(rng.integers(1, 3))):
+            corrupt[rng.integers(len(blob))] ^= int(rng.integers(1, 256))
+        with open(damaged, "wb") as fh:
+            fh.write(corrupt)
+        assert_agrees(damaged)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_index_decode_leaves_the_collector_as_found(tmp_path, enabled):
+    path, blob = written(tmp_path, "index")
+    cut = str(tmp_path / "cut.bin")
+    with open(cut, "wb") as fh:
+        fh.write(blob[:-3])
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        candidates.load_index(path)
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="file ends"):
+            candidates.load_index(cut)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from e2el import binfile
 from e2el import candidates as cand
 from e2el.corpus import Document
 
@@ -216,6 +217,34 @@ class TestIndexPersistence:
         cand.save_index(index, out)
         assert cand.load_index(out).entries == index.entries
 
+
+    @staticmethod
+    def write_records(path, surfaces):
+        """An index file whose records `save_index` could not write."""
+        with open(path, "wb") as fh:
+            fh.write(cand.INDEX_MAGIC + cand.INDEX_HEADER.pack(30, 6, len(surfaces)))
+            for surface, cands in surfaces:
+                binfile.write_record(fh, surface, binfile.U32, len(cands), "surface")
+                for entity, prior in cands:
+                    binfile.write_record(fh, entity, binfile.F64, prior, "candidate")
+
+    def test_binary_repeated_surface(self, tmp_path):
+        # magic 4 + header 12; "Paris" 2 + 5 + 4 and 2 + 1 + 8; "Rome" 2 + 4 + 4 and 2 + 1 + 8
+        out = str(tmp_path / "index.bin")
+        self.write_records(out, [("Paris", [("A", 1.0)]), ("Rome", [("R", 1.0)]),
+                                 ("Paris", [("B", 1.0)])])
+        with pytest.raises(ValueError) as err:
+            cand.load_index(out)
+        assert str(err.value) == f"{out}: repeated surface 'Paris' at byte 59 reading surface"
+
+    def test_binary_repeated_entity(self, tmp_path):
+        # the text prior format rejects the same pair as a duplicate entry
+        out = str(tmp_path / "index.bin")
+        self.write_records(out, [("Paris", [("A", 0.5), ("B", 0.25), ("A", 0.25)])])
+        with pytest.raises(ValueError) as err:
+            cand.load_index(out)
+        assert str(err.value) == (f"{out}: repeated entity 'A' for surface 'Paris' "
+                                  f"at byte 49 reading candidate")
 
     @pytest.mark.parametrize("s, max_len", [(0, 6), (30, 0), (-3, 6), (30, -3)])
     def test_sizes_below_one_rejected(self, s, max_len):

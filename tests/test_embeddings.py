@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from e2el import embeddings as emb
 
 
@@ -68,6 +69,91 @@ class TestTextFormat:
         vocab2, matrix2 = emb.load_text_embeddings(path)
         assert vocab2 == vocab
         assert np.array_equal(matrix2, matrix)
+
+
+SEPARATORS = [" ", "\t", "  ", "\xa0", " \t "]
+ODD_TOKENS = ["1_0", "١٢", "nan", "inf", "1e400", "-0", "x"]
+
+
+def random_text_vectors(rng, path, rows, dim, faults):
+    """A text vector file across more than one parse block, its separators,
+    blank lines and line ends varied, with `faults` random damages."""
+    keys = [f"w{i}" if i % 7 else f"ß{i}" for i in range(rows)]
+    values = rng.standard_normal((rows, dim)).astype(np.float32)
+    fields = [[key] + [repr(float(v)) if rng.random() < 0.8 else f"{v:.3e}" for v in row]
+              for key, row in zip(keys, values)]
+    for _ in range(faults):
+        row = fields[rng.integers(rows)]
+        kind = rng.integers(5)
+        if kind == 0:
+            row[rng.integers(1, len(row))] = ODD_TOKENS[rng.integers(len(ODD_TOKENS))]
+        elif kind == 1:
+            del row[1:]  # a key with no values
+        elif kind == 2:
+            row.append("0.5")
+        elif kind == 3 and len(row) > 1:
+            row.pop()
+        else:
+            row[0] = keys[rng.integers(rows)]  # a duplicate key, unless it hits its own row
+    lines = [f"{rows} {dim}"]
+    for row in fields:
+        sep = SEPARATORS[rng.integers(len(SEPARATORS))]
+        lines.append(sep.join(row) + (" " if rng.random() < 0.1 else ""))
+        if rng.random() < 0.02:
+            lines.append(" " if rng.random() < 0.5 else "")
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(end.join(lines) + end)
+
+
+def load_both(path):
+    """(vocab, matrix bytes) or the error message, from `load_text_embeddings`
+    and from the reference."""
+    out = []
+    for load in (emb.load_text_embeddings, helpers.reference_load_text_embeddings):
+        try:
+            vocab, matrix = load(path)
+            out.append((vocab, matrix.dtype, matrix.shape, matrix.tobytes()))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestBlockParseMatchesReference:
+    def test_random_files(self, tmp_path):
+        rng = np.random.default_rng(21)
+        path = str(tmp_path / "vecs.txt")
+        outcomes = set()
+        for case in range(120):
+            random_text_vectors(rng, path, int(rng.integers(emb.BLOCK_ROWS + 1, 1300)),
+                                int(rng.integers(1, 5)), faults=case % 4)
+            got, want = load_both(path)
+            assert got == want
+            outcomes.add(want.split(": ", 1)[1].split(" ")[0] if isinstance(want, str)
+                         else "loaded")
+        assert outcomes >= {"loaded", "expected", "duplicate", "malformed", "non-finite"}
+
+    @pytest.mark.parametrize("token", ["1_0", "١٢", "-0"])
+    def test_values_only_float_reads(self, tmp_path, token):
+        path = write_text(tmp_path, [f"{emb.BLOCK_ROWS + 2} 2"]
+                          + [f"k{i} {i}.5 {token if i == emb.BLOCK_ROWS else 1}"
+                             for i in range(emb.BLOCK_ROWS + 2)])
+        got, want = load_both(path)
+        assert got == want and not isinstance(got, str)
+
+    def test_first_bad_line_before_a_later_duplicate_key(self, tmp_path):
+        # both lines are in the first block; the duplicate is seen first, line by line
+        path = write_text(tmp_path, ["5 2", "a 1 2", "b 1 x", "c 1 2", "a 1 2", "e 1 2"])
+        got, want = load_both(path)
+        assert got == want == f"{path}:3: malformed float"
+        path = write_text(tmp_path, ["5 2", "a 1 2", "b 1.5", "c 1 2", "c 1 2", "e 1 2"])
+        got, want = load_both(path)
+        assert got == want == f"{path}:3: expected 2 values, got 1"
+
+    def test_key_with_no_values_in_a_block(self, tmp_path):
+        path = write_text(tmp_path, ["3 2", "a 1.5 2.5", "b", "c 1.5 2.5"])
+        got, want = load_both(path)
+        assert got == want == f"{path}:3: expected 2 values, got 0"
 
 
 class TestBinaryFormat:

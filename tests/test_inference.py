@@ -154,6 +154,21 @@ class TestSelectThreshold:
         inference.select_threshold(pairs, gold, mode="weak")
         assert calls == {"greedy_decode": 1, "evaluate": 1}
 
+    def test_best_per_span_sees_each_pair_once(self, monkeypatch):
+        # the -inf decode runs over the best pairs again: one pass per span
+        pairs = [pair(doc, i, i + 1, e, 0.1 * i + 0.01 * k)
+                 for doc in ("a", "b") for i in range(4) for k, e in enumerate("GHK")]
+        gold = {"a": [(0, 1, "G"), (2, 3, "H")], "b": [(1, 2, "K")]}
+        seen = []
+
+        def counted(ps, _fn=inference.best_per_span):
+            seen.append(len(ps))
+            return _fn(ps)
+
+        monkeypatch.setattr(inference, "best_per_span", counted)
+        inference.select_threshold(pairs, gold, mode="weak")
+        assert sum(seen) <= len(pairs) + 8
+
     def test_unknown_document_and_mode_rejected(self):
         pairs = [pair("d", 0, 0, "G", 0.5), pair("zz", 1, 1, "G", 0.2)]
         for fn in (inference.select_threshold, helpers.brute_select_threshold):
