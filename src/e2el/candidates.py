@@ -257,33 +257,26 @@ def spans_for_gold(doc: Document, index: AliasIndex) -> list[MentionSpan]:
     return spans
 
 
-def _is_strict_contiguous_subsequence(short: Sequence[str], long: Sequence[str]) -> bool:
-    if len(short) >= len(long):
-        return False
-    return any(list(long[i:i + len(short)]) == list(short)
-               for i in range(len(long) - len(short) + 1))
-
-
 def apply_coreference_heuristic(spans: Sequence[MentionSpan], doc: Document) -> list[MentionSpan]:
     """Let short mentions inherit candidates from longer containing mentions.
 
     A span whose token sequence is a strict contiguous subsequence of a
     longer (>= 2 token) span's sequence takes over that span's candidate
-    list, inheriting from the earliest such span; chains resolve to their
-    root so the operation is idempotent.
+    list, inheriting from the earliest such span by (start, end), the first
+    in list order on a tie; chains resolve to their root so the operation
+    is idempotent. Every strict contiguous sub-sequence of each longer span
+    is mapped to its earliest container once, so each span is one lookup.
+    An inheriting span shares its root's candidate list, as a root shares
+    the index's: callers keep the spans of every document they annotate.
     """
     tokens = [tuple(doc.tokens[s.start:s.end + 1]) for s in spans]
-    link: list[int | None] = [None] * len(spans)
-    for i, short in enumerate(tokens):
-        best: int | None = None
-        for j, long in enumerate(tokens):
-            if j == i or len(long) < 2:
-                continue
-            if _is_strict_contiguous_subsequence(short, long):
-                if best is None or (spans[j].start, spans[j].end) < \
-                        (spans[best].start, spans[best].end):
-                    best = j
-        link[i] = best
+    container: dict[tuple[str, ...], int] = {}
+    for j in sorted(range(len(spans)), key=lambda j: (spans[j].start, spans[j].end)):
+        long = tokens[j]
+        for length in range(1, len(long)):
+            for i in range(len(long) - length + 1):
+                container.setdefault(long[i:i + length], j)
+    link = [container.get(t) for t in tokens]
 
     def root(i: int) -> int:
         while link[i] is not None:
@@ -298,7 +291,7 @@ def apply_coreference_heuristic(spans: Sequence[MentionSpan], doc: Document) -> 
         else:
             out.append(MentionSpan(doc_id=span.doc_id, start=span.start, end=span.end,
                                    surface=span.surface,
-                                   candidates=list(spans[r].candidates)))
+                                   candidates=spans[r].candidates))
     return out
 
 

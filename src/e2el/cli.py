@@ -239,12 +239,11 @@ def _hinge_clearance(model, doc, spans, tcfg) -> float:
     """Distance of every hinge and voter-threshold input to its kink."""
     gold = {(s, e, ent) for s, e, ent in doc.gold}
     dist = float("inf")
-    for p in model.pair_scores(doc, spans, mode="eval"):
+    for p in model.score_pairs(doc, spans):
         is_gold = (p.span.start, p.span.end, p.entity_id) in gold
-        for node in (p.psi, p.phi):
-            v = node.item()
+        for v in (p.psi, p.phi):
             dist = min(dist, abs(tcfg.gamma - v) if is_gold else abs(v))
-        dist = min(dist, abs(p.psi.item() - model.global_cfg.gamma_prime))
+        dist = min(dist, abs(p.psi - model.global_cfg.gamma_prime))
     return dist
 
 
@@ -274,8 +273,8 @@ def full_model_grad_check(seed: int = 0) -> dict[str, float]:
                 raise RuntimeError("no kink-free configuration found")
 
             def score_sum(field: str):
-                return lambda: ad.addn([getattr(p, field) for p in
-                                        model.pair_scores(doc, spans, mode="eval")])
+                return lambda: ad.sum1d(getattr(model.pair_scores(doc, spans, mode="eval"),
+                                                field))
 
             def doc_loss():
                 return training.document_loss(doc, spans, doc.gold, model, tcfg,

@@ -3,15 +3,17 @@
 A document's (span, candidate) pairs are the rows of one table. Scoring
 is two-phase: every pair first gets its local score, then (when the global
 layer is on) the pairs that pass the voting threshold vote, and each pair
-is rescored against the votes of the other mentions. Each score is one
-(pairs,) vector node, and a pair's scores are element views of those.
-Training mode returns graph nodes for the loss; evaluation mode returns
-plain floats.
+is rescored against the votes of the other mentions. `pair_scores` returns
+the table: each pair's span, entity id and prior, and each score as one
+(pairs,) vector node, so the graph a document builds does not grow with
+its pair count. Its readers take the vectors whole: the loss as graph
+nodes, `score_pairs` as plain floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .encoder import EncodedDocument, EncoderDims, encode_document, init_encoder
 
 @dataclass
 class PairScore:
-    """Graph-node scores for one (span, candidate) pair: scalar views of
-    its row in the document's score vectors."""
+    """Graph-node scores for one (span, candidate) pair, as a stand-in
+    scorer may give them; `stack_pair_scores` makes them a table."""
 
     span: MentionSpan
     entity_id: str
@@ -36,12 +38,29 @@ class PairScore:
     g: ad.Tensor | None = None
     phi: ad.Tensor | None = None
 
-    def detach(self) -> scoring.ScoredPair:
-        return scoring.ScoredPair(
-            span=self.span, entity_id=self.entity_id, prior=self.prior,
-            psi=self.psi.item(),
-            g=None if self.g is None else self.g.item(),
-            phi=None if self.phi is None else self.phi.item())
+
+@dataclass
+class PairTable:
+    """A document's (span, candidate) pairs: one row (span, entity id,
+    prior) per pair, in pair order, and each score as one (pairs,) vector
+    node. g and phi are None when the global layer is off."""
+
+    rows: list[tuple[MentionSpan, str, float]]
+    psi: ad.Tensor
+    g: ad.Tensor | None = None
+    phi: ad.Tensor | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def stack_pair_scores(pairs: Sequence[PairScore]) -> PairTable:
+    """The table of a non-empty list of per-pair score records: each score
+    stacked into one vector, or None where a pair lacks it."""
+    psi, g, phi = (None if None in nodes else ad.stack(nodes)
+                   for nodes in zip(*((p.psi, p.g, p.phi) for p in pairs)))
+    return PairTable(rows=[(p.span, p.entity_id, p.prior) for p in pairs], psi=psi, g=g,
+                     phi=phi)
 
 
 class LinkingModel:
@@ -119,13 +138,13 @@ class LinkingModel:
                                mode=mode, rng=rng)
 
     def pair_scores(self, doc: Document, spans: list[MentionSpan], mode: str = "eval",
-                    rng: np.random.Generator | None = None) -> list[PairScore]:
+                    rng: np.random.Generator | None = None) -> PairTable:
         """Score every (span, candidate) pair of the document, all pairs as
         the rows of one table."""
         enc = self.encode(doc, mode=mode, rng=rng)
         spans = [span for span in spans if span.candidates]
         if not spans:
-            return []
+            return PairTable(rows=[], psi=ad.constant(np.zeros(0, dtype=ad.default_dtype())))
         y = self.candidate_rows(spans)
         ctx = None
         if self.use_attention:
@@ -139,14 +158,17 @@ class LinkingModel:
             voters = scoring.filter_voters(psi.data, self.global_cfg)
             g = scoring.global_score(y, scoring.vote_vector(spans, y, voters))
             phi = scoring.combine_global(psi, g, self.scorer)
-        return [PairScore(span=span, entity_id=c.entity_id, prior=c.prior, psi=ad.row(psi, j),
-                          g=None if g is None else ad.row(g, j),
-                          phi=None if phi is None else ad.row(phi, j))
-                for j, (span, c) in enumerate((s, c) for s in spans for c in s.candidates)]
+        rows = [(span, c.entity_id, c.prior) for span in spans for c in span.candidates]
+        return PairTable(rows=rows, psi=psi, g=g, phi=phi)
 
     def score_pairs(self, doc: Document, spans: list[MentionSpan]) -> list[scoring.ScoredPair]:
         """Evaluation-mode scores as plain floats."""
-        return [p.detach() for p in self.pair_scores(doc, spans, mode="eval")]
+        table = self.pair_scores(doc, spans, mode="eval")
+        psi, g, phi = ([None] * len(table) if v is None else v.data.tolist()
+                       for v in (table.psi, table.g, table.phi))
+        return [scoring.ScoredPair(span=span, entity_id=entity_id, prior=prior,
+                                   psi=a, g=b, phi=c)
+                for (span, entity_id, prior), a, b, c in zip(table.rows, psi, g, phi)]
 
     # ------------------------------------------------------------------
     # persistence

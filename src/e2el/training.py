@@ -33,6 +33,7 @@ from . import binfile, inference
 from .candidates import AliasIndex, MentionSpan, apply_coreference_heuristic, \
     enumerate_spans, spans_for_gold
 from .corpus import Document
+from .model import PairTable, stack_pair_scores
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +107,12 @@ def document_loss(doc: Document, spans: Sequence[MentionSpan],
                   gold: Sequence[tuple[int, int, str]], model, cfg: TrainConfig,
                   rng: np.random.Generator | None = None,
                   mode: str = "train") -> LossResult:
-    """Sum of violations of every (span, candidate) pair's psi, and phi when it has one."""
+    """Sum of the violations of every (span, candidate) pair's psi, and of
+    its phi when the global layer is on: one hinge over the pair table's
+    psi vector followed by its phi vector, with one gold mask over its rows.
+
+    `model.pair_scores` gives a `PairTable`, or a list of `PairScore`
+    records (a stand-in scorer), which is stacked into one."""
     gold_set = {(s, e, ent) for s, e, ent in gold}
     uncoverable = gold_set - {(sp.start, sp.end, c.entity_id)
                               for sp in spans for c in sp.candidates}
@@ -114,16 +120,21 @@ def document_loss(doc: Document, spans: Sequence[MentionSpan],
         log.debug("document %s: gold (%d, %d, %s) not coverable by candidates",
                   doc.doc_id, s, e, ent)
     covered = len(gold_set) - len(uncoverable)
-    pairs = model.pair_scores(doc, spans, mode=mode, rng=rng)
-    if not pairs:
+    table = model.pair_scores(doc, spans, mode=mode, rng=rng)
+    if not table:
         log.warning("document %s: no scorable spans, loss is 0", doc.doc_id)
         return LossResult(loss=ad.constant(np.asarray(0.0, dtype=ad.default_dtype())),
                           gold_pairs=len(gold_set), gold_covered=covered)
-    scored = [(p.psi, p) for p in pairs] + [(p.phi, p) for p in pairs if p.phi is not None]
-    is_gold = np.array([(p.span.start, p.span.end, p.entity_id) in gold_set
-                        for _, p in scored])
-    hinges = violation(ad.stack([score for score, _ in scored]), is_gold, cfg.gamma)
-    return LossResult(loss=ad.sum1d(hinges), n_pairs=len(pairs),
+    if not isinstance(table, PairTable):
+        table = stack_pair_scores(table)
+    is_gold = np.array([(span.start, span.end, entity_id) in gold_set
+                        for span, entity_id, _ in table.rows])
+    scores = table.psi
+    if table.phi is not None:
+        scores = ad.concat([table.psi, table.phi])
+        is_gold = np.concatenate([is_gold, is_gold])
+    hinges = violation(scores, is_gold, cfg.gamma)
+    return LossResult(loss=ad.sum1d(hinges), n_pairs=len(table),
                       gold_pairs=len(gold_set), gold_covered=covered)
 
 

@@ -8,13 +8,13 @@ from contextlib import closing
 import numpy as np
 
 from e2el import autodiff as ad
-from e2el import binfile, inference, scoring
+from e2el import binfile, inference, scoring, training
 from e2el.candidates import (INDEX_HEADER, INDEX_MAGIC, MAX_PRIOR, AliasIndex, build_index,
-                             CandidateEntry)
+                             CandidateEntry, MentionSpan)
 from e2el.corpus import Document, text_lines, write_corpus_jsonl
 from e2el.embeddings import (CharTable, EntityVectors, WordVectors, _non_finite_rows,
                              save_text_embeddings)
-from e2el.encoder import EncoderDims
+from e2el.encoder import EncoderDims, mention_repr
 from e2el.model import LinkingModel, PairScore
 
 
@@ -201,6 +201,50 @@ def per_pair_scores(model, enc, spans):
 
 
 # ---------------------------------------------------------------------------
+# per-pair views: the oracle for the pair table reaching the loss and the
+# decoder whole
+
+
+def view_pair_scores(model, doc, spans, mode="eval", rng=None):
+    """`model.pair_scores` returning one `PairScore` per pair, whose scores
+    are element views of the document's score vectors."""
+    enc = model.encode(doc, mode=mode, rng=rng)
+    spans = [span for span in spans if span.candidates]
+    if not spans:
+        return []
+    y = model.candidate_rows(spans)
+    ctx = None
+    if model.use_attention:
+        ctx = scoring.long_range_feature(spans, enc, y, model.attention_window,
+                                         model.attention_keep, model.scorer)
+    psi = scoring.local_score(mention_repr(spans, enc, model.encoder), spans, y, ctx,
+                              model.scorer)
+    g = phi = None
+    if model.use_global:
+        voters = scoring.filter_voters(psi.data, model.global_cfg)
+        g = scoring.global_score(y, scoring.vote_vector(spans, y, voters))
+        phi = scoring.combine_global(psi, g, model.scorer)
+    return [PairScore(span=span, entity_id=c.entity_id, prior=c.prior, psi=ad.row(psi, j),
+                      g=None if g is None else ad.row(g, j),
+                      phi=None if phi is None else ad.row(phi, j))
+            for j, (span, c) in enumerate((s, c) for s in spans for c in s.candidates)]
+
+
+def view_document_loss(doc, spans, gold, model, cfg, rng=None, mode="train"):
+    """`training.document_loss` over `view_pair_scores`: the per-pair psi
+    views, then the phi views, stacked into one hinge vector."""
+    gold_set = {(s, e, ent) for s, e, ent in gold}
+    pairs = view_pair_scores(model, doc, spans, mode=mode, rng=rng)
+    if not pairs:
+        return ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
+    scored = [(p.psi, p) for p in pairs] + [(p.phi, p) for p in pairs if p.phi is not None]
+    is_gold = np.array([(p.span.start, p.span.end, p.entity_id) in gold_set
+                        for _, p in scored])
+    hinges = training.violation(ad.stack([score for score, _ in scored]), is_gold, cfg.gamma)
+    return ad.sum1d(hinges)
+
+
+# ---------------------------------------------------------------------------
 # brute-force threshold sweep: the oracle for `inference.select_threshold`
 
 
@@ -305,6 +349,49 @@ def reference_load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarra
     if bad.size:
         raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return vocab, matrix
+
+
+# ---------------------------------------------------------------------------
+# all-pairs coreference: the oracle for `candidates.apply_coreference_heuristic`
+
+
+def _is_strict_contiguous_subsequence(short, long):
+    if len(short) >= len(long):
+        return False
+    return any(list(long[i:i + len(short)]) == list(short)
+               for i in range(len(long) - len(short) + 1))
+
+
+def reference_coreference_heuristic(spans, doc):
+    """Every span compared with every other span."""
+    tokens = [tuple(doc.tokens[s.start:s.end + 1]) for s in spans]
+    link = [None] * len(spans)
+    for i, short in enumerate(tokens):
+        best = None
+        for j, long in enumerate(tokens):
+            if j == i or len(long) < 2:
+                continue
+            if _is_strict_contiguous_subsequence(short, long):
+                if best is None or (spans[j].start, spans[j].end) < \
+                        (spans[best].start, spans[best].end):
+                    best = j
+        link[i] = best
+
+    def root(i):
+        while link[i] is not None:
+            i = link[i]
+        return i
+
+    out = []
+    for i, span in enumerate(spans):
+        r = root(i)
+        if r == i:
+            out.append(span)
+        else:
+            out.append(MentionSpan(doc_id=span.doc_id, start=span.start, end=span.end,
+                                   surface=span.surface,
+                                   candidates=list(spans[r].candidates)))
+    return out
 
 
 # ---------------------------------------------------------------------------

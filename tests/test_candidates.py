@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from e2el import binfile
 from e2el import candidates as cand
 from e2el.corpus import Document
@@ -171,6 +172,56 @@ class TestCoreferenceHeuristic:
         assert once[1].candidates[0].entity_id == "Sir_AS"
         assert once[2].candidates[0].entity_id == "Sir_AS"
 
+
+    def test_matches_all_pairs_oracle(self):
+        # seeded span lists over a three-word vocabulary, so that equal
+        # token sequences recur at different positions, against
+        # `helpers.reference_coreference_heuristic`
+        rng = np.random.default_rng(61)
+        l_max = 6
+        seen = dict.fromkeys([f"length {k}" for k in range(1, l_max + 1)] + [
+            "equal tokens elsewhere", "inherits", "chain", "unsorted", "repeated key",
+            "tied containers"], 0)
+        for case in range(600):
+            n = int(rng.integers(1, 30))
+            doc = Document("d", [str(t) for t in rng.choice(["a", "b", "c"], size=n,
+                                                            p=[0.5, 0.3, 0.2])])
+            spans = []
+            for k in range(int(rng.integers(0, 16))):
+                start = int(rng.integers(0, n))
+                end = min(n - 1, start + int(rng.integers(0, l_max)))
+                if spans and rng.random() < 0.15:  # a second span on an earlier key
+                    other = spans[int(rng.integers(0, len(spans)))]
+                    start, end = other.start, other.end
+                spans.append(self.span(doc, start, end, [(f"E{case}.{k}", 1.0)]))
+            if rng.random() < 0.5:
+                spans.sort(key=lambda sp: (sp.start, sp.end))
+            out = cand.apply_coreference_heuristic(spans, doc)
+            ref = helpers.reference_coreference_heuristic(spans, doc)
+            assert out == ref
+            assert [o is sp for o, sp in zip(out, spans)] == [r is sp for r, sp in zip(ref, spans)]
+            # an inheriting span shares its root's list, not a copy of it
+            assert all(any(o.candidates is sp.candidates for sp in spans) for o in out)
+
+            tokens = [tuple(doc.tokens[sp.start:sp.end + 1]) for sp in spans]
+            keys = [(sp.start, sp.end) for sp in spans]
+
+            def containers(i):
+                return sorted((keys[j], j) for j in range(len(spans)) if len(tokens[j]) >= 2
+                              and helpers._is_strict_contiguous_subsequence(tokens[i], tokens[j]))
+
+            for i, sp in enumerate(spans):
+                seen[f"length {sp.length}"] += 1
+                seen["equal tokens elsewhere"] += any(
+                    t == tokens[i] and keys[j] != keys[i] for j, t in enumerate(tokens))
+                found = containers(i)
+                if found:
+                    seen["inherits"] += 1
+                    seen["chain"] += bool(containers(found[0][1]))
+                    seen["tied containers"] += len(found) > 1 and found[0][0] == found[1][0]
+            seen["unsorted"] += keys != sorted(keys)
+            seen["repeated key"] += len(set(keys)) < len(keys)
+        assert min(seen.values()) >= 20, seen
 
 class TestIndexPersistence:
     def test_binary_round_trip(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 import helpers
 from e2el import autodiff as ad
 from e2el import model as model_module
-from e2el import scoring
+from e2el import scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan, enumerate_spans
 from e2el.corpus import Document
 from e2el.encoder import EncodedDocument
@@ -100,11 +100,11 @@ class TestScoring:
         # spans' own votes, their sum, and each pair's difference of the
         # two); a per-span scan has spans × voters edges
         model, doc, spans = self.voting_document(frozen=False)
-        pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
-        cosines = {id(p.g._parents[0]): p.g._parents[0] for p in pairs}
+        table = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
+        cosines = {id(table.g): table.g}
         votes = {id(c._parents[1]): c._parents[1] for c in cosines.values()}
         rows = {id(c._parents[0]) for c in cosines.values()}
-        assert len(pairs) == 36 and len(spans) == 12 and len(cosines) == len(rows) == 1
+        assert len(table) == 36 and len(spans) == 12 and len(rows) == 1
         assert sum(len(v._parents) for v in votes.values()) <= 36 + 2 * 12
         below, todo = dict(votes), list(votes.values())
         while todo:  # every node between the votes and the gathered entity rows
@@ -115,14 +115,15 @@ class TestScoring:
         assert sum(len(v._parents) for v in below.values()) <= 2 * 36 + 2 * 12
 
     @staticmethod
-    def attention_document():
-        """120 tokens with a span on most, 9 candidates per span, the model
-        with attention (K=10) and global voting on and every pair voting."""
+    def attention_document(n_candidates=9):
+        """120 tokens with a span on most, `n_candidates` candidates per
+        span, the model with attention (K=10) and global voting on and
+        every pair voting."""
         ids = [f"E{k}" for k in range(12)]
         words = helpers.word_store([f"t{k}" for k in range(7)], seed=1)
         ents = helpers.entity_store(ids, seed=2)
         ents.frozen = False
-        table = {f"t{k}": [(ids[(k + j) % 12], 0.1 * (j + 1)) for j in range(9)]
+        table = {f"t{k}": [(ids[(k + j) % 12], 0.1 * (j + 1)) for j in range(n_candidates)]
                  for k in range(5)}
         model = helpers.build_model(words, ents, seed=3, use_attention=True, use_global=True,
                                     attention_window=200, attention_keep=10,
@@ -130,29 +131,28 @@ class TestScoring:
         doc = Document("d", [f"t{k % 7}" for k in range(120)])
         return model, doc, enumerate_spans(doc, helpers.alias_index(table))
 
-    def test_pair_scores_graph_is_linear_in_spans_and_pairs(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_pair_scores_graph_is_independent_of_the_pair_count(self, monkeypatch, mode):
         # beyond the encoder, the table builds a fixed handful of nodes per
-        # span length and kept count, plus the three element views (psi, g,
-        # phi) of each pair; a node per span would pass 200
-        model, doc, spans = self.attention_document()
-        built, by_encoder = [0], [0]
-        init, encode = ad.Tensor.__init__, model.encode
+        # span length and kept count, and none per pair: the same spans with
+        # 2 and with 9 candidates each build the same number of Tensors
+        count, init = [0], ad.Tensor.__init__
 
         def counting_init(self, *args, **kwargs):
-            built[0] += 1
+            count[0] += 1
             init(self, *args, **kwargs)
 
-        def counted_encode(*args, **kwargs):
-            before = built[0]
-            enc = encode(*args, **kwargs)
-            by_encoder[0] = built[0] - before
-            return enc
-
         monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-        monkeypatch.setattr(model, "encode", counted_encode)
-        pairs = model.pair_scores(doc, spans, mode="train", rng=np.random.default_rng(0))
-        assert len(pairs) == 9 * len(spans) and len(spans) >= 80
-        assert built[0] - by_encoder[0] <= 3 * len(pairs) + 200
+        built = {}
+        for n_candidates in (2, 9):
+            model, doc, spans = self.attention_document(n_candidates)
+            enc = model.encode(doc, mode=mode, rng=np.random.default_rng(0))
+            model.encode = lambda *args, **kwargs: enc
+            count[0] = 0
+            table = model.pair_scores(doc, spans, mode=mode)
+            built[n_candidates] = count[0]
+            assert len(table) == n_candidates * len(spans) and len(spans) >= 80
+        assert built[2] == built[9], built
 
     def test_each_layer_runs_once_per_document(self, monkeypatch):
         model, doc, spans = self.attention_document()
@@ -244,9 +244,10 @@ def table_case(rng, dtype, case_no):
     model.encode = lambda doc, mode="eval", rng=None: enc
     if use_global and votes == "one":
         # halfway between the best and second-best span's best local score
-        pairs = model.pair_scores(Document("d", ["w"] * n), spans)
-        best = sorted((max(p.psi.item() for p in pairs if p.span is s) for s in spans),
-                      reverse=True) + [-1e9]
+        table = model.pair_scores(Document("d", ["w"] * n), spans)
+        psi = table.psi.data.tolist()
+        best = sorted((max(v for (span, _, _), v in zip(table.rows, psi) if span is s)
+                       for s in spans), reverse=True) + [-1e9]
         model.global_cfg = GlobalConfig(gamma_prime=(best[0] + best[1]) / 2)
     return model, enc, spans
 
@@ -259,14 +260,15 @@ class TestPairTableMatchesPerPair:
         inputs = [*model.params.tensors().values(), enc.v, enc.x]
         for t in inputs:
             t.grad = None
+        fields = ("psi", "g", "phi") if model.use_global else ("psi",)
         if table:
-            pairs = model.pair_scores(Document("d", ["w"] * len(enc)), spans)
+            scores = model.pair_scores(Document("d", ["w"] * len(enc)), spans)
+            vector = ad.concat([getattr(scores, f) for f in fields])
         else:
             pairs = helpers.per_pair_scores(model, enc, spans)
-        fields = ("psi", "g", "phi") if model.use_global else ("psi",)
-        nodes = [getattr(p, f) for f in fields for p in pairs]
-        values = np.array([t.item() for t in nodes])
-        loss = ad.dot(ad.constant(weights[:len(nodes)]), ad.stack(nodes))
+            vector = ad.stack([getattr(p, f) for f in fields for p in pairs])
+        values = vector.data.astype(np.float64)
+        loss = ad.dot(ad.constant(weights[:len(values)]), vector)
         if loss.requires_grad:
             ad.backward(loss)
         return values, [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
@@ -323,4 +325,63 @@ class TestPairTableMatchesPerPair:
                 psi = values[:sum(len(s.candidates) for s in spans)]
                 for name, count in self.coverage(model, enc, spans, psi).items():
                     seen[name] += count
+        assert min(seen.values()) >= 10, seen
+
+
+class TestPairTableMatchesViews:
+    """`pair_scores`, `score_pairs` and `document_loss` against the per-pair
+    views of `helpers.view_pair_scores` and `helpers.view_document_loss`:
+    the same floats and the same gradients, bit for bit."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_random_documents_equal(self, precision):
+        rng = np.random.default_rng(47)
+        seen = dict.fromkeys(["attention", "no attention", "global", "no global", "frozen",
+                              "trainable", "unknown"], 0)
+        with ad.precision(precision):
+            for case_no in range(64):
+                model, enc, spans = table_case(rng, ad.default_dtype(), case_no)
+                doc = Document("d", ["w"] * len(enc))
+                table = model.pair_scores(doc, spans)
+                views = helpers.view_pair_scores(model, doc, spans)
+                assert [row[1:] for row in table.rows] == [(p.entity_id, p.prior) for p in views]
+                assert all(row[0] is p.span for row, p in zip(table.rows, views))
+                for field in ("psi", "g", "phi"):
+                    vector = getattr(table, field)
+                    if vector is None:
+                        assert all(getattr(p, field) is None for p in views)
+                    else:
+                        assert vector.data.tolist() == [getattr(p, field).item() for p in views]
+                assert model.score_pairs(doc, spans) == [
+                    scoring.ScoredPair(span=p.span, entity_id=p.entity_id, prior=p.prior,
+                                       psi=p.psi.item(),
+                                       g=None if p.g is None else p.g.item(),
+                                       phi=None if p.phi is None else p.phi.item())
+                    for p in views]
+
+                gold = [(s.start, s.end, c.entity_id) for s in spans for c in s.candidates
+                        if rng.random() < 0.3] + [(0, 0, "NOT_A_CANDIDATE")]
+                cfg = training.TrainConfig(gamma=float(rng.uniform(0.05, 1.0)))
+                inputs = [*model.params.tensors().values(), enc.v, enc.x]
+
+                def loss_and_grads(loss_fn):
+                    for t in inputs:
+                        t.grad = None
+                    loss = loss_fn()
+                    ad.backward(loss)
+                    return loss.item(), [t.grad for t in inputs]
+
+                loss, grads = loss_and_grads(lambda: training.document_loss(
+                    doc, spans, gold, model, cfg).loss)
+                loss_ref, grads_ref = loss_and_grads(lambda: helpers.view_document_loss(
+                    doc, spans, gold, model, cfg))
+                assert loss == loss_ref
+                for t, g, g_ref in zip(inputs, grads, grads_ref):
+                    assert (g is None) == (g_ref is None), t
+                    assert g is None or np.array_equal(g, g_ref), t
+                seen["attention" if model.use_attention else "no attention"] += 1
+                seen["global" if model.use_global else "no global"] += 1
+                seen["frozen" if model.entities.frozen else "trainable"] += 1
+                seen["unknown"] += any(c.entity_id == "NOVEC" for s in spans
+                                       for c in s.candidates)
         assert min(seen.values()) >= 10, seen

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from e2el import autodiff as ad
-from e2el import training
+from e2el import scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
 from e2el.model import PairScore
@@ -109,6 +109,67 @@ class TestDocumentLoss:
             for name in ("proj.w", "psi.w", "attn.w", "ctx_fwd.w_x", "char_table"):
                 err = ad.grad_check(loss, model.params[name])
                 assert err <= 1e-4, f"{name}: {err}"
+
+
+class TestLossMatchesViews:
+    """`document_loss` against `helpers.view_document_loss` on encoded
+    documents in training mode, dropout on: the same loss and the same
+    gradient of every parameter, bit for bit."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("frozen", [True, False])
+    @pytest.mark.parametrize("use_attention, use_global", [(False, False), (True, False),
+                                                           (False, True), (True, True)])
+    def test_loss_and_gradients_equal(self, precision, frozen, use_attention, use_global):
+        docs, table, tokens, entity_ids = helpers.overfit_corpus(n_docs=4, seed=3)
+        with ad.precision(precision):
+            # the last entity has no vector: a zero candidate row
+            ents = helpers.entity_store(entity_ids[:-1], seed=2)
+            ents.frozen = frozen
+            model = helpers.build_model(
+                helpers.word_store(tokens, seed=1), ents, seed=4,
+                dims=helpers.toy_dims(dropout_keep=0.6), use_attention=use_attention,
+                use_global=use_global, attention_window=6, attention_keep=3,
+                global_cfg=scoring.GlobalConfig(gamma_prime=-0.5))
+            index = helpers.alias_index(table)
+            cfg = training.TrainConfig(gamma=0.2)
+            params = model.params.tensors()
+            unknown = 0
+            for doc in docs:
+                spans = training.spans_for_regime(doc, index, cfg)
+
+                def loss_and_grads(loss_fn):
+                    model.params.zero_grad()
+                    loss = loss_fn(doc, spans, doc.gold, model, cfg,
+                                   rng=np.random.default_rng(5))
+                    ad.backward(loss)
+                    return loss.item(), {n: t.grad for n, t in params.items()}
+
+                loss, grads = loss_and_grads(
+                    lambda *args, **kw: training.document_loss(*args, **kw).loss)
+                loss_ref, grads_ref = loss_and_grads(helpers.view_document_loss)
+                assert loss == loss_ref > 0.0
+                unknown += sum(c.entity_id == entity_ids[-1] for s in spans
+                               for c in s.candidates)
+                for name in params:
+                    assert (grads[name] is None) == (grads_ref[name] is None), name
+                    assert grads[name] is None or np.array_equal(grads[name],
+                                                                 grads_ref[name]), name
+                assert ("entities" in grads) is not frozen
+        assert unknown > 0
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_no_scorable_span(self, precision, caplog):
+        docs, _, model = build_toy(seed=4)
+        doc = docs[0]
+        spans = [MentionSpan("doc0", 1, 1, "surf0")]  # no candidates
+        cfg = training.TrainConfig()
+        with ad.precision(precision), caplog.at_level("WARNING"):
+            result = training.document_loss(doc, spans, doc.gold, model, cfg)
+            ref = helpers.view_document_loss(doc, spans, doc.gold, model, cfg)
+        assert result.loss.item() == ref.item() == 0.0
+        assert not result.trainable and result.n_pairs == 0
+        assert "doc0: no scorable spans" in caplog.text
 
 
 def unambiguous_corpus(n_docs=20):
