@@ -12,9 +12,9 @@ batch of row blocks, so a block of rows costs one node, not one per row.
 
 Every forward and backward value a node holds is checked for NaN/Inf and
 raises ``FloatingPointError`` on the first non-finite entry. A fused op
-(``lstm_sequence``) is one node for a whole recurrence: the values inside
-it (gates, cell states, per-step gradients) are not nodes and are not
-checked one by one, but its output and every gradient it passes to a
+(``bilstm``) is one node for a whole bidirectional recurrence: the values
+inside it (gates, cell states, per-step gradients) are not nodes and are
+not checked one by one, but its output and every gradient it passes to a
 parent are, so a non-finite value inside still raises there. Values
 computed off the graph are checked where they are made, such as the
 attention word scores of ``scoring.long_range_feature``.
@@ -393,10 +393,33 @@ def take_rows(m: Tensor, idx) -> Tensor:
     return _node(m.data[idx], (m,), "take_rows", back)
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp is only taken of values ≤ 0."""
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def part(m: Tensor, key: tuple[int | slice, ...]) -> Tensor:
+    """The entries ``m.data[key]`` picked by integers and slices, one per
+    leading axis (``np.s_[t, :, :h]``); backward adds into that part of the
+    parent's gradient in place."""
+    if not all(isinstance(k, (int, slice)) for k in key) or len(key) > m.data.ndim:
+        raise ValueError(f"part: need at most {m.data.ndim} integers or slices, got {key!r}")
+    for k, n in zip(key, m.shape):
+        if isinstance(k, int) and not 0 <= k < n:
+            raise ValueError(f"part: index {k} out of range {m.shape}")
+
+    def back(g):
+        _accumulate(m, g, at=key)
+
+    return _node(np.array(m.data[key]), (m,), "part", back)
+
+
+def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow, into `out` if given (which may be
+    `d` itself): exp is only taken of values ≤ 0, e = exp(−|d|), and the
+    result is 1/(1 + e) where d ≥ 0 and e/(1 + e) elsewhere, one division
+    of the picked numerator by the shared 1 + e."""
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = 1.0 + e
+    np.copyto(e, 1.0, where=d >= 0)
+    return np.divide(e, den, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -558,81 +581,124 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tupl
     return mul(o, tanh(c)), c
 
 
-def lstm_sequence(x: Tensor, w: LstmWeights, reverse: bool = False) -> Tensor:
-    """Hidden states of one LSTM direction over a whole sequence, as one node.
+def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
+    """Hidden states of a bidirectional LSTM over a whole sequence, as one node.
 
     `x` is (T × d_in), or (T × B × d_in) for B equal-length sequences run
-    side by side; the result is (T × h) or (T × B × h), entry t holding the
-    state after step t. Each step is that of `lstm_cell`, from zero states;
-    with `reverse` the steps run from t = T−1 down to 0, so entry 0 has seen
-    the whole sequence. The input projection is one product over all steps
-    and the recurrence runs in numpy. The backward is hand-written BPTT over
-    the kept gates and cell states; it forms dW_x, dW_h, db and dX with one
-    product or sum each over the stacked gate gradients.
+    side by side; the result is (T × 2h) or (T × B × 2h), entry t holding
+    [forward state after step t; backward state after step t]. Each step is
+    that of `lstm_cell`, from zero states: the forward direction `fwd` runs
+    from t = 0 up to T−1 and the backward direction `bwd` from t = T−1 down
+    to 0, so its entry 0 has seen the whole sequence.
+
+    Both directions step in one loop: loop step k runs forward t = k and
+    backward t = T−1−k, whose gates lie side by side in one (2 × B × 4h)
+    block, with one stacked product for both recurrences. The input
+    projection is one product per direction over all steps. The backward is
+    hand-written BPTT over the kept gates and cell states, fused the same
+    way; each direction's dW_x, dW_h, db and dX are one product or sum over
+    its gate gradients in time order, the forward direction's first. So
+    every value, gradients included, is bit for bit what one run per
+    direction gives: each slice of a stacked product is the BLAS call that
+    its direction alone would make.
     """
-    h = w.hidden
+    h = fwd.hidden
     if x.data.ndim not in (2, 3) or x.shape[0] < 1:
-        raise ValueError(f"lstm_sequence: (T, d) or (T, B, d) input expected, got {x.shape}")
+        raise ValueError(f"bilstm: (T, d) or (T, B, d) input expected, got {x.shape}")
     d_in = x.shape[-1]
-    if w.w_x.shape != (4 * h, d_in) or w.w_h.shape != (4 * h, h) or w.b.shape != (4 * h,):
-        raise ValueError(
-            f"lstm_sequence: weight dims {w.w_x.shape}/{w.w_h.shape}/{w.b.shape} "
-            f"inconsistent with input {x.shape} and hidden {h}")
+    for w in (fwd, bwd):
+        if w.w_x.shape != (4 * h, d_in) or w.w_h.shape != (4 * h, h) or w.b.shape != (4 * h,):
+            raise ValueError(
+                f"bilstm: weight dims {w.w_x.shape}/{w.w_h.shape}/{w.b.shape} "
+                f"inconsistent with input {x.shape} and hidden {h}")
     xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
     steps, batch = xs.shape[:2]
-    w_h = w.w_h.data
+    proj = [(xs.reshape(-1, d_in) @ w.w_x.data.T + w.b.data).reshape(steps, batch, 4 * h)
+            for w in (fwd, bwd)]
+    dtype = proj[0].dtype
+    # in loop order, side 0 the forward and side 1 the backward direction:
     # pre-activations, overwritten step by step with the gate values i, f, g, o
-    gates = (xs.reshape(-1, d_in) @ w.w_x.data.T + w.b.data).reshape(steps, batch, 4 * h)
-    cells = np.empty((steps, batch, h), dtype=gates.dtype)
+    gates = np.empty((steps, 2, batch, 4 * h), dtype=dtype)
+    gates[:, 0] = proj[0]
+    gates[:, 1] = proj[1][::-1]
+    i, f, gg, o = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    # each slice has the strides of w_h.T, so it gets the BLAS call of one direction
+    w_h_t = np.stack([fwd.w_h.data, bwd.w_h.data]).transpose(0, 2, 1)
+    cells = np.empty((steps, 2, batch, h), dtype=dtype)
     tanh_c = np.empty_like(cells)
     hs = np.empty_like(cells)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    h_prev = np.zeros((batch, h), dtype=gates.dtype)
-    c_prev = np.zeros_like(h_prev)
-    for t in order:
-        z = gates[t]
-        z += h_prev @ w_h.T
-        candidate = np.tanh(z[:, 2 * h:3 * h])
-        z[:] = _sigmoid(z)
-        z[:, 2 * h:3 * h] = candidate
-        c_prev = cells[t] = z[:, h:2 * h] * c_prev + z[:, :h] * z[:, 2 * h:3 * h]
-        tanh_c[t] = np.tanh(c_prev)
-        h_prev = hs[t] = z[:, 3 * h:] * tanh_c[t]
+    h_prev = c_prev = np.zeros((2, batch, h), dtype=dtype)
+    recurrent = np.empty((2, batch, 4 * h), dtype=dtype)
+    candidate = np.empty_like(h_prev)
+    new_cell = np.empty_like(h_prev)
+    for k in range(steps):
+        z = gates[k]
+        np.matmul(h_prev, w_h_t, out=recurrent)
+        z += recurrent
+        np.tanh(gg[k], out=candidate)
+        _sigmoid(z, out=z)
+        gg[k] = candidate
+        np.multiply(f[k], c_prev, out=cells[k])
+        np.multiply(i[k], candidate, out=new_cell)
+        cells[k] += new_cell
+        np.tanh(cells[k], out=tanh_c[k])
+        np.multiply(o[k], tanh_c[k], out=hs[k])
+        h_prev, c_prev = hs[k], cells[k]
+    out = np.empty((steps, batch, 2 * h), dtype=dtype)
+    out[..., :h] = hs[:, 0]
+    out[..., h:] = hs[::-1, 1]
 
-    def before(a: np.ndarray) -> np.ndarray:
-        """Each step's incoming state: `a` shifted one step against the order."""
-        out = np.zeros_like(a)
-        if reverse:
-            out[:-1] = a[1:]
-        else:
-            out[1:] = a[:-1]
-        return out
+    def incoming(a: np.ndarray) -> np.ndarray:
+        """Each loop step's incoming state: `a` shifted one step on."""
+        shifted = np.zeros_like(a)
+        shifted[1:] = a[:-1]
+        return shifted
 
     def back(g):
-        g = g.reshape(steps, batch, h)
-        c_in = before(cells)
+        g = g.reshape(steps, batch, 2 * h)
+        g_loop = np.empty_like(hs)
+        g_loop[:, 0] = g[..., :h]
+        g_loop[:, 1] = g[::-1, :, h:]
+        c_in = incoming(cells)
+        # the factors that do not depend on the carried gradients, for all steps at once
+        di, df, dgg, do = 1.0 - i, 1.0 - f, 1.0 - gg * gg, 1.0 - o
+        dtanh = 1.0 - tanh_c * tanh_c
         dz = np.empty_like(gates)
-        dh = np.zeros((batch, h), dtype=gates.dtype)
+        dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
+        w_h = np.stack([fwd.w_h.data, bwd.w_h.data])
+        dh = np.zeros((2, batch, h), dtype=dtype)
         dc = np.zeros_like(dh)
-        for t in reversed(order):
-            i, f, gg, o = (gates[t, :, k * h:(k + 1) * h] for k in range(4))
-            dh = dh + g[t]
-            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[t, :, :h] = dc * gg * i * (1.0 - i)
-            dz[t, :, h:2 * h] = dc * c_in[t] * f * (1.0 - f)
-            dz[t, :, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
-            dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
-            dc = dc * f
-            dh = dz[t] @ w_h
-        flat = dz.reshape(-1, 4 * h)
-        _accumulate(w.w_x, flat.T @ xs.reshape(-1, d_in))
-        _accumulate(w.w_h, flat.T @ before(hs).reshape(-1, h))
-        _accumulate(w.b, flat.sum(axis=0))
-        if x.requires_grad:
-            _accumulate(x, (flat @ w.w_x.data).reshape(x.shape))
+        term = np.empty_like(dh)
+        for k in range(steps - 1, -1, -1):
+            dh += g_loop[k]
+            np.multiply(dh, o[k], out=term)
+            term *= dtanh[k]
+            dc += term
+            np.multiply(dc, gg[k], out=dz_i[k])
+            dz_i[k] *= i[k]
+            dz_i[k] *= di[k]
+            np.multiply(dc, c_in[k], out=dz_f[k])
+            dz_f[k] *= f[k]
+            dz_f[k] *= df[k]
+            np.multiply(dc, i[k], out=dz_g[k])
+            dz_g[k] *= dgg[k]
+            np.multiply(dh, tanh_c[k], out=dz_o[k])
+            dz_o[k] *= o[k]
+            dz_o[k] *= do[k]
+            dc *= f[k]
+            np.matmul(dz[k], w_h, out=dh)
+        h_in = incoming(hs)
+        for side, w in enumerate((fwd, bwd)):
+            time = slice(None, None, 1 - 2 * side)  # the backward side's loop order reversed
+            flat = np.ascontiguousarray(dz[time, side]).reshape(-1, 4 * h)
+            _accumulate(w.w_x, flat.T @ xs.reshape(-1, d_in))
+            _accumulate(w.w_h, flat.T @ np.ascontiguousarray(h_in[time, side]).reshape(-1, h))
+            _accumulate(w.b, flat.sum(axis=0))
+            if x.requires_grad:
+                _accumulate(x, (flat @ w.w_x.data).reshape(x.shape))
 
-    return _node(hs.reshape(x.shape[:-1] + (h,)), (x, w.w_x, w.w_h, w.b), "lstm_sequence",
-                 back)
+    return _node(out.reshape(x.shape[:-1] + (2 * h,)),
+                 (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b), "bilstm", back)
 
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -44,7 +44,7 @@ class CandidateEntry(NamedTuple):
     prior: float
 
 
-@dataclass
+@dataclass(slots=True)
 class MentionSpan:
     """A token interval [start, end] with its candidate entities."""
 
@@ -234,16 +234,25 @@ def enumerate_spans(doc: Document, index: AliasIndex) -> list[MentionSpan]:
     """All token intervals of length <= max_span_length with candidates.
 
     Overlapping spans are retained; the output is sorted by (start, end).
+    A span's key is its normalized surface, the same as `AliasIndex.lookup`
+    makes of its joined tokens: each token is normalized once, and the key
+    of [start, end] grows from that of [start, end − 1] by the next token
+    (a token of only whitespace adds nothing), so each interval is one
+    dict probe. The raw surface is built for a found span only.
     """
     spans: list[MentionSpan] = []
     n = len(doc.tokens)
+    parts = [normalize_surface(token) for token in doc.tokens]
+    entries = index.entries
     for start in range(n):
+        key = ""
         for end in range(start, min(start + index.max_span_length, n)):
-            surface = doc.surface(start, end)
-            cands = index.lookup(surface)
+            if parts[end]:
+                key = f"{key} {parts[end]}" if key else parts[end]
+            cands = entries.get(key)
             if cands:
                 spans.append(MentionSpan(doc_id=doc.doc_id, start=start, end=end,
-                                         surface=surface, candidates=cands))
+                                         surface=doc.surface(start, end), candidates=cands))
     return spans
 
 

@@ -7,9 +7,10 @@ A mention combines its boundary context vectors with an attention-weighted
 "soft head" over the word-character vectors and projects the concatenation
 down to entity-embedding size with a single affine layer.
 
-The char bi-LSTM runs once per document over its distinct tokens, grouped
-by length: each length is one batched `lstm_sequence` call per direction,
-so no sequence is padded or masked. The word-character vectors V
+Each bi-LSTM is one `bilstm` node, which steps both directions in one
+loop. The char bi-LSTM runs once per document over its distinct tokens,
+grouped by length: each length is one batched `bilstm` call, so no
+sequence is padded or masked. The word-character vectors V
 (n × v_dim) and context vectors X (n × x_dim) are each one matrix node,
 which is all `EncodedDocument` holds. A document's mentions are one
 (spans × d) node, their soft heads batched by span length the same way.
@@ -123,9 +124,10 @@ def char_embed(words: list[str], table: CharTable, params: EncoderParams) -> ad.
     def summaries(length: int, members: list[int]) -> ad.Tensor:
         codes = np.array([[table.index(ch) for ch in words[i]] for i in members])
         zs = ad.take_rows(table.rows, codes.T)  # (length × batch × char_dim)
-        fwd = ad.lstm_sequence(zs, params.char_fwd)
-        bwd = ad.lstm_sequence(zs, params.char_bwd, reverse=True)
-        return ad.concat([ad.row(fwd, length - 1), ad.row(bwd, 0)])
+        states = ad.bilstm(zs, params.char_fwd, params.char_bwd)
+        h = params.char_fwd.hidden
+        return ad.concat([ad.part(states, np.s_[length - 1, :, :h]),
+                          ad.part(states, np.s_[0, :, h:])])
 
     return rows_by_group([len(word) for word in words], summaries)
 
@@ -147,9 +149,8 @@ def encode_document(doc: Document, words: WordVectors, chars: CharTable,
     char_rows = ad.take_rows(char_embed(list(unique), chars, params),
                              [unique[token] for token in doc.tokens])
     v = ad.dropout(ad.concat([word_rows, char_rows]), dims.dropout_keep, training, rng)
-    fwd = ad.lstm_sequence(v, params.ctx_fwd)
-    bwd = ad.lstm_sequence(v, params.ctx_bwd, reverse=True)
-    x = ad.dropout(ad.concat([fwd, bwd]), dims.dropout_keep, training, rng)
+    x = ad.dropout(ad.bilstm(v, params.ctx_fwd, params.ctx_bwd), dims.dropout_keep, training,
+                   rng)
     return EncodedDocument(doc_id=doc.doc_id, v=v, x=x)
 
 

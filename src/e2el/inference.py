@@ -25,7 +25,7 @@ from .corpus import text_lines
 from .scoring import ScoredPair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     doc_id: str
     start: int

@@ -64,7 +64,7 @@ def init_scorer_params(entity_dim: int, rng: np.random.Generator,
     return params
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredPair:
     """One (mention, candidate) record flowing to the loss and the decoder."""
 

@@ -65,6 +65,98 @@ def build_model(words, entities, dims=None, corpus_tokens=None, seed=0, **kw):
 
 
 # ---------------------------------------------------------------------------
+# one node per LSTM direction: the oracle for `autodiff.bilstm`
+
+
+def reference_sigmoid(d):
+    """The logistic function as two branches, the oracle for `autodiff._sigmoid`."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def lstm_sequence(x, w, reverse=False):
+    """Hidden states of one LSTM direction over a whole sequence, as one node.
+
+    `x` is (T × d_in), or (T × B × d_in) for B equal-length sequences run
+    side by side; the result is (T × h) or (T × B × h), entry t holding the
+    state after step t. Each step is that of `lstm_cell`, from zero states;
+    with `reverse` the steps run from t = T−1 down to 0, so entry 0 has seen
+    the whole sequence. The input projection is one product over all steps
+    and the recurrence runs in numpy. The backward is hand-written BPTT over
+    the kept gates and cell states; it forms dW_x, dW_h, db and dX with one
+    product or sum each over the stacked gate gradients.
+    """
+    h = w.hidden
+    if x.data.ndim not in (2, 3) or x.shape[0] < 1:
+        raise ValueError(f"lstm_sequence: (T, d) or (T, B, d) input expected, got {x.shape}")
+    d_in = x.shape[-1]
+    if w.w_x.shape != (4 * h, d_in) or w.w_h.shape != (4 * h, h) or w.b.shape != (4 * h,):
+        raise ValueError(
+            f"lstm_sequence: weight dims {w.w_x.shape}/{w.w_h.shape}/{w.b.shape} "
+            f"inconsistent with input {x.shape} and hidden {h}")
+    xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
+    steps, batch = xs.shape[:2]
+    w_h = w.w_h.data
+    # pre-activations, overwritten step by step with the gate values i, f, g, o
+    gates = (xs.reshape(-1, d_in) @ w.w_x.data.T + w.b.data).reshape(steps, batch, 4 * h)
+    cells = np.empty((steps, batch, h), dtype=gates.dtype)
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h_prev = np.zeros((batch, h), dtype=gates.dtype)
+    c_prev = np.zeros_like(h_prev)
+    for t in order:
+        z = gates[t]
+        z += h_prev @ w_h.T
+        candidate = np.tanh(z[:, 2 * h:3 * h])
+        z[:] = reference_sigmoid(z)
+        z[:, 2 * h:3 * h] = candidate
+        c_prev = cells[t] = z[:, h:2 * h] * c_prev + z[:, :h] * z[:, 2 * h:3 * h]
+        tanh_c[t] = np.tanh(c_prev)
+        h_prev = hs[t] = z[:, 3 * h:] * tanh_c[t]
+
+    def before(a):
+        """Each step's incoming state: `a` shifted one step against the order."""
+        out = np.zeros_like(a)
+        if reverse:
+            out[:-1] = a[1:]
+        else:
+            out[1:] = a[:-1]
+        return out
+
+    def back(g):
+        g = g.reshape(steps, batch, h)
+        c_in = before(cells)
+        dz = np.empty_like(gates)
+        dh = np.zeros((batch, h), dtype=gates.dtype)
+        dc = np.zeros_like(dh)
+        for t in reversed(order):
+            i, f, gg, o = (gates[t, :, k * h:(k + 1) * h] for k in range(4))
+            dh = dh + g[t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            dz[t, :, :h] = dc * gg * i * (1.0 - i)
+            dz[t, :, h:2 * h] = dc * c_in[t] * f * (1.0 - f)
+            dz[t, :, 2 * h:3 * h] = dc * i * (1.0 - gg * gg)
+            dz[t, :, 3 * h:] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            dh = dz[t] @ w_h
+        flat = dz.reshape(-1, 4 * h)
+        ad._accumulate(w.w_x, flat.T @ xs.reshape(-1, d_in))
+        ad._accumulate(w.w_h, flat.T @ before(hs).reshape(-1, h))
+        ad._accumulate(w.b, flat.sum(axis=0))
+        if x.requires_grad:
+            ad._accumulate(x, (flat @ w.w_x.data).reshape(x.shape))
+
+    return ad._node(hs.reshape(x.shape[:-1] + (h,)), (x, w.w_x, w.w_h, w.b), "lstm_sequence",
+                    back)
+
+
+def two_call_bilstm(x, fwd, bwd):
+    """`autodiff.bilstm` as one `lstm_sequence` node per direction, joined."""
+    return ad.concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)])
+
+
+# ---------------------------------------------------------------------------
 # per-step encoder: the oracle for the fused one in `e2el.encoder`
 
 
@@ -349,6 +441,25 @@ def reference_load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarra
     if bad.size:
         raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return vocab, matrix
+
+
+# ---------------------------------------------------------------------------
+# one lookup per interval: the oracle for `candidates.enumerate_spans`
+
+
+def reference_enumerate_spans(doc, index):
+    """Every interval of at most `index.max_span_length` tokens whose joined
+    surface `index.lookup` finds candidates for, sorted by (start, end)."""
+    spans = []
+    n = len(doc.tokens)
+    for start in range(n):
+        for end in range(start, min(start + index.max_span_length, n)):
+            surface = doc.surface(start, end)
+            cands = index.lookup(surface)
+            if cands:
+                spans.append(MentionSpan(doc_id=doc.doc_id, start=start, end=end,
+                                         surface=surface, candidates=cands))
+    return spans
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 
+import helpers
 from e2el import autodiff as ad
 
 
@@ -85,6 +86,9 @@ class TestLstmCell:
 
 
 class TestLstmSequence:
+    """`helpers.lstm_sequence`, the one-direction oracle for `ad.bilstm`,
+    against chained `lstm_cell`s."""
+
     def per_step(self, xs, w, reverse):
         """Hidden states from chained `lstm_cell`s, in input order."""
         h = ad.constant(np.zeros(w.hidden))
@@ -102,8 +106,8 @@ class TestLstmSequence:
             w = ad.init_lstm(3, 4, rng)
             w.b.data = rng.normal(size=w.b.shape)
             xs = rng.normal(size=(6, 2, 3))
-            out = ad.lstm_sequence(ad.constant(xs), w, reverse=reverse)
-            single = ad.lstm_sequence(ad.constant(xs[:, 1]), w, reverse=reverse)
+            out = helpers.lstm_sequence(ad.constant(xs), w, reverse=reverse)
+            single = helpers.lstm_sequence(ad.constant(xs[:, 1]), w, reverse=reverse)
             assert out.shape == (6, 2, 4) and single.shape == (6, 4)
             for b in range(2):
                 assert np.abs(out.data[:, b] - self.per_step(xs[:, b], w, reverse)).max() <= 1e-12
@@ -115,19 +119,19 @@ class TestLstmSequence:
         xs = rng.normal(size=(4, 2))
         edited = xs.copy()
         edited[-1] += 1.0
-        a = ad.lstm_sequence(ad.constant(xs), w, reverse=True).data
-        b = ad.lstm_sequence(ad.constant(edited), w, reverse=True).data
+        a = helpers.lstm_sequence(ad.constant(xs), w, reverse=True).data
+        b = helpers.lstm_sequence(ad.constant(edited), w, reverse=True).data
         assert not np.allclose(a[0], b[0])
-        fa = ad.lstm_sequence(ad.constant(xs), w).data
-        fb = ad.lstm_sequence(ad.constant(edited), w).data
+        fa = helpers.lstm_sequence(ad.constant(xs), w).data
+        fb = helpers.lstm_sequence(ad.constant(edited), w).data
         assert np.array_equal(fa[:-1], fb[:-1])
 
     def test_dim_mismatch(self):
         w = ad.init_lstm(3, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="inconsistent"):
-            ad.lstm_sequence(ad.constant(np.ones((5, 4))), w)
+            helpers.lstm_sequence(ad.constant(np.ones((5, 4))), w)
         with pytest.raises(ValueError, match="input expected"):
-            ad.lstm_sequence(ad.constant(np.ones(3)), w)
+            helpers.lstm_sequence(ad.constant(np.ones(3)), w)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("shape", [(5, 3), (5, 1, 3), (4, 3, 3)])
@@ -140,12 +144,134 @@ class TestLstmSequence:
             probe = ad.constant(rng.normal(size=shape[:-1] + (2,)))
 
             def loss():
-                out = ad.lstm_sequence(x, w, reverse=reverse)
+                out = helpers.lstm_sequence(x, w, reverse=reverse)
                 return _total(ad.mul(out, probe))
 
             for p in (x, w.w_x, w.w_h, w.b):
                 err = ad.grad_check(loss, p)
                 assert err <= 1e-6, f"{p.op} {shape} reverse={reverse}: {err}"
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_two_branch_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        d = np.concatenate([rng.normal(scale=s, size=500) for s in (0.1, 1.0, 10.0, 100.0)]
+                           + [[0.0, -0.0, 80.0, -80.0, 1e30, -1e30]]).astype(dtype)
+        got = ad._sigmoid(d)
+        want = helpers.reference_sigmoid(d)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_writes_in_place(self):
+        d = np.array([[-3.0, 0.0], [2.0, -0.5]], dtype=np.float32)
+        want = helpers.reference_sigmoid(d)
+        assert ad._sigmoid(d, out=d) is d
+        assert np.array_equal(d, want)
+
+
+class TestBilstm:
+    """`ad.bilstm` against the two-call oracle `helpers.two_call_bilstm`,
+    which joins one `helpers.lstm_sequence` node per direction."""
+
+    @staticmethod
+    def run(bilstm, x, fwd, bwd, probe):
+        """The output, and the gradients of x and of every weight, of the
+        probed sum of `bilstm`'s output plus a sum of tanh(x), so that x's
+        gradient adds up three terms, whose order decides its last bits."""
+        tensors = (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b)
+        for t in tensors:
+            t.grad = None
+        out = bilstm(x, fwd, bwd)
+        ad.backward(ad.addn([_total(ad.tanh(x)), _total(ad.mul(out, probe))]))
+        return out.data, [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    @pytest.mark.parametrize("shape", [(5, 3), (6, 2, 3), (1, 3), (1, 4, 3), (4, 1, 3)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_matches_two_call_oracle(self, precision, shape, trainable):
+        rng = np.random.default_rng(6)
+        with ad.precision(precision):
+            fwd, bwd = ad.init_lstm(3, 4, rng), ad.init_lstm(3, 4, rng)
+            for w in (fwd, bwd):
+                w.b.data = rng.normal(size=w.b.shape).astype(w.b.data.dtype)
+            x = (ad.parameter if trainable else ad.constant)(rng.normal(size=shape))
+            probe = ad.constant(rng.normal(size=shape[:-1] + (8,)))
+            out, grads = self.run(ad.bilstm, x, fwd, bwd, probe)
+            want, want_grads = self.run(helpers.two_call_bilstm, x, fwd, bwd, probe)
+        assert out.shape == shape[:-1] + (8,) and out.dtype == want.dtype
+        assert np.array_equal(out, want)
+        assert (grads[0] is None) == (not trainable)
+        for got, expected in zip(grads, want_grads):
+            assert (got is None and expected is None) or np.array_equal(got, expected)
+
+    def test_shared_weights_match_two_call_oracle(self):
+        rng = np.random.default_rng(7)
+        w = ad.init_lstm(3, 2, rng)
+        x = ad.parameter(rng.normal(size=(4, 2, 3)))
+        probe = ad.constant(rng.normal(size=(4, 2, 4)))
+        out, grads = self.run(ad.bilstm, x, w, w, probe)
+        want, want_grads = self.run(helpers.two_call_bilstm, x, w, w, probe)
+        assert np.array_equal(out, want)
+        for got, expected in zip(grads, want_grads):
+            assert np.array_equal(got, expected)
+
+    def test_dim_mismatch(self):
+        rng = np.random.default_rng(0)
+        fwd, bwd = ad.init_lstm(3, 2, rng), ad.init_lstm(4, 2, rng)
+        with pytest.raises(ValueError, match="bilstm: weight dims .* inconsistent"):
+            ad.bilstm(ad.constant(np.ones((5, 3))), fwd, bwd)
+        with pytest.raises(ValueError, match="bilstm: .* input expected"):
+            ad.bilstm(ad.constant(np.ones(3)), fwd, fwd)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 3, 3)])
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(8)
+        with ad.precision("float64"):
+            fwd, bwd = ad.init_lstm(3, 2, rng), ad.init_lstm(3, 2, rng)
+            for w in (fwd, bwd):
+                w.b.data = rng.normal(size=w.b.shape)
+            x = ad.parameter(rng.normal(size=shape))
+            probe = ad.constant(rng.normal(size=shape[:-1] + (4,)))
+
+            def loss():
+                return _total(ad.mul(ad.bilstm(x, fwd, bwd), probe))
+
+            for p in (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b):
+                err = ad.grad_check(loss, p)
+                assert err <= 1e-6, f"{p.op} {shape}: {err}"
+
+
+class TestPart:
+    def test_picks_and_scatters_back(self):
+        m = ad.parameter(np.arange(24.0).reshape(2, 3, 4))
+        p = ad.part(m, np.s_[1, :, 2:])
+        assert np.array_equal(p.data, m.data[1, :, 2:])
+        p.data[0, 0] = -1.0  # a copy, not a view
+        assert m.data[1, 0, 2] == 14.0
+        ad.backward(_total(p))
+        want = np.zeros((2, 3, 4))
+        want[1, :, 2:] = 1.0
+        assert np.array_equal(m.grad, want)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        with ad.precision("float64"):
+            m = ad.parameter(rng.normal(size=(3, 2, 4)))
+            probe = ad.constant(rng.normal(size=(2, 4)))
+
+            def loss():
+                both = ad.concat([ad.part(m, np.s_[2, :, :2]), ad.part(m, np.s_[0, :, 2:])])
+                return _total(ad.mul(ad.tanh(both), probe))
+
+            assert ad.grad_check(loss, m) <= 1e-6
+
+    def test_bad_keys_rejected(self):
+        m = ad.constant(np.zeros((2, 3)))
+        for key in (np.s_[2, :], np.s_[0, 0, 0], (np.array([0]),), np.s_[:, 3]):
+            with pytest.raises(ValueError, match="part"):
+                ad.part(m, key)
 
 
 def _total(t):
@@ -595,7 +721,7 @@ class TestGraphMechanics:
         try:
             gc.collect()
             x = ad.take_rows(table, [[0, 1], [4, 1], [2, 2]])
-            h = ad.concat([ad.lstm_sequence(x, w), ad.lstm_sequence(x, w, reverse=True)])
+            h = ad.bilstm(x, w, w)
             rows = [ad.row(ad.row(h, t), b) for t in range(3) for b in range(2)]
             loss = ad.sum1d(ad.tanh(ad.addn(rows)))
             ad.backward(loss)

@@ -127,6 +127,35 @@ class TestEnumerateSpans:
         spans = cand.enumerate_spans(doc, index)
         assert all(s.length <= 2 for s in spans)
 
+    def test_matches_lookup_oracle_on_random_documents(self):
+        # tokens with leading, trailing and inner whitespace or only
+        # whitespace, keys of the empty surface and empty candidate lists
+        pieces = ["a", "b", "cd", " a", "b ", "a  b", "\tcd", "a\nb", " ", "\t", "  "]
+        rng = np.random.default_rng(11)
+        reached = {"ends at max length": 0, "ends at doc end": 0, "blank inside": 0}
+        for k in range(500):
+            n = int(rng.integers(1, 13))
+            doc = Document(f"d{k}", [pieces[i] for i in rng.integers(0, len(pieces), size=n)])
+            l_max = int(rng.integers(1, 5))
+            entries = {}
+            for _ in range(int(rng.integers(0, 15))):
+                q = int(rng.integers(0, n))
+                r = min(n - 1, q + int(rng.integers(0, l_max)))
+                surface = cand.normalize_surface(doc.surface(q, r))
+                entries[surface] = [] if rng.random() < 0.2 else \
+                    [cand.CandidateEntry(f"E{q}_{r}", 1.0)]
+            index = cand.AliasIndex(entries, s=30, max_span_length=l_max)
+            got = cand.enumerate_spans(doc, index)
+            want = helpers.reference_enumerate_spans(doc, index)
+            assert got == want
+            assert all(g.candidates is w.candidates for g, w in zip(got, want))
+            for span in got:
+                reached["ends at max length"] += span.length == l_max
+                reached["ends at doc end"] += span.end == n - 1
+                reached["blank inside"] += any(not t.strip() for t in doc.tokens[span.start:
+                                                                                  span.end + 1])
+        assert all(count > 0 for count in reached.values()), reached
+
 
 class TestCoreferenceHeuristic:
     def span(self, doc, start, end, cands):

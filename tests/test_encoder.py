@@ -79,6 +79,20 @@ class TestCharEmbed:
             assert np.abs(out.data[k] - helpers.per_step_char_embed(word, chars, params).data
                           ).max() <= 1e-6
 
+    def test_final_states_gradients_match_finite_differences(self):
+        # each word's row is its last forward and first backward state, picked
+        # from one bilstm node per length
+        with ad.precision("float64"):
+            words, chars, params = make_model(seed=6)
+            probe = ad.constant(np.random.default_rng(6).normal(size=(4, 2 * TOY.char_hidden)))
+
+            def loss():
+                out = enc.char_embed(["ab", "c", "bca", "ba"], chars, params)
+                return ad.sum1d(ad.dot(out, probe))
+
+            for p in (chars.rows, params.char_fwd.w_h, params.char_bwd.w_x, params.char_bwd.b):
+                assert ad.grad_check(loss, p) <= 1e-6
+
 
 def random_case(seed):
     """A seeded encoder and document: 1-40 tokens of 1-15 characters, with
