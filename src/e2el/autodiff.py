@@ -16,7 +16,7 @@ raises ``FloatingPointError`` on the first non-finite entry. A fused op
 inside it (gates, cell states, per-step gradients) are not nodes and are
 not checked one by one, but its output and every gradient it passes to a
 parent are, so a non-finite value inside still raises there. Values
-computed off the graph are checked where they are made, such as the
+computed off the graph are checked where they are read, such as the
 attention word scores of ``scoring.long_range_feature``.
 """
 
@@ -130,7 +130,29 @@ def constant(value) -> Tensor:
 
 
 def parameter(value) -> Tensor:
-    return Tensor(np.asarray(value, dtype=_DTYPE), requires_grad=True, op="param")
+    """A trainable leaf holding its own copy of `value`: `adam_step` updates
+    it in place."""
+    return Tensor(np.array(value, dtype=_DTYPE), requires_grad=True, op="param")
+
+
+def _scatter_add(dst: np.ndarray, at: np.ndarray, g: np.ndarray) -> None:
+    """``np.add.at(dst, at, g)`` bit for bit, as one fancy-indexed ``+=`` per
+    occurrence rank: pass k adds the k-th occurrence of every index, so the
+    indices within a pass are distinct, and each entry of `dst` receives
+    its gradients in index order, as `np.add.at` adds them."""
+    flat = at.reshape(-1)
+    rows = g.reshape(flat.shape + dst.shape[1:])
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    head = np.ones(flat.size, dtype=bool)  # where a run of one index starts
+    head[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(head)
+    rank = np.arange(flat.size) - np.repeat(starts, np.diff(np.append(starts, flat.size)))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    ends = np.cumsum(np.bincount(rank))
+    for lo, hi in zip(np.concatenate(([0], ends[:-1])), ends):
+        sel = by_rank[lo:hi]
+        dst[flat[sel]] += rows[sel]
 
 
 def _accumulate(t: Tensor, g: np.ndarray, at=None) -> None:
@@ -144,7 +166,7 @@ def _accumulate(t: Tensor, g: np.ndarray, at=None) -> None:
     if at is None:
         t.grad += g
     elif isinstance(at, np.ndarray):
-        np.add.at(t.grad, at, g)
+        _scatter_add(t.grad, at, g)
     else:
         t.grad[at] += g
 
@@ -769,7 +791,8 @@ class ParamStore:
 
 @dataclass
 class AdamState:
-    """Adam moments per parameter plus the shared step counter."""
+    """Adam moments per parameter plus the shared step counter, and two work
+    buffers that `adam_step` reuses; they grow to the largest parameter."""
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -778,11 +801,31 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    work: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(0, np.uint8), np.empty(0, np.uint8)), repr=False)
+
+    def scratch(self, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The two work buffers as arrays of `shape` and `dtype`; growing
+        them drops what they held."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        if self.work[0].nbytes < nbytes:
+            self.work = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+        return tuple(buf[:nbytes].view(dtype).reshape(shape) for buf in self.work)
 
 
 def adam_step(state: AdamState, params: Mapping[str, Tensor],
               grads: Mapping[str, np.ndarray]) -> Mapping[str, Tensor]:
-    """Bias-corrected Adam update, in place; increments the step counter."""
+    """Bias-corrected Adam update of each parameter's data in place;
+    increments the step counter.
+
+    The intermediate values go into the state's work buffers through
+    ``out=``, so a step allocates nothing of a parameter's size. The
+    operations, their order and their dtypes are those of the expression
+    ``p - lr * (m / b1t) / (sqrt(v / b2t) + eps)``: the gradient terms of
+    the moments are formed in the gradient's dtype, the rest in the
+    moments' dtype.
+    """
     state.step += 1
     b1t = 1.0 - state.beta1 ** state.step
     b2t = 1.0 - state.beta2 ** state.step
@@ -797,13 +840,22 @@ def adam_step(state: AdamState, params: Mapping[str, Tensor],
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        term, _ = state.scratch(g.shape, np.result_type(g, 1.0))
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=term)
+        m += term
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / b1t
-        v_hat = v / b2t
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1.0 - state.beta2, out=term)
+        term *= g
+        v += term
+        step, den = state.scratch(m.shape, m.dtype)
+        np.divide(v, b2t, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.divide(m, b1t, out=step)
+        step *= state.lr
+        step /= den
+        p.data -= step
     return params
 
 

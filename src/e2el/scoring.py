@@ -10,6 +10,10 @@ similarity against the vote of the *other* mentions, combined with the
 local score through a second affine layer. The vote is the document's sum
 of confident candidates' entity vectors minus those of the pair's own
 span: exactly zero, so g = 0, when the span holds every vote.
+
+A known deviation from the paper: its local combiner f and its global
+combiner are shallow feed-forward networks. Here both are affine maps:
+`psi_w` has 2 or 3 weights and `phi_w` 2.
 """
 
 from __future__ import annotations
@@ -105,15 +109,6 @@ def local_score(x_m: ad.Tensor, spans: list[MentionSpan], y: ad.Tensor,
     return ad.add(ad.matvec(ad.stack(feats), params.psi_w), params.psi_b)
 
 
-def context_window(span: MentionSpan, n_tokens: int, window: int) -> list[int]:
-    """Token positions up to window/2 on each side of the span, clipped at the
-    document edges; the span's own tokens are excluded."""
-    half = window // 2
-    lo = max(0, span.start - half)
-    hi = min(n_tokens - 1, span.end + half)
-    return [k for k in range(lo, hi + 1) if k < span.start or k > span.end]
-
-
 def long_range_feature(spans: list[MentionSpan], enc: EncodedDocument, y: ad.Tensor,
                        window: int, keep: int, params: ScorerParams) -> ad.Tensor:
     """The context-attention feature of each pair, one per row of `y`.
@@ -124,42 +119,74 @@ def long_range_feature(spans: list[MentionSpan], enc: EncodedDocument, y: ad.Ten
     summed into a context embedding c (0 with no context word); each
     candidate's feature is <y_e, B . c>.
 
-    The ranking runs off the graph, per span as one (window × d)·(d ×
-    candidates) product, checked for non-finite scores, so an overflow
-    raises even in a word that is then dropped. Only the kept words enter
-    the graph, as one batch per kept count: the dropped words would add
-    nodes but, cut off by the hard selection, no gradient.
+    The ranking runs off the graph, for every span of the document at
+    once. One (tokens × d)·(d × distinct rows of `y`) einsum scores every
+    word against every distinct candidate vector. Rows are told apart by
+    their bytes, not by entity id: a caller may pass any `y`, and since
+    coreferent and repeated surfaces share candidate lists, a document has
+    far fewer distinct rows than pairs. Each span gathers the scores of its
+    own candidates, padded with −inf into one (spans × candidates × tokens)
+    block, whose maximum is the word score and whose first argmax is each
+    word's best pair. Words outside a span's window, or inside the span,
+    rank last, and one stable argsort per document ranks every span's
+    words. As in a per-span ranking, the scores of a span's window words
+    against its own candidates are checked for non-finite values, so an
+    overflow there raises even in a word that is then dropped; a score
+    outside every window is never read. Only the kept words enter the
+    graph, as one batch per kept count: the dropped words would add nodes
+    but, cut off by the hard selection, no gradient.
     """
     if not 1 <= keep <= window:
         raise ValueError(f"need window >= keep >= 1, got window={window} keep={keep}")
     if params.att_a is None or params.att_b is None:
         raise ValueError("attention parameters not initialized")
-    bounds = np.cumsum([0] + [len(span.candidates) for span in spans])
-    kept, best = [], []  # per span: the kept positions, and each one's best pair
-    for i, span in enumerate(spans):
-        positions = context_window(span, len(enc), window)
-        scores = np.zeros((0, 1))  # no context word: nothing is kept
-        if positions:
-            # einsum, not BLAS: a BLAS product may round two equal rows
-            # differently, and equal words must tie exactly for the tie rule
-            scores = np.einsum("wd,cd->wc", enc.x.data[positions] * params.att_a.data,
-                               y.data[bounds[i]:bounds[i + 1]])
-            if not np.all(np.isfinite(scores)):
-                raise FloatingPointError("non-finite values in attention word scores")
-        top = np.sort(np.argsort(-scores.max(axis=1), kind="stable")[:keep])
-        kept.append(np.asarray(positions, dtype=np.intp)[top])
-        best.append(bounds[i] + scores[top].argmax(axis=1))
+    if not spans or not all(span.candidates for span in spans):
+        raise ValueError("long_range_feature needs spans, each with candidates")
+    span_of = _pair_spans(spans)
+    lengths = np.array([len(span.candidates) for span in spans])
+    distinct: dict[bytes, int] = {}
+    column = np.array([distinct.setdefault(row.tobytes(), len(distinct)) for row in y.data],
+                      dtype=np.intp)
+    sample = np.empty(len(distinct), dtype=np.intp)
+    sample[column] = np.arange(len(column))  # a pair with each distinct row
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, where read
+        # einsum, not BLAS: a BLAS product may round two equal rows
+        # differently, and equal words must tie exactly for the tie rule
+        scores = np.einsum("wd,cd->wc", enc.x.data * params.att_a.data, y.data[sample])
+    # each span's candidates as rows of the scores, padded with a row of −inf
+    filled = np.arange(lengths.max()) < lengths[:, None]
+    rows = np.full(filled.shape, len(distinct))
+    rows[filled] = column
+    padded = np.full((len(distinct) + 1, len(enc)), -np.inf, dtype=scores.dtype)
+    padded[:-1] = scores.T
+    by_span = padded[rows]  # (spans × candidates × tokens)
+    pos = np.arange(len(enc))
+    start = np.array([span.start for span in spans])[:, None]
+    end = np.array([span.end for span in spans])[:, None]
+    half = window // 2
+    in_window = ((pos >= start - half) & (pos <= end + half)
+                 & ((pos < start) | (pos > end)))  # (spans × tokens)
+    if not (np.isfinite(scores).all()
+            or (np.isfinite(by_span) | ~filled[..., None]).all(axis=1)[in_window].all()):
+        raise FloatingPointError("non-finite values in attention word scores")
+    with np.errstate(invalid="ignore"):
+        word_score = by_span.max(axis=1)  # (spans × tokens)
+    ranked = np.argsort(np.where(in_window, -word_score, np.inf), axis=1, kind="stable")
+    counts = np.minimum(in_window.sum(axis=1), keep)
+    # each span's first pair reaching a word's score: its argmax over the candidates
+    best = (np.cumsum(lengths) - lengths)[:, None] + by_span.argmax(axis=1)
 
     def contexts(count: int, members: list[int]) -> ad.Tensor:
         if count == 0:
             return ad.constant(np.zeros((len(members), enc.x.shape[1])))
-        x_kept = ad.take_rows(enc.x, [kept[i] for i in members])  # (batch × count × d)
-        beta = ad.softmax(ad.dot(ad.take_rows(y, [best[i] for i in members]),
+        kept = np.sort(ranked[members, :count], axis=1)  # (batch × count)
+        x_kept = ad.take_rows(enc.x, kept)  # (batch × count × d)
+        beta = ad.softmax(ad.dot(ad.take_rows(y, best[np.array(members)[:, None], kept]),
                                  ad.mul(x_kept, params.att_a)))
         return ad.weighted_sum(x_kept, beta)
 
-    c = rows_by_group([len(k) for k in kept], contexts)
-    return ad.dot(y, ad.mul(ad.take_rows(c, _pair_spans(spans)), params.att_b))
+    c = rows_by_group(counts.tolist(), contexts)
+    return ad.dot(y, ad.mul(ad.take_rows(c, span_of), params.att_b))
 
 
 def combine_global(psi: ad.Tensor, g: ad.Tensor, params: ScorerParams) -> ad.Tensor:

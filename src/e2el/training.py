@@ -146,19 +146,20 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def _dev_eval(model, dev_corpus: Sequence[Document], index: AliasIndex,
-              cfg: TrainConfig) -> tuple[float, float]:
-    """Returns (delta, strong macro F1) on the dev corpus."""
+def _dev_eval(model, dev_corpus: Sequence[Document],
+              dev_spans: Sequence[Sequence[MentionSpan]], cfg: TrainConfig) -> tuple[float, float]:
+    """Returns (delta, strong macro F1) on the dev corpus, whose documents'
+    spans under the training regime are `dev_spans`, in corpus order."""
     gold = {doc.doc_id: list(doc.gold) for doc in dev_corpus}
     if cfg.regime == "gold_spans":
         annotations = []
-        for doc in dev_corpus:
-            annotations.extend(inference.decode_ed(model, doc, spans_for_gold(doc, index)))
+        for doc, spans in zip(dev_corpus, dev_spans):
+            annotations.extend(inference.decode_ed(model, doc, spans))
         report = inference.evaluate(annotations, gold, mode="strong", task="ED")
         return float("-inf"), report.macro_f1
     pairs = []
-    for doc in dev_corpus:
-        pairs.extend(model.score_pairs(doc, spans_for_regime(doc, index, cfg)))
+    for doc, spans in zip(dev_corpus, dev_spans):
+        pairs.extend(model.score_pairs(doc, spans))
     delta = inference.select_threshold(pairs, gold, mode="strong")
     report = inference.evaluate(inference.greedy_decode(pairs, delta), gold,
                                 mode="strong", task="EL")
@@ -204,11 +205,12 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
     stop = False
 
     spans_cache = {doc.doc_id: spans_for_regime(doc, index, cfg) for doc in corpus}
+    dev_spans = [spans_for_regime(doc, index, cfg) for doc in dev_corpus]
 
     def run_eval(loss_value: float) -> None:
         nonlocal best_f1, best_delta, best_state, stale, stop
         with ad.cycle_gc_paused():
-            delta, macro_f1 = _dev_eval(model, dev_corpus, index, cfg)
+            delta, macro_f1 = _dev_eval(model, dev_corpus, dev_spans, cfg)
         record = {"step": step, "loss": loss_value, "dev_macro_f1": macro_f1,
                   "delta": None if math.isinf(delta) else delta}
         history.append(record)

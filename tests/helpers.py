@@ -14,7 +14,7 @@ from e2el.candidates import (INDEX_HEADER, INDEX_MAGIC, MAX_PRIOR, AliasIndex, b
 from e2el.corpus import Document, text_lines, write_corpus_jsonl
 from e2el.embeddings import (CharTable, EntityVectors, WordVectors, _non_finite_rows,
                              save_text_embeddings)
-from e2el.encoder import EncoderDims, mention_repr
+from e2el.encoder import EncoderDims, mention_repr, rows_by_group
 from e2el.model import LinkingModel, PairScore
 
 
@@ -217,7 +217,7 @@ def per_word_context(span, x, ys, window, keep, params):
     per-token context nodes `x`: the window ranked off the graph as in
     `scoring.long_range_feature`, then each kept word scored with one node
     per candidate."""
-    positions = scoring.context_window(span, len(x), window)
+    positions = context_window(span, len(x), window)
     if not positions:
         zero = ad.constant(np.asarray(0.0, dtype=ad.default_dtype()))
         return [zero for _ in ys]
@@ -290,6 +290,84 @@ def per_pair_scores(model, enc, spans):
                    else ad.cosine(y_of(p.entity_id), votes[key]))
             p.phi = ad.add(ad.dot(sp.phi_w, ad.stack([p.psi, p.g])), sp.phi_b)
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# per-span ranking: the oracle for the document-wide ranking of
+# `scoring.long_range_feature`
+
+
+def context_window(span, n_tokens, window):
+    """Token positions up to window/2 on each side of the span, clipped at the
+    document edges; the span's own tokens are excluded."""
+    half = window // 2
+    lo = max(0, span.start - half)
+    hi = min(n_tokens - 1, span.end + half)
+    return [k for k in range(lo, hi + 1) if k < span.start or k > span.end]
+
+
+def per_span_long_range_feature(spans, enc, y, window, keep, params):
+    """`scoring.long_range_feature` with the window of each span ranked on its
+    own: a window list, a (window × d)·(d × candidates) einsum, a finiteness
+    check and a stable argsort per span; the kept words enter the graph as
+    in the document-wide version."""
+    if not 1 <= keep <= window:
+        raise ValueError(f"need window >= keep >= 1, got window={window} keep={keep}")
+    bounds = np.cumsum([0] + [len(span.candidates) for span in spans])
+    kept, best = [], []  # per span: the kept positions, and each one's best pair
+    for i, span in enumerate(spans):
+        positions = context_window(span, len(enc), window)
+        scores = np.zeros((0, 1))  # no context word: nothing is kept
+        if positions:
+            scores = np.einsum("wd,cd->wc", enc.x.data[positions] * params.att_a.data,
+                               y.data[bounds[i]:bounds[i + 1]])
+            if not np.all(np.isfinite(scores)):
+                raise FloatingPointError("non-finite values in attention word scores")
+        top = np.sort(np.argsort(-scores.max(axis=1), kind="stable")[:keep])
+        kept.append(np.asarray(positions, dtype=np.intp)[top])
+        best.append(bounds[i] + scores[top].argmax(axis=1))
+
+    def contexts(count, members):
+        if count == 0:
+            return ad.constant(np.zeros((len(members), enc.x.shape[1])))
+        x_kept = ad.take_rows(enc.x, [kept[i] for i in members])
+        beta = ad.softmax(ad.dot(ad.take_rows(y, [best[i] for i in members]),
+                                 ad.mul(x_kept, params.att_a)))
+        return ad.weighted_sum(x_kept, beta)
+
+    c = rows_by_group([len(k) for k in kept], contexts)
+    return ad.dot(y, ad.mul(ad.take_rows(c, scoring._pair_spans(spans)), params.att_b))
+
+
+# ---------------------------------------------------------------------------
+# Adam with fresh temporaries: the oracle for the in-place `autodiff.adam_step`
+
+
+def reference_adam_step(state, params, grads):
+    """Bias-corrected Adam, each intermediate a new array and each parameter
+    rebound to a new one."""
+    state.step += 1
+    b1t = 1.0 - state.beta1 ** state.step
+    b2t = 1.0 - state.beta2 ** state.step
+    for name, p in params.items():
+        g = np.asarray(grads[name])
+        if g.shape != p.data.shape:
+            raise ValueError(f"adam_step: gradient shape {g.shape} != {p.data.shape} for {name!r}")
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / b1t
+        v_hat = v / b2t
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params
 
 
 # ---------------------------------------------------------------------------

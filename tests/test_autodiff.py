@@ -345,6 +345,58 @@ class TestGatherOps:
         assert m.grad[:12, 0].tolist() == [2.0] + [3.0] * 9 + [1.0, 0.0]
 
 
+class TestScatterAdd:
+    """`take_rows`' backward, one fancy-indexed add per occurrence rank,
+    against `np.add.at`: the same bits for any index and existing gradient."""
+
+    @staticmethod
+    def index(rng, n_rows):
+        size = int(rng.choice([0, 1, 5, 40, 300]))
+        if rng.random() < 0.3:  # few rows, each repeated up to ~60 times
+            idx = rng.integers(0, min(n_rows, 5), size=size)
+        else:
+            idx = rng.integers(0, n_rows, size=size)
+        if rng.random() < 0.5:
+            idx = np.sort(idx)  # as the pair→span gather has it
+        if size and size % 5 == 0 and rng.random() < 0.5:
+            idx = idx.reshape(5, -1)  # a batch of row blocks, as attention gathers
+        return idx
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_indexes_agree(self, dtype):
+        rng = np.random.default_rng(31)
+        most = 0
+        for _ in range(400):
+            n_rows = int(rng.integers(1, 30))
+            shape = (n_rows,) + tuple(int(k) for k in rng.integers(1, 5, size=rng.integers(0, 3)))
+            idx = self.index(rng, n_rows)
+            g = rng.standard_normal(idx.shape + shape[1:]).astype(dtype)
+            g[rng.random(g.shape) < 0.1] = -0.0
+            t = ad.Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+            if rng.random() < 0.5:
+                t.grad = rng.standard_normal(shape).astype(dtype)
+                t.grad[rng.random(shape) < 0.2] = -0.0
+            expect = np.zeros(shape, dtype=dtype) if t.grad is None else t.grad.copy()
+            np.add.at(expect, idx, g)
+            ad._accumulate(t, g, at=idx)
+            assert t.grad.tobytes() == expect.tobytes()
+            if idx.size:
+                most = max(most, np.bincount(idx.reshape(-1)).max())
+        assert most >= 60
+
+    def test_wider_gradient_into_narrower_slot(self):
+        # a float64 gradient into a float32 slot rounds as np.add.at rounds it
+        rng = np.random.default_rng(37)
+        idx = rng.integers(0, 4, size=50)
+        g = rng.standard_normal((50, 3))
+        t = ad.Tensor(np.zeros((4, 3), dtype=np.float32), requires_grad=True)
+        t.grad = rng.standard_normal((4, 3)).astype(np.float32)
+        expect = t.grad.copy()
+        np.add.at(expect, idx, g)
+        ad._accumulate(t, g, at=idx)
+        assert t.grad.tobytes() == expect.tobytes()
+
+
 class TestBlockOps:
     """The vector ops generalized to the rows of a matrix."""
 
@@ -599,6 +651,63 @@ class TestAdam:
         p = ad.parameter(np.asarray(0.0))
         with pytest.raises(FloatingPointError):
             ad.adam_step(ad.AdamState(), {"p": p}, {"p": np.asarray(np.nan)})
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_matches_allocating_update(self, precision):
+        # five steps of the in-place update against the one that makes a new
+        # array per operation: the same bits in the parameters and moments
+        rng = np.random.default_rng(41)
+        shapes = {"w": (7, 5), "b": (5,), "s": (), "big": (40, 30), "frozen": (3, 2)}
+        with ad.precision(precision):
+            start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            ours = {name: ad.parameter(v) for name, v in start.items()}
+            theirs = {name: ad.parameter(v) for name, v in start.items()}
+            st, st_ref = ad.AdamState(lr=0.01), ad.AdamState(lr=0.01)
+            for step in range(5):
+                grads = {name: rng.standard_normal(shape).astype(ad.default_dtype())
+                         for name, shape in shapes.items()}
+                grads["frozen"] = np.zeros(shapes["frozen"], dtype=ad.default_dtype())
+                if step == 2:
+                    grads["s"] = np.zeros((), dtype=ad.default_dtype())
+                ad.adam_step(st, ours, grads)
+                helpers.reference_adam_step(st_ref, theirs, grads)
+                for name in shapes:
+                    assert np.asarray(ours[name].data).tobytes() == \
+                        np.asarray(theirs[name].data).tobytes(), (step, name)
+                    assert ours[name].data.dtype == np.asarray(theirs[name].data).dtype
+                    assert st.m[name].tobytes() == st_ref.m[name].tobytes()
+                    assert st.v[name].tobytes() == st_ref.v[name].tobytes()
+            assert st.step == st_ref.step == 5
+            assert st.work[0].nbytes == 40 * 30 * np.dtype(ad.default_dtype()).itemsize
+
+    def test_wider_gradient_matches_allocating_update(self):
+        # a float64 gradient for a float32 parameter forms the moment terms
+        # in float64, as the allocating update does
+        rng = np.random.default_rng(43)
+        start = rng.standard_normal((4, 3))
+        ours, theirs = ad.parameter(start), ad.parameter(start)
+        st, st_ref = ad.AdamState(), ad.AdamState()
+        for _ in range(3):
+            g = rng.standard_normal((4, 3))
+            ad.adam_step(st, {"p": ours}, {"p": g})
+            helpers.reference_adam_step(st_ref, {"p": theirs}, {"p": g})
+            assert ours.data.tobytes() == theirs.data.tobytes()
+
+    def test_update_in_place_leaves_snapshots_alone(self):
+        store = ad.ParamStore()
+        p = store.add("p", ad.parameter(np.ones((3, 2))))
+        data = p.data
+        snapshot = store.state_dict()
+        ad.adam_step(ad.AdamState(lr=0.1), store.tensors(), {"p": np.ones((3, 2))})
+        assert p.data is data  # updated in place
+        assert not np.array_equal(p.data, np.ones((3, 2)))
+        assert np.array_equal(snapshot["p"], np.ones((3, 2)))
+
+    def test_parameter_holds_its_own_copy(self):
+        value = np.ones(3, dtype=ad.default_dtype())
+        p = ad.parameter(value)
+        ad.adam_step(ad.AdamState(lr=0.1), {"p": p}, {"p": np.ones(3)})
+        assert np.array_equal(value, np.ones(3))
 
 
 class TestGradCheck:

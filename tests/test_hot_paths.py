@@ -1,0 +1,87 @@
+"""Guards on the shape of the training step's hot paths: they fail if a
+per-span loop comes back into the attention ranking, or a scatter loop
+(`np.add.at`) into the gradient gathers."""
+
+import sys
+
+import numpy as np
+
+import helpers
+from e2el import autodiff as ad
+from e2el import scoring, training
+from e2el.candidates import CandidateEntry, MentionSpan
+from e2el.corpus import Document
+from e2el.encoder import EncodedDocument
+
+
+def long_document(n_parts):
+    """The first `n_parts` documents of `helpers.overfit_corpus` as one
+    document, with the index, word tokens and entity ids of the corpus."""
+    docs, table, tokens, entity_ids = helpers.overfit_corpus()
+    words, gold = [], []
+    for doc in docs[:n_parts]:
+        gold += [(s + len(words), e + len(words), ent) for s, e, ent in doc.gold]
+        words += doc.tokens
+    return Document("long", words, gold), helpers.alias_index(table), tokens, entity_ids
+
+
+def test_attention_makes_one_einsum_per_call(monkeypatch):
+    einsum = np.einsum
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(sys._getframe(1).f_globals.get("__name__"))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    rng = np.random.default_rng(3)
+    x = ad.parameter(rng.standard_normal((120, 6)))
+    enc = EncodedDocument(doc_id="d", v=x, x=x)
+    params = scoring.ScorerParams(psi_w=ad.parameter(np.ones(3)), psi_b=ad.parameter(0.0),
+                                  att_a=ad.parameter(np.ones(6)), att_b=ad.parameter(np.ones(6)))
+    for n_spans in (1, 5, 40):
+        spans = [MentionSpan("d", 3 * k, 3 * k + k % 2, "s",
+                             [CandidateEntry(f"E{j}", 0.5) for j in range(4)])
+                 for k in range(n_spans)]
+        y = ad.parameter(rng.standard_normal((4 * n_spans, 6)))
+        calls.clear()
+        scoring.long_range_feature(spans, enc, y, window=30, keep=5, params=params)
+        assert calls.count("e2el.scoring") == 1, n_spans
+
+
+class _AddSpy:
+    """`np.add` with its `at` method counted."""
+
+    def __init__(self, add):
+        self._add = add
+        self.at_calls = 0
+
+    def __call__(self, *args, **kwargs):
+        return self._add(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._add, name)
+
+    def at(self, *args, **kwargs):
+        self.at_calls += 1
+        return self._add.at(*args, **kwargs)
+
+
+def test_training_step_never_scatters_with_add_at(monkeypatch):
+    doc, index, tokens, entity_ids = long_document(10)
+    words = helpers.word_store(tokens, seed=5)
+    ents = helpers.entity_store(entity_ids, seed=6)
+    model = helpers.build_model(words, ents, corpus_tokens=tokens, seed=7,
+                                use_attention=True, use_global=True, attention_window=12,
+                                attention_keep=3)
+    cfg = training.TrainConfig(seed=7)
+    spans = training.spans_for_regime(doc, index, cfg)
+    assert len(spans) >= 20
+    spy = _AddSpy(np.add)
+    monkeypatch.setattr(np, "add", spy)
+    before = model.params.state_dict()
+    loss = training._train_step(doc, spans, model, ad.AdamState(), cfg,
+                                ad.rng_stream(7, "dropout"))
+    assert loss > 0
+    assert any(not np.array_equal(before[k], t.data) for k, t in model.params.items())
+    assert spy.at_calls == 0

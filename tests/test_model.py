@@ -8,7 +8,7 @@ from e2el import scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan, enumerate_spans
 from e2el.corpus import Document
 from e2el.encoder import EncodedDocument
-from e2el.scoring import GlobalConfig, context_window
+from e2el.scoring import GlobalConfig
 
 
 def setup_toy(seed=0, **kw):
@@ -282,10 +282,10 @@ class TestPairTableMatchesPerPair:
         seen["frozen" if model.entities.frozen else "trainable"] = 1
         if model.use_attention:
             window, keep, n = model.attention_window, model.attention_keep, len(enc)
-            kept = [min(keep, len(context_window(s, n, window))) for s in spans]
+            kept = [min(keep, len(helpers.context_window(s, n, window))) for s in spans]
             seen["clipped_left"] = sum(s.start - window // 2 < 0 for s in spans)
             seen["clipped_right"] = sum(s.end + window // 2 > n - 1 for s in spans)
-            seen["all_kept"] = sum(keep >= len(context_window(s, n, window)) for s in spans)
+            seen["all_kept"] = sum(keep >= len(helpers.context_window(s, n, window)) for s in spans)
             seen["kept 0"] = kept.count(0)
             seen["kept K"] = kept.count(keep)
             seen["kept between"] = sum(0 < k < keep for k in kept)

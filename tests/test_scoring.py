@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import helpers
 from e2el import autodiff as ad
 from e2el import scoring
 from e2el.candidates import CandidateEntry, MentionSpan
@@ -169,7 +172,7 @@ def per_word_long_range_feature(spans, enc, y, window, keep, params):
     features = []
     for sp in spans:
         entity_vectors = [next(rows) for _ in sp.candidates]
-        positions = scoring.context_window(sp, len(enc), window)
+        positions = helpers.context_window(sp, len(enc), window)
         if not positions:
             features += [ad.constant(np.asarray(0.0)) for _ in entity_vectors]
             continue
@@ -255,7 +258,7 @@ class TestLongRangeOracle:
             for _ in range(150):
                 case = attention_case(rng, dtype)
                 (sp,), enc, y, window, keep, _ = case
-                positions = scoring.context_window(sp, len(enc), window)
+                positions = helpers.context_window(sp, len(enc), window)
                 clipped_left += sp.start - window // 2 < 0
                 clipped_right += sp.end + window // 2 > len(enc) - 1
                 all_kept += keep >= len(positions)
@@ -335,6 +338,142 @@ class TestLongRangeOracle:
         feats = scoring.long_range_feature([span(2, 2)], enc, y, window=4, keep=1,
                                            params=params)
         assert feats.data[0] == pytest.approx(3.0)
+
+
+def multi_span_case(rng, dtype):
+    """A random document of several spans with trainable inputs. Spans draw
+    their candidate lists from three shared lists; one entity id may share
+    its vector with another id, and one pair may carry a row that differs
+    from the other rows of its id. Half the documents draw words from a
+    pool of three vectors, so scores tie. Windows are clipped at both ends,
+    and a window of 1 leaves a span no context word."""
+    n = int(rng.integers(1, 50))
+    dim = int(rng.choice([1, 3, 8]))
+    if rng.random() < 0.5:
+        xs = rng.standard_normal((3, dim))[rng.integers(0, 3, size=n)]
+    else:
+        xs = rng.standard_normal((n, dim))
+    table = rng.standard_normal((6, dim))
+    table[1] = table[0]  # equal rows under different ids
+    lists = [[f"E{j}" for j in rng.choice(6, size=int(rng.integers(1, 6)), replace=False)]
+             for _ in range(3)]
+    spans, rows = [], []
+    for _ in range(int(rng.integers(1, 13))):
+        start = int(rng.integers(0, n))
+        ids = lists[int(rng.integers(0, 3))]
+        spans.append(MentionSpan(doc_id="d", start=start,
+                                 end=min(n - 1, start + int(rng.integers(0, 3))), surface="s",
+                                 candidates=[CandidateEntry(e, 0.5) for e in ids]))
+        rows += [table[int(e[1:])] for e in ids]
+    rows = np.array(rows)
+    if rng.random() < 0.3:  # a different row under an id that other pairs share
+        rows[int(rng.integers(0, len(rows)))] += 1.0
+    window = 1 if rng.random() < 0.15 else int(rng.integers(2, 40))
+    keep = int(rng.integers(1, window + 1))
+    x = ad.parameter(xs.astype(dtype))
+    params = scoring.ScorerParams(psi_w=vec(1.0, 1.0, 1.0), psi_b=scalar(0.0))
+    params.att_a = ad.parameter(rng.standard_normal(dim).astype(dtype))
+    params.att_b = ad.parameter(rng.standard_normal(dim).astype(dtype))
+    return (spans, EncodedDocument(doc_id="d", v=x, x=x), ad.parameter(rows.astype(dtype)),
+            window, keep, params)
+
+
+class TestLongRangeMultiSpanOracle:
+    """The document-wide ranking against the per-span loop it replaced, on
+    documents of many spans: the same kept words, and the same bits in the
+    features and in the gradients of X, Y, A and B."""
+
+    @staticmethod
+    def run(fn, case, weights, monkeypatch):
+        spans, enc, y, window, keep, params = case
+        kept = []
+        take_rows = ad.take_rows
+
+        def spy(m, idx):
+            if m is enc.x:
+                kept.append(np.asarray(idx).tolist())
+            return take_rows(m, idx)
+
+        monkeypatch.setattr(ad, "take_rows", spy)
+        for t in (enc.x, y, params.att_a, params.att_b):
+            t.grad = None
+        try:
+            feats = fn(spans, enc, y, window, keep, params)
+            ad.backward(ad.dot(ad.constant(weights), feats))
+        finally:
+            monkeypatch.setattr(ad, "take_rows", take_rows)
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                 for t in (enc.x, y, params.att_a, params.att_b)]
+        return kept, feats.data.copy(), grads
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_random_documents_agree(self, precision, monkeypatch):
+        rng = np.random.default_rng(23)
+        seen = dict.fromkeys(["clipped_left", "clipped_right", "empty", "shared", "tied"], 0)
+        with ad.precision(precision):
+            dtype = ad.default_dtype()
+            for _ in range(200):
+                case = multi_span_case(rng, dtype)
+                spans, enc, y, window, keep, _ = case
+                n = len(enc)
+                windows = [helpers.context_window(sp, n, window) for sp in spans]
+                seen["clipped_left"] += any(sp.start < window // 2 for sp in spans)
+                seen["clipped_right"] += any(sp.end + window // 2 >= n for sp in spans)
+                seen["empty"] += any(not w for w in windows)
+                seen["shared"] += len({tuple(c.entity_id for c in sp.candidates)
+                                       for sp in spans}) < len(spans)
+                seen["tied"] += len(np.unique(enc.x.data, axis=0)) < n
+                weights = rng.standard_normal(y.shape[0]).astype(dtype)
+                got = self.run(scoring.long_range_feature, case, weights, monkeypatch)
+                ref = self.run(helpers.per_span_long_range_feature, case, weights, monkeypatch)
+                assert got[0] == ref[0]
+                assert got[1].tobytes() == ref[1].tobytes()
+                for g, g_ref in zip(got[2], ref[2]):
+                    assert g.tobytes() == g_ref.tobytes()
+        assert min(seen.values()) >= 20, seen
+
+    def test_overflow_raises_exactly_where_the_per_span_check_does(self):
+        # one word blown up against one candidate vector: the per-span loop
+        # raises only when that word is in the window of a span whose own
+        # candidates include that vector
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for _ in range(300):
+            spans, enc, y, window, keep, params = multi_span_case(rng, np.float32)
+            enc.x.data[int(rng.integers(0, len(enc)))] = 1e30
+            y.data[int(rng.integers(0, y.shape[0]))] = 1e20
+            results = []
+            for fn in (scoring.long_range_feature, helpers.per_span_long_range_feature):
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        results.append(fn(spans, enc, y, window, keep, params).data.tobytes())
+                except FloatingPointError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            outcomes.add(results[0] == "non-finite values in attention word scores")
+        assert outcomes == {True, False}
+
+    def test_overflow_outside_every_window_is_not_read(self):
+        xs = [[1.0, 1.0], [0.5, 0.5], [0.2, 0.1], [1.0, 0.3], [-1e30, -1e30]]
+        ys = mat((1e9, 1e9), (1e9, 1e9))
+        spans = [span(0, 0), span(1, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats = scoring.long_range_feature(spans, enc_from(xs), ys, window=4, keep=1,
+                                               params=att_params(2))
+        ref = helpers.per_span_long_range_feature(spans, enc_from(xs), ys, window=4, keep=1,
+                                                  params=att_params(2))
+        assert feats.data.tobytes() == ref.data.tobytes()
+        with pytest.raises(FloatingPointError, match="attention word scores"):
+            scoring.long_range_feature(spans + [span(3, 3)], enc_from(xs), mat(*[(1e9, 1e9)] * 3),
+                                       window=4, keep=1, params=att_params(2))
+
+    def test_spans_without_candidates_rejected(self):
+        enc = enc_from([[1.0], [2.0]])
+        for spans in ([], [span(0, 0, cands=())]):
+            with pytest.raises(ValueError, match="each with candidates"):
+                scoring.long_range_feature(spans, enc, mat((1.0,)), window=4, keep=1,
+                                           params=att_params(1))
 
 
 class TestFilterVoters:

@@ -282,6 +282,23 @@ class TestTrain:
         assert result.best_macro_f1 >= 0.0
         assert result.delta == float("-inf")
 
+    @pytest.mark.parametrize("regime", ["all_spans", "gold_spans"])
+    def test_spans_found_once_per_document_per_run(self, monkeypatch, regime):
+        # three dev evaluations reuse the dev spans found at the start
+        docs, index, model = build_toy(seed=13)
+        found = []
+        spans_for_regime = training.spans_for_regime
+
+        def counting(doc, index, cfg):
+            found.append(doc.doc_id)
+            return spans_for_regime(doc, index, cfg)
+
+        monkeypatch.setattr(training, "spans_for_regime", counting)
+        cfg = training.TrainConfig(seed=13, regime=regime, eval_every=2, max_steps=6)
+        result = training.train(docs[:8], docs[8:12], model, index, cfg)
+        assert len(result.history) == 3
+        assert sorted(found) == sorted(doc.doc_id for doc in docs[:12])
+
     def test_steps_and_evaluations_run_with_the_collector_paused(self, monkeypatch):
         docs, index, model = build_toy(seed=11, use_global=True, use_attention=True)
         seen = {"backward": [], "dev_eval": []}
