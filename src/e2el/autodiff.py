@@ -435,12 +435,14 @@ def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow, into `out` if given (which may be
     `d` itself): exp is only taken of values ≤ 0, e = exp(−|d|), and the
     result is 1/(1 + e) where d ≥ 0 and e/(1 + e) elsewhere, one division
-    of the picked numerator by the shared 1 + e."""
+    of the picked numerator by the shared 1 + e. The numerator is
+    max(e, d ≥ 0): as e ≤ 1 that is exactly 1 where d ≥ 0 and e elsewhere
+    (NaN stays NaN), with no masked, branch-per-element copy."""
     e = np.abs(d)
     np.negative(e, out=e)
     np.exp(e, out=e)
     den = 1.0 + e
-    np.copyto(e, 1.0, where=d >= 0)
+    np.maximum(e, d >= 0, out=e)
     return np.divide(e, den, out=out)
 
 

@@ -10,6 +10,14 @@ picked on a validation set by maximizing micro F1 over every behaviorally
 distinct candidate value (ties go to the larger delta); by that prefix
 property one decode and one evaluation serve every candidate.
 
+Lowering delta then adds one annotation at a time, and the counts follow
+without a rematch of the document. The decoded annotations share no
+token, so under strong (exact span) matching each one matches its own
+(start, end, entity) gold or nothing: TP or FP grows by exactly one. Weak
+(overlap) matching pairs an annotation only with golds of its entity, so
+only the (document, entity) group that gained the annotation is matched
+again.
+
 Annotation files are JSON lines ``{doc_id, start, end, entity, score}``
 sorted by (doc_id, start).
 """
@@ -71,12 +79,36 @@ class EvalReport:
 
 
 def best_per_span(pairs: Sequence[ScoredPair]) -> list[ScoredPair]:
-    """Argmax candidate per span; ties go to higher prior, then entity id."""
-    by_span: dict[tuple[str, int, int], list[ScoredPair]] = {}
+    """Argmax candidate per span, in (doc_id, start, end) order; ties go to
+    higher prior, then entity id, then the earlier pair."""
+    return _best_by_span(pairs)[0]
+
+
+def _best_by_span(pairs: Sequence[ScoredPair]) -> tuple[list[ScoredPair], ScoredPair | None]:
+    """`best_per_span`'s list, and the first pair scoring NaN if any.
+
+    One pass keeps each span's best so far and replaces it only when the
+    pair's key (-score, -prior, entity_id) is strictly smaller, which is
+    what `min` over the span's pairs picks. The key is compared score
+    first: a NaN score is neither greater nor equal, just as a tuple with
+    it never compares smaller. Pairs of one span usually come together,
+    so the span's dict entry is looked up once per run of them.
+    """
+    best: dict[tuple[str, int, int], tuple[float, ScoredPair]] = {}
+    nan = None
+    span = cur = key = None
     for p in pairs:
-        by_span.setdefault((p.span.doc_id, p.span.start, p.span.end), []).append(p)
-    return [min(by_span[key], key=lambda p: (-p.score, -p.prior, p.entity_id))
-            for key in sorted(by_span)]
+        score = p.score
+        if score != score and nan is None:
+            nan = p
+        if p.span is not span:
+            span = p.span
+            key = (span.doc_id, span.start, span.end)
+            cur = best.get(key)
+        if cur is None or score > cur[0] or (
+                score == cur[0] and (-p.prior, p.entity_id) < (-cur[1].prior, cur[1].entity_id)):
+            cur = best[key] = (score, p)
+    return [best[key][1] for key in sorted(best)], nan
 
 
 def greedy_decode(pairs: Sequence[ScoredPair], delta: float) -> list[Annotation]:
@@ -124,41 +156,60 @@ def select_threshold(pairs: Sequence[ScoredPair],
     at delta keeps exactly the -inf decode's annotations scoring above
     delta, so each span's best pair is found once, decoded and evaluated
     once, and the candidates are swept from high to low, adding those
-    annotations and rematching only the documents that gained one. Micro
-    F1 comes from the same integer counts as `evaluate`'s, so the pick
+    annotations to running counts:
+
+    - Strong matching is additive. The decode's annotations share no
+      token, so no two of them can claim the same exact-span gold: each
+      one matches a gold with its own (start, end, entity) or nothing,
+      and adding it adds 1 to TP or to FP.
+    - Weak matching splits by entity. `_match_doc` pairs an annotation
+      only with golds of its own entity, so a document's TP is the sum of
+      its (document, entity) groups' TPs. Adding an annotation rematches
+      only its own group, and the change in that group's TP updates the
+      running count. (It can be 0 when the newcomer, earlier in document
+      order, takes the gold that an annotation of the group already held.)
+
+    Micro F1 comes from the same integer counts as `evaluate`'s, so the pick
     equals that of decoding and evaluating at every candidate. A NaN score
     has no place in that order and raises ValueError, as do a bad mode and
     a pair from a document missing from `gold`.
     """
     if not pairs:
         raise ValueError("empty dev set")
-    for p in pairs:
-        if math.isnan(p.score):
-            raise ValueError(f"document {p.span.doc_id!r}: span {p.span.start}-{p.span.end} "
-                             f"scores NaN for entity {p.entity_id!r}")
-    best = best_per_span(pairs)  # decoding them gives the same annotations as all pairs
+    best, nan = _best_by_span(pairs)  # decoding them gives the same annotations as all pairs
+    if nan is not None:
+        raise ValueError(f"document {nan.span.doc_id!r}: span {nan.span.start}-{nan.span.end} "
+                         f"scores NaN for entity {nan.entity_id!r}")
     kept = greedy_decode(best, float("-inf"))
     evaluate(kept, gold, mode=mode)  # validates the mode and the documents
     kept.sort(key=lambda a: -a.score)
-    golds = {doc_id: list(gold[doc_id]) for doc_id in gold}
-    preds: dict[str, list[Annotation]] = {doc_id: [] for doc_id in gold}
-    counts = {doc_id: (0, 0, len(golds[doc_id])) for doc_id in gold}
-    tp, fp, fn = 0, 0, sum(c[2] for c in counts.values())
+    golds: dict[tuple[str, str], list[tuple[int, int, str]]] = {}
+    for doc_id, doc_gold in gold.items():
+        for g in doc_gold:
+            golds.setdefault((doc_id, g[2]), []).append(g)
+    preds: dict[tuple[str, str], list[Annotation]] = {}
+    group_tp: dict[tuple[str, str], int] = {}
+    n_gold = sum(len(g) for g in gold.values())
+    tp = 0
     best_delta = float("-inf")
     best_f1 = -1.0
     i = 0
     for delta in _descending_thresholds(best):
-        changed = set()
         while i < len(kept) and kept[i].score > delta:
-            preds[kept[i].doc_id].append(kept[i])
-            changed.add(kept[i].doc_id)
+            a = kept[i]
             i += 1
-        for doc_id in changed:
-            old, counts[doc_id] = counts[doc_id], _match_doc(preds[doc_id], golds[doc_id], mode)
-            tp += counts[doc_id][0] - old[0]
-            fp += counts[doc_id][1] - old[1]
-            fn += counts[doc_id][2] - old[2]
-        f1 = _prf(tp, fp, fn)[2]
+            group = (a.doc_id, a.entity_id)
+            if group not in golds:
+                continue
+            if mode == "strong":
+                tp += any((gs, ge) == (a.start, a.end) for gs, ge, _ in golds[group])
+            else:
+                members = preds.setdefault(group, [])
+                members.append(a)
+                group_new = _match_doc(members, golds[group], mode)[0]
+                tp += group_new - group_tp.get(group, 0)
+                group_tp[group] = group_new
+        f1 = _prf(tp, i - tp, n_gold - tp)[2]
         if f1 > best_f1:
             best_f1 = f1
             best_delta = delta

@@ -435,6 +435,60 @@ def brute_select_threshold(pairs, gold, mode="strong"):
 
 
 # ---------------------------------------------------------------------------
+# `min` per span and a sweep that rematches every document that gained an
+# annotation: the oracles for `inference.best_per_span` and
+# `inference.select_threshold`
+
+
+def reference_best_per_span(pairs):
+    """Argmax candidate per span; ties go to higher prior, then entity id."""
+    by_span = {}
+    for p in pairs:
+        by_span.setdefault((p.span.doc_id, p.span.start, p.span.end), []).append(p)
+    return [min(by_span[key], key=lambda p: (-p.score, -p.prior, p.entity_id))
+            for key in sorted(by_span)]
+
+
+def reference_select_threshold(pairs, gold, mode="strong"):
+    """The sweep from high to low threshold over the -inf decode's
+    annotations, matching each document that gained one again as a whole."""
+    if not pairs:
+        raise ValueError("empty dev set")
+    for p in pairs:
+        if math.isnan(p.score):
+            raise ValueError(f"document {p.span.doc_id!r}: span {p.span.start}-{p.span.end} "
+                             f"scores NaN for entity {p.entity_id!r}")
+    best = reference_best_per_span(pairs)  # decoding them gives the same annotations as all pairs
+    kept = inference.greedy_decode(best, float("-inf"))
+    inference.evaluate(kept, gold, mode=mode)  # validates the mode and the documents
+    kept.sort(key=lambda a: -a.score)
+    golds = {doc_id: list(gold[doc_id]) for doc_id in gold}
+    preds = {doc_id: [] for doc_id in gold}
+    counts = {doc_id: (0, 0, len(golds[doc_id])) for doc_id in gold}
+    tp, fp, fn = 0, 0, sum(c[2] for c in counts.values())
+    best_delta = float("-inf")
+    best_f1 = -1.0
+    i = 0
+    for delta in sorted({p.score for p in best} | {float("-inf")}, reverse=True):
+        changed = set()
+        while i < len(kept) and kept[i].score > delta:
+            preds[kept[i].doc_id].append(kept[i])
+            changed.add(kept[i].doc_id)
+            i += 1
+        for doc_id in changed:
+            old, counts[doc_id] = counts[doc_id], inference._match_doc(preds[doc_id],
+                                                                       golds[doc_id], mode)
+            tp += counts[doc_id][0] - old[0]
+            fp += counts[doc_id][1] - old[1]
+            fn += counts[doc_id][2] - old[2]
+        f1 = inference._prf(tp, fp, fn)[2]
+        if f1 > best_f1:
+            best_f1 = f1
+            best_delta = delta
+    return best_delta
+
+
+# ---------------------------------------------------------------------------
 # record-by-record loaders: the oracles for `candidates.load_index` and
 # `embeddings.load_text_embeddings`
 

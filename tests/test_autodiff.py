@@ -156,13 +156,19 @@ class TestSigmoid:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_the_two_branch_formula(self, dtype):
         rng = np.random.default_rng(5)
-        d = np.concatenate([rng.normal(scale=s, size=500) for s in (0.1, 1.0, 10.0, 100.0)]
-                           + [[0.0, -0.0, 80.0, -80.0, 1e30, -1e30]]).astype(dtype)
-        got = ad._sigmoid(d)
-        want = helpers.reference_sigmoid(d)
-        assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = [0.0, -0.0, 80.0, -80.0, 1e30, -1e30, np.inf, -np.inf, np.nan, -np.nan,
+                    tiny, -tiny, 3 * tiny, -3 * tiny, np.finfo(dtype).tiny / 2]
+        wide = rng.normal(scale=4.0, size=(2, 112, 200))  # a char-gate block
+        blocks = [np.concatenate([rng.normal(scale=s, size=500) for s in (0.1, 1.0, 10.0, 100.0)]
+                                 + [np.array(specials, dtype=dtype)]), wide]
+        for d in (block.astype(dtype) for block in blocks):
+            got = ad._sigmoid(d)
+            want = helpers.reference_sigmoid(d)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_writes_in_place(self):
         d = np.array([[-3.0, 0.0], [2.0, -0.5]], dtype=np.float32)

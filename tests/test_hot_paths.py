@@ -1,17 +1,20 @@
-"""Guards on the shape of the training step's hot paths: they fail if a
-per-span loop comes back into the attention ranking, or a scatter loop
-(`np.add.at`) into the gradient gathers."""
+"""Guards on the shape of the hot paths: they fail if a per-span loop comes
+back into the attention ranking, a scatter loop (`np.add.at`) into the
+training step's gradient gathers, or a whole-document rematch per
+threshold into the threshold sweep."""
 
 import sys
 
 import numpy as np
+import pytest
 
 import helpers
 from e2el import autodiff as ad
-from e2el import scoring, training
+from e2el import inference, scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
 from e2el.encoder import EncodedDocument
+from e2el.scoring import ScoredPair
 
 
 def long_document(n_parts):
@@ -85,3 +88,33 @@ def test_training_step_never_scatters_with_add_at(monkeypatch):
     assert loss > 0
     assert any(not np.array_equal(before[k], t.data) for k, t in model.params.items())
     assert spy.at_calls == 0
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monkeypatch,
+                                                                           mode):
+    # one document of 400 spans of 1-2 tokens, three candidates each; about
+    # half the kept annotations have a weak-matching gold
+    rng = np.random.default_rng(17)
+    pairs, gold = [], []
+    for k, start in enumerate(sorted(rng.choice(1000, size=400, replace=False))):
+        span = MentionSpan("d", int(start), int(start) + int(rng.integers(0, 2)), "s",
+                           [CandidateEntry(f"E{k}.{j}", 0.5) for j in range(3)])
+        pairs += [ScoredPair(span=span, entity_id=c.entity_id, prior=c.prior,
+                             psi=float(rng.normal())) for c in span.candidates]
+        if rng.random() < 0.5:
+            gold.append((span.start, span.end, f"E{k}.{int(rng.integers(0, 3))}"))
+    kept = len(inference.greedy_decode(pairs, float("-inf")))
+    assert kept > 300
+    matched = []
+
+    def spy(preds, golds, mode, _fn=inference._match_doc):
+        matched.append(len(preds))
+        return _fn(preds, golds, mode)
+
+    monkeypatch.setattr(inference, "_match_doc", spy)
+    inference.select_threshold(pairs, {"d": gold}, mode=mode)
+    if mode == "strong":
+        assert matched == [kept]  # `evaluate`'s one call for the document
+    else:
+        assert sum(matched) <= 2 * kept

@@ -51,6 +51,25 @@ class TestGreedyDecode:
                    for e, p in (("X", 0.4), ("Y", 0.6), ("Z", 0.6))]
         assert inference.best_per_span(scored) == [scored[1], scored[6]]
 
+    def test_best_per_span_matches_min_oracle(self):
+        # tied and NaN scores and priors, pairs of one span interleaved with
+        # others', and distinct span objects with one (doc, start, end)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            spans = [MentionSpan(doc_id=f"d{int(rng.integers(0, 2))}",
+                                 start=int(start), end=int(start) + int(rng.integers(0, 2)),
+                                 surface="s", candidates=[])
+                     for start in rng.integers(0, 4, size=int(rng.integers(1, 6)))]
+            scored = [ScoredPair(span=spans[int(rng.integers(0, len(spans)))],
+                                 entity_id=f"E{int(rng.integers(0, 3))}",
+                                 prior=float(rng.choice([0.5, 1.0, float("nan")])),
+                                 psi=float(rng.choice([0.25, 0.5, -0.5, float("nan"),
+                                                       float("-inf"), float("inf")])))
+                      for _ in range(int(rng.integers(1, 16)))]
+            got = inference.best_per_span(scored)
+            want = helpers.reference_best_per_span(scored)
+            assert [id(p) for p in got] == [id(p) for p in want]
+
     def test_matches_reference_sweep(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -138,9 +157,29 @@ class TestSelectThreshold:
         while compared < 1000:
             pairs, gold = random_dev_set(rng)
             if pairs:
-                assert (inference.select_threshold(pairs, gold, mode=mode)
-                        == helpers.brute_select_threshold(pairs, gold, mode=mode))
+                delta = inference.select_threshold(pairs, gold, mode=mode)
+                assert delta == helpers.brute_select_threshold(pairs, gold, mode=mode)
+                assert delta == helpers.reference_select_threshold(pairs, gold, mode=mode)
                 compared += 1
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_matches_document_rematch_on_long_documents(self, mode):
+        rng = np.random.default_rng(7 if mode == "strong" else 8)
+        for _ in range(150):
+            pairs, gold = long_dev_set(rng)
+            assert (inference.select_threshold(pairs, gold, mode=mode)
+                    == helpers.reference_select_threshold(pairs, gold, mode=mode))
+
+    def test_weak_newcomer_takes_a_held_gold(self):
+        # A (3-4) is added first and holds the gold (2-4); B (0-2) comes later
+        # in the sweep but first in document order and takes that gold
+        pairs = [pair("d", 3, 4, "E", 0.9), pair("d", 0, 2, "E", 0.5)]
+        alone = {"d": [(2, 4, "E")]}  # A is left with nothing: TP stays 1
+        moved = {"d": [(2, 4, "E"), (4, 6, "E")]}  # A moves on to (4-6): TP 1 -> 2
+        for gold, want in ((alone, 0.5), (moved, float("-inf"))):
+            assert inference.select_threshold(pairs, gold, mode="weak") == want
+            assert helpers.reference_select_threshold(pairs, gold, mode="weak") == want
+            assert helpers.brute_select_threshold(pairs, gold, mode="weak") == want
 
     def test_decodes_and_evaluates_once(self, monkeypatch):
         pairs = [pair(doc, i, i + 1, "G", 0.1 * i) for doc in ("a", "b") for i in range(4)]
@@ -240,6 +279,35 @@ def random_dev_set(rng):
                 gold[doc_id].append((int(start), int(end), f"E{int(rng.integers(0, 5))}"))
             if rng.random() < 0.3:
                 gold[doc_id].append(gold[doc_id][0])
+    return pairs, gold
+
+
+def long_dev_set(rng):
+    """1-3 documents of 20-60 overlapping 1-3 token spans whose candidates
+    come from 2-3 entities per document, so that weak matches of one entity
+    overlap often; gold may repeat an entry, and one more document has gold
+    but no pairs."""
+    pairs, gold = [], {}
+    for d in range(int(rng.integers(1, 4))):
+        doc_id = f"d{d}"
+        entities = [f"E{d}{k}" for k in range(int(rng.integers(2, 4)))]
+        spans = sorted({(start, start + int(rng.integers(0, 3)))
+                        for start in rng.integers(0, 80, size=int(rng.integers(20, 61)))})
+        for start, end in spans:
+            ids = list(rng.choice(entities, size=int(rng.integers(1, 3)), replace=False))
+            span = MentionSpan(doc_id=doc_id, start=int(start), end=int(end), surface="s",
+                               candidates=[CandidateEntry(str(e), 0.5) for e in ids])
+            for c in span.candidates:
+                pairs.append(ScoredPair(span=span, entity_id=c.entity_id, prior=c.prior,
+                                        psi=float(rng.integers(-8, 9)) / 8.0))
+        gold[doc_id] = []
+        for _ in range(int(rng.integers(5, 25))):
+            start, end = spans[int(rng.integers(0, len(spans)))]
+            shift = int(rng.integers(-1, 2))
+            gs = max(0, int(start) + shift)
+            gold[doc_id].append((gs, max(gs, int(end) + shift), str(rng.choice(entities))))
+        gold[doc_id] += gold[doc_id][:int(rng.integers(0, 3))]
+    gold["no-pairs"] = [(0, 1, "E00"), (4, 4, "E01")]
     return pairs, gold
 
 
