@@ -157,16 +157,18 @@ def _scatter_add(dst: np.ndarray, at: np.ndarray, g: np.ndarray) -> None:
 
 def _accumulate(t: Tensor, g: np.ndarray, at=None) -> None:
     """Add `g` into the gradient of `t`, or into its part ``grad[at]``; an
-    index array `at` may repeat an index, whose gradients then add up."""
+    index array `at` indexes the gradient's leading axes taken as one (as
+    many as `g` has more than `at`), and may repeat an index, whose
+    gradients then add up."""
     if not t.requires_grad:
         return
     _check_finite(g, f"gradient flowing into {t.op}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+        t.grad = np.zeros_like(t.data, order="C")  # so its reshapes are views
     if at is None:
         t.grad += g
     elif isinstance(at, np.ndarray):
-        _scatter_add(t.grad, at, g)
+        _scatter_add(t.grad.reshape((-1,) + g.shape[at.ndim:]), at, g)
     else:
         t.grad[at] += g
 
@@ -402,33 +404,25 @@ def row(m: Tensor, index: int) -> Tensor:
 def take_rows(m: Tensor, idx) -> Tensor:
     """Entries along the first axis (rows of a matrix, elements of a vector)
     gathered by an integer array of any shape, into ``idx.shape + m.shape[1:]``;
-    backward adds each gradient entry into its source in place, summing repeats."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if m.data.ndim < 1:
-        raise ValueError("take_rows: a vector, matrix or higher rank expected")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
-        raise ValueError(f"take_rows: index out of range {m.shape}")
+    or, for a tuple of integer arrays, which broadcast together, the entries
+    ``m.data[idx]`` over as many leading axes. Backward adds each gradient
+    entry into its source in place, summing repeats."""
+    if isinstance(idx, tuple):
+        idx = tuple(np.asarray(i, dtype=np.intp) for i in idx)
+    else:
+        idx = (np.asarray(idx, dtype=np.intp),)
+    if not 1 <= len(idx) <= m.data.ndim:
+        raise ValueError(f"take_rows: {len(idx)} index arrays for shape {m.shape}")
+    for i, n in zip(idx, m.shape):
+        if i.size and (i.min() < 0 or i.max() >= n):
+            raise ValueError(f"take_rows: index out of range {m.shape}")
+    # one index into the leading axes taken as one
+    at = np.ravel_multi_index(idx, m.shape[:len(idx)]) if len(idx) > 1 else idx[0]
 
     def back(g):
-        _accumulate(m, g, at=idx)
+        _accumulate(m, g, at=at)
 
     return _node(m.data[idx], (m,), "take_rows", back)
-
-
-def part(m: Tensor, key: tuple[int | slice, ...]) -> Tensor:
-    """The entries ``m.data[key]`` picked by integers and slices, one per
-    leading axis (``np.s_[t, :, :h]``); backward adds into that part of the
-    parent's gradient in place."""
-    if not all(isinstance(k, (int, slice)) for k in key) or len(key) > m.data.ndim:
-        raise ValueError(f"part: need at most {m.data.ndim} integers or slices, got {key!r}")
-    for k, n in zip(key, m.shape):
-        if isinstance(k, int) and not 0 <= k < n:
-            raise ValueError(f"part: index {k} out of range {m.shape}")
-
-    def back(g):
-        _accumulate(m, g, at=key)
-
-    return _node(np.array(m.data[key]), (m,), "part", back)
 
 
 def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -605,26 +599,69 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tupl
     return mul(o, tanh(c)), c
 
 
-def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
-    """Hidden states of a bidirectional LSTM over a whole sequence, as one node.
+# kernel gate order i, f, o, g, as indices into the stored order i, f, g, o
+_KERNEL_GATES = [0, 1, 3, 2]
 
-    `x` is (T × d_in), or (T × B × d_in) for B equal-length sequences run
-    side by side; the result is (T × 2h) or (T × B × 2h), entry t holding
-    [forward state after step t; backward state after step t]. Each step is
-    that of `lstm_cell`, from zero states: the forward direction `fwd` runs
-    from t = 0 up to T−1 and the backward direction `bwd` from t = T−1 down
-    to 0, so its entry 0 has seen the whole sequence.
 
-    Both directions step in one loop: loop step k runs forward t = k and
-    backward t = T−1−k, whose gates lie side by side in one (2 × B × 4h)
-    block, with one stacked product for both recurrences. The input
-    projection is one product per direction over all steps. The backward is
-    hand-written BPTT over the kept gates and cell states, fused the same
-    way; each direction's dW_x, dW_h, db and dX are one product or sum over
-    its gate gradients in time order, the forward direction's first. So
-    every value, gradients included, is bit for bit what one run per
-    direction gives: each slice of a stacked product is the BLAS call that
-    its direction alone would make.
+def _check_lengths(lengths, x: Tensor) -> np.ndarray:
+    """`lengths` as an integer array, one length in [1, T] per sequence."""
+    if x.data.ndim != 3:
+        raise ValueError(f"bilstm: lengths need a (T, B, d) input, got {x.shape}")
+    steps, batch = x.shape[:2]
+    lens = np.asarray(lengths)
+    if not np.issubdtype(lens.dtype, np.integer):
+        raise ValueError(f"bilstm: lengths must be integers, got {lens.dtype}")
+    if lens.shape != (batch,):
+        raise ValueError(f"bilstm: lengths of shape {lens.shape} for a batch of {batch}")
+    if lens.min() < 1 or lens.max() > steps:
+        raise ValueError(
+            f"bilstm: lengths must lie in [1, {steps}], got {lens.min()}..{lens.max()}")
+    return lens.astype(np.intp)
+
+
+def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tensor:
+    """Hidden states of a bidirectional LSTM over whole sequences, as one node.
+
+    `x` is (T × d_in), or (T × B × d_in) for B sequences run side by side;
+    the result is (T × 2h) or (T × B × 2h), entry t holding [forward state
+    after step t; backward state after step t]. Each step is that of
+    `lstm_cell`, from zero states: the forward direction `fwd` runs from
+    t = 0 up and the backward direction `bwd` down to t = 0, so its entry 0
+    has seen the whole sequence. With `lengths` (one per sequence, each in
+    [1, T]) `x` is a right-padded batch: sequence b is its first L_b rows,
+    its backward direction starts at t = L_b − 1, and its result rows from
+    L_b on are zero and pass no gradient back.
+
+    Both directions step in one loop. Loop step k runs the forward
+    direction at t = k and the backward one at t = L_b − 1 − k: the input
+    rows of the backward direction are gathered once into loop order (a
+    reversal of each sequence's own rows), and its states and gradients go
+    back through the same gather. Loop steps k ≥ L_b run on padding after
+    every real step of sequence b, in both directions, so they never reach
+    a real state and no mask is needed in the loop.
+
+    The gates of a step lie gate-major in one (4 × 2 × B × h) block,
+    ordered i, f, o, g, so the three sigmoid gates are one contiguous
+    slab. One `tanh` covers the whole block, as σ(z) = ½·tanh(z/2) + ½:
+    the i, f and o rows of w_x, w_h and b are halved when the call starts,
+    and as halving is exact (barring underflow), the tanh sees z/2 exactly.
+    The step's incoming cell state c follows the block, so the cell update
+    f·c + i·g takes one product of [i, f] with [g, c] and one sum. The
+    recurrent product is one (2 × B × h) @ (2 × h × 4h) product on
+    contiguous weights. These weights are derived from the parameters in
+    every call, since optimizers and `grad_check` change them in place.
+
+    The backward is hand-written BPTT over the kept gates and cell states,
+    with the gate gradients of a step in the stored order i, f, g, o, whose
+    first three gates all take the cell gradient, so one product covers
+    them; dW_x, dW_h, db and dX are one product or sum each over both
+    directions' gate gradients.
+
+    The rounding differs from the separate sigmoid and the per-direction
+    products of `reference_bilstm` in `tests/helpers.py`, the kernel this
+    one replaced, which the tests hold it to: outputs within 1e-9 and
+    gradients within 1e-6 (relative) in float64, 1e-5 in float32. A batch
+    whose lengths all equal T gives exactly the result without `lengths`.
     """
     h = fwd.hidden
     if x.data.ndim not in (2, 3) or x.shape[0] < 1:
@@ -637,89 +674,125 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights) -> Tensor:
                 f"inconsistent with input {x.shape} and hidden {h}")
     xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
     steps, batch = xs.shape[:2]
-    proj = [(xs.reshape(-1, d_in) @ w.w_x.data.T + w.b.data).reshape(steps, batch, 4 * h)
-            for w in (fwd, bwd)]
-    dtype = proj[0].dtype
-    # in loop order, side 0 the forward and side 1 the backward direction:
-    # pre-activations, overwritten step by step with the gate values i, f, g, o
-    gates = np.empty((steps, 2, batch, 4 * h), dtype=dtype)
-    gates[:, 0] = proj[0]
-    gates[:, 1] = proj[1][::-1]
-    i, f, gg, o = (gates[..., k * h:(k + 1) * h] for k in range(4))
-    # each slice has the strides of w_h.T, so it gets the BLAS call of one direction
-    w_h_t = np.stack([fwd.w_h.data, bwd.w_h.data]).transpose(0, 2, 1)
-    cells = np.empty((steps, 2, batch, h), dtype=dtype)
-    tanh_c = np.empty_like(cells)
-    hs = np.empty_like(cells)
-    h_prev = c_prev = np.zeros((2, batch, h), dtype=dtype)
+    if lengths is None:
+        padding = None
+
+        def backward_order(a: np.ndarray) -> np.ndarray:
+            return a[::-1]
+    else:
+        lens = _check_lengths(lengths, x)
+        loop_step = np.arange(steps)[:, None]
+        padding = loop_step >= lens  # (T, B), the same in loop and in time order
+        # the row of each loop step of the backward direction: an involution per sequence
+        rows = np.where(padding, loop_step, lens - 1 - loop_step)
+        cols = np.arange(batch)
+
+        def backward_order(a: np.ndarray) -> np.ndarray:
+            """Time order to the backward direction's loop order, and back."""
+            return a[rows, cols]
+
+    # both directions' weights, (2, 4, h, ·) in the stored gate order, and
+    # the kernel's copies, in its gate order with the sigmoid gates halved
+    w_x = np.concatenate([fwd.w_x.data, bwd.w_x.data]).reshape(2, 4, h, d_in)
+    w_h = np.concatenate([fwd.w_h.data, bwd.w_h.data]).reshape(2, 4, h, h)
+    b = np.concatenate([fwd.b.data, bwd.b.data]).reshape(2, 4, h)
+    scale = np.array([0.5, 0.5, 0.5, 1.0], dtype=w_h.dtype)[:, None]  # per kernel gate
+    b_k = b[:, _KERNEL_GATES] * scale
+    w_x_k = w_x[:, _KERNEL_GATES] * scale[..., None]
+    w_h_k = np.ascontiguousarray(  # (2, h_in, 4 × h_out)
+        (w_h[:, _KERNEL_GATES] * scale[..., None]).transpose(0, 3, 1, 2)).reshape(2, h, 4 * h)
+    proj = (xs.reshape(-1, d_in) @ w_x_k.reshape(8 * h, d_in).T + b_k.reshape(8 * h))
+    proj = proj.reshape(steps, batch, 2, 4, h)
+    dtype = proj.dtype
+    # loop order, one (5 × 2 × B × h) block per step, gate-major: the half
+    # pre-activations of i, f, o and the pre-activation of g, overwritten
+    # with the gate values, then the step's incoming cell state, so that
+    # [i, f] · [g, c] is one product; block k + 1 receives step k's cell
+    blocks = np.empty((steps + 1, 5, 2, batch, h), dtype=dtype)
+    blocks[:-1, :4, 0] = proj[:, :, 0].transpose(0, 2, 1, 3)
+    blocks[:-1, :4, 1] = backward_order(proj[:, :, 1]).transpose(0, 2, 1, 3)
+    blocks[0, 4] = 0.0
+    gates, c_in, cells = blocks[:-1, :4], blocks[:-1, 4], blocks[1:, 4]
+    states = np.zeros((steps + 1, 2, batch, h), dtype=dtype)  # entry k + 1 after step k
+    hs = states[1:]
+    tanh_c = np.empty_like(hs)
     recurrent = np.empty((2, batch, 4 * h), dtype=dtype)
-    candidate = np.empty_like(h_prev)
-    new_cell = np.empty_like(h_prev)
-    for k in range(steps):
-        z = gates[k]
-        np.matmul(h_prev, w_h_t, out=recurrent)
-        z += recurrent
-        np.tanh(gg[k], out=candidate)
-        _sigmoid(z, out=z)
-        gg[k] = candidate
-        np.multiply(f[k], c_prev, out=cells[k])
-        np.multiply(i[k], candidate, out=new_cell)
-        cells[k] += new_cell
-        np.tanh(cells[k], out=tanh_c[k])
-        np.multiply(o[k], tanh_c[k], out=hs[k])
-        h_prev, c_prev = hs[k], cells[k]
+    recurrent_k = recurrent.reshape(2, batch, 4, h).transpose(2, 0, 1, 3)
+    products = np.empty((2, 2, batch, h), dtype=dtype)
+    i_g, f_c = products
+    half = np.array(0.5, dtype=dtype)  # an array: a Python float costs a conversion per call
+    # per step, views of the gates, their sigmoid slab, [i, f], [g, c_in],
+    # o and the states
+    for h_prev, z, sig, i_f, g_c, o, c, tc, hk in zip(
+            states, gates, gates[:, :3], blocks[:-1, :2], blocks[:-1, 3:], gates[:, 2], cells,
+            tanh_c, hs):
+        np.matmul(h_prev, w_h_k, out=recurrent)
+        z += recurrent_k
+        np.tanh(z, out=z)
+        np.multiply(sig, half, out=sig)
+        np.add(sig, half, out=sig)
+        np.multiply(i_f, g_c, out=products)
+        np.add(i_g, f_c, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=hk)
     out = np.empty((steps, batch, 2 * h), dtype=dtype)
     out[..., :h] = hs[:, 0]
-    out[..., h:] = hs[::-1, 1]
+    out[..., h:] = backward_order(hs[:, 1])
+    if padding is not None:
+        out[padding] = 0.0
 
-    def incoming(a: np.ndarray) -> np.ndarray:
-        """Each loop step's incoming state: `a` shifted one step on."""
-        shifted = np.zeros_like(a)
-        shifted[1:] = a[:-1]
-        return shifted
-
-    def back(g):
-        g = g.reshape(steps, batch, 2 * h)
+    def back(g_out):
+        g_out = g_out.reshape(steps, batch, 2 * h)
         g_loop = np.empty_like(hs)
-        g_loop[:, 0] = g[..., :h]
-        g_loop[:, 1] = g[::-1, :, h:]
-        c_in = incoming(cells)
-        # the factors that do not depend on the carried gradients, for all steps at once
-        di, df, dgg, do = 1.0 - i, 1.0 - f, 1.0 - gg * gg, 1.0 - o
-        dtanh = 1.0 - tanh_c * tanh_c
-        dz = np.empty_like(gates)
-        dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
-        w_h = np.stack([fwd.w_h.data, bwd.w_h.data])
+        g_loop[:, 0] = g_out[..., :h]
+        g_loop[:, 1] = backward_order(g_out[..., h:])
+        if padding is not None:
+            g_loop *= ~padding[:, None, :, None]
+        i, f, o, g = (gates[:, k] for k in range(4))
+        # per step and stored gate, the factor of the carried cell gradient
+        # (i, f, g) or hidden gradient (o) in the pre-activation gradient
+        factor = np.empty_like(gates)
+        np.multiply(i, 1.0 - i, out=factor[:, 0])
+        factor[:, 0] *= g
+        np.multiply(f, 1.0 - f, out=factor[:, 1])
+        factor[:, 1] *= c_in
+        np.multiply(g, g, out=factor[:, 2])
+        np.subtract(1.0, factor[:, 2], out=factor[:, 2])
+        factor[:, 2] *= i
+        np.multiply(o, 1.0 - o, out=factor[:, 3])
+        factor[:, 3] *= tanh_c
+        o_dtanh = o * (1.0 - tanh_c * tanh_c)
+        # direction-major, so that each step's product with w_h is contiguous
+        dz = np.empty((steps, 2, batch, 4 * h), dtype=dtype)
+        dz_gates = dz.reshape(steps, 2, batch, 4, h).transpose(0, 3, 1, 2, 4)
+        w_h_back = w_h.reshape(2, 4 * h, h)
         dh = np.zeros((2, batch, h), dtype=dtype)
         dc = np.zeros_like(dh)
         term = np.empty_like(dh)
-        for k in range(steps - 1, -1, -1):
-            dh += g_loop[k]
-            np.multiply(dh, o[k], out=term)
-            term *= dtanh[k]
+        steps_back = (a[::-1] for a in (g_loop, o_dtanh, factor[:, :3], factor[:, 3],
+                                        dz_gates[:, :3], dz_gates[:, 3], f, dz))
+        for g_k, o_dtanh_k, cell_factor, o_factor, dz_cell, dz_o, f_k, dz_k in zip(*steps_back):
+            dh += g_k
+            np.multiply(dh, o_dtanh_k, out=term)
             dc += term
-            np.multiply(dc, gg[k], out=dz_i[k])
-            dz_i[k] *= i[k]
-            dz_i[k] *= di[k]
-            np.multiply(dc, c_in[k], out=dz_f[k])
-            dz_f[k] *= f[k]
-            dz_f[k] *= df[k]
-            np.multiply(dc, i[k], out=dz_g[k])
-            dz_g[k] *= dgg[k]
-            np.multiply(dh, tanh_c[k], out=dz_o[k])
-            dz_o[k] *= o[k]
-            dz_o[k] *= do[k]
-            dc *= f[k]
-            np.matmul(dz[k], w_h, out=dh)
-        h_in = incoming(hs)
+            np.multiply(dc, cell_factor, out=dz_cell)
+            np.multiply(dh, o_factor, out=dz_o)
+            dc *= f_k
+            np.matmul(dz_k, w_h_back, out=dh)
+        g_w_h = np.matmul(dz.transpose(1, 3, 0, 2).reshape(2, 4 * h, -1),
+                          states[:-1].transpose(1, 0, 2, 3).reshape(2, -1, h))
+        dz_time = np.empty((steps, batch, 2, 4 * h), dtype=dtype)
+        dz_time[:, :, 0] = dz[:, 0]
+        dz_time[:, :, 1] = backward_order(dz[:, 1])
+        flat = dz_time.reshape(-1, 8 * h)
+        g_w_x = (flat.T @ xs.reshape(-1, d_in)).reshape(2, 4 * h, d_in)
+        g_b = flat.sum(axis=0).reshape(2, 4 * h)
         for side, w in enumerate((fwd, bwd)):
-            time = slice(None, None, 1 - 2 * side)  # the backward side's loop order reversed
-            flat = np.ascontiguousarray(dz[time, side]).reshape(-1, 4 * h)
-            _accumulate(w.w_x, flat.T @ xs.reshape(-1, d_in))
-            _accumulate(w.w_h, flat.T @ np.ascontiguousarray(h_in[time, side]).reshape(-1, h))
-            _accumulate(w.b, flat.sum(axis=0))
-            if x.requires_grad:
-                _accumulate(x, (flat @ w.w_x.data).reshape(x.shape))
+            _accumulate(w.w_x, g_w_x[side])
+            _accumulate(w.w_h, g_w_h[side])
+            _accumulate(w.b, g_b[side])
+        if x.requires_grad:
+            _accumulate(x, (flat @ w_x.reshape(8 * h, d_in)).reshape(x.shape))
 
     return _node(out.reshape(x.shape[:-1] + (2 * h,)),
                  (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b), "bilstm", back)

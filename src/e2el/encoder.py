@@ -8,12 +8,14 @@ A mention combines its boundary context vectors with an attention-weighted
 down to entity-embedding size with a single affine layer.
 
 Each bi-LSTM is one `bilstm` node, which steps both directions in one
-loop. The char bi-LSTM runs once per document over its distinct tokens,
-grouped by length: each length is one batched `bilstm` call, so no
-sequence is padded or masked. The word-character vectors V
-(n × v_dim) and context vectors X (n × x_dim) are each one matrix node,
-which is all `EncodedDocument` holds. A document's mentions are one
-(spans × d) node, their soft heads batched by span length the same way.
+loop, so a document makes two calls. The char bi-LSTM runs once per
+document over its distinct tokens, as one right-padded batch with their
+lengths: the kernel reverses each word within its own length, so
+padding only ever follows a word's real steps and needs no mask. The
+word-character vectors V (n × v_dim) and context vectors X (n × x_dim)
+are each one matrix node, which is all `EncodedDocument` holds. A
+document's mentions are one (spans × d) node, their soft heads batched
+by span length (`rows_by_group`), with no padding or mask.
 
 Dropout applies at two sites in training mode: on the word-character
 vectors and on the context bi-LSTM output.
@@ -106,7 +108,9 @@ class EncodedDocument:
 def rows_by_group(keys: list[int], build: Callable[[int, list[int]], ad.Tensor]) -> ad.Tensor:
     """One row per key, built one group of equal keys at a time:
     `build(key, members)` makes the rows of the listed positions, and the
-    groups' rows are put back in the order of `keys`."""
+    groups' rows are put back in the order of `keys`. It batches the soft
+    heads of mentions by span length and the attention contexts of
+    `scoring.long_range_feature` by count."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     parts = [build(key, list(members)) for key, members in groupby(order, keys.__getitem__)]
     stacked = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
@@ -114,22 +118,26 @@ def rows_by_group(keys: list[int], build: Callable[[int, list[int]], ad.Tensor])
 
 
 def char_embed(words: list[str], table: CharTable, params: EncoderParams) -> ad.Tensor:
-    """Char bi-LSTM summaries [last forward; first backward], one row per
-    word; the words of one length run as one batch per direction."""
+    """Char bi-LSTM summaries [forward state at the last character;
+    backward state at the first], one row per word; the words run as one
+    right-padded batch."""
     if not words:
         raise ValueError("char_embed: no words")
     if not all(words):
         raise ValueError("char_embed: empty word")
-
-    def summaries(length: int, members: list[int]) -> ad.Tensor:
-        codes = np.array([[table.index(ch) for ch in words[i]] for i in members])
-        zs = ad.take_rows(table.rows, codes.T)  # (length × batch × char_dim)
-        states = ad.bilstm(zs, params.char_fwd, params.char_bwd)
-        h = params.char_fwd.hidden
-        return ad.concat([ad.part(states, np.s_[length - 1, :, :h]),
-                          ad.part(states, np.s_[0, :, h:])])
-
-    return rows_by_group([len(word) for word in words], summaries)
+    lengths = np.array([len(word) for word in words])
+    codes = np.empty((lengths.max(), len(words)), dtype=np.intp)
+    padding = np.arange(len(codes))[:, None] >= lengths
+    codes.T[~padding.T] = [table.index(ch) for word in words for ch in word]  # word by word
+    # padding reads the table's rows in turn: its gradient is zero, but the
+    # scatter behind the gather makes one pass per repeat of a row
+    codes[padding] = np.arange(padding.sum()) % table.rows.shape[0]
+    states = ad.bilstm(ad.take_rows(table.rows, codes), params.char_fwd, params.char_bwd,
+                       lengths)  # (length × batch × 2h)
+    # per word, the forward half at t = L − 1 and the backward half at t = 0
+    columns = np.arange(states.shape[2])
+    steps = np.where(columns < params.char_fwd.hidden, lengths[:, None] - 1, 0)
+    return ad.take_rows(states, (steps, np.arange(len(words))[:, None], columns))
 
 
 def encode_document(doc: Document, words: WordVectors, chars: CharTable,

@@ -65,7 +65,8 @@ def build_model(words, entities, dims=None, corpus_tokens=None, seed=0, **kw):
 
 
 # ---------------------------------------------------------------------------
-# one node per LSTM direction: the oracle for `autodiff.bilstm`
+# the oracles for `autodiff.bilstm`: the kernel before its gate-major
+# rewrite, and one node per LSTM direction, its own oracle
 
 
 def reference_sigmoid(d):
@@ -152,8 +153,132 @@ def lstm_sequence(x, w, reverse=False):
 
 
 def two_call_bilstm(x, fwd, bwd):
-    """`autodiff.bilstm` as one `lstm_sequence` node per direction, joined."""
+    """`reference_bilstm` as one `lstm_sequence` node per direction, joined."""
     return ad.concat([lstm_sequence(x, fwd), lstm_sequence(x, bwd, reverse=True)])
+
+
+def reference_bilstm(x, fwd, bwd):
+    """`autodiff.bilstm` before its gate-major rewrite, unchanged but for the
+    `ad.` prefixes: the oracle for that kernel, itself checked bit for bit
+    against `two_call_bilstm`.
+
+    Hidden states of a bidirectional LSTM over a whole sequence, as one node.
+
+    `x` is (T × d_in), or (T × B × d_in) for B equal-length sequences run
+    side by side; the result is (T × 2h) or (T × B × 2h), entry t holding
+    [forward state after step t; backward state after step t]. Each step is
+    that of `lstm_cell`, from zero states: the forward direction `fwd` runs
+    from t = 0 up to T−1 and the backward direction `bwd` from t = T−1 down
+    to 0, so its entry 0 has seen the whole sequence.
+
+    Both directions step in one loop: loop step k runs forward t = k and
+    backward t = T−1−k, whose gates lie side by side in one (2 × B × 4h)
+    block, with one stacked product for both recurrences. The input
+    projection is one product per direction over all steps. The backward is
+    hand-written BPTT over the kept gates and cell states, fused the same
+    way; each direction's dW_x, dW_h, db and dX are one product or sum over
+    its gate gradients in time order, the forward direction's first. So
+    every value, gradients included, is bit for bit what one run per
+    direction gives: each slice of a stacked product is the BLAS call that
+    its direction alone would make.
+    """
+    h = fwd.hidden
+    if x.data.ndim not in (2, 3) or x.shape[0] < 1:
+        raise ValueError(f"bilstm: (T, d) or (T, B, d) input expected, got {x.shape}")
+    d_in = x.shape[-1]
+    for w in (fwd, bwd):
+        if w.w_x.shape != (4 * h, d_in) or w.w_h.shape != (4 * h, h) or w.b.shape != (4 * h,):
+            raise ValueError(
+                f"bilstm: weight dims {w.w_x.shape}/{w.w_h.shape}/{w.b.shape} "
+                f"inconsistent with input {x.shape} and hidden {h}")
+    xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
+    steps, batch = xs.shape[:2]
+    proj = [(xs.reshape(-1, d_in) @ w.w_x.data.T + w.b.data).reshape(steps, batch, 4 * h)
+            for w in (fwd, bwd)]
+    dtype = proj[0].dtype
+    # in loop order, side 0 the forward and side 1 the backward direction:
+    # pre-activations, overwritten step by step with the gate values i, f, g, o
+    gates = np.empty((steps, 2, batch, 4 * h), dtype=dtype)
+    gates[:, 0] = proj[0]
+    gates[:, 1] = proj[1][::-1]
+    i, f, gg, o = (gates[..., k * h:(k + 1) * h] for k in range(4))
+    # each slice has the strides of w_h.T, so it gets the BLAS call of one direction
+    w_h_t = np.stack([fwd.w_h.data, bwd.w_h.data]).transpose(0, 2, 1)
+    cells = np.empty((steps, 2, batch, h), dtype=dtype)
+    tanh_c = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    h_prev = c_prev = np.zeros((2, batch, h), dtype=dtype)
+    recurrent = np.empty((2, batch, 4 * h), dtype=dtype)
+    candidate = np.empty_like(h_prev)
+    new_cell = np.empty_like(h_prev)
+    for k in range(steps):
+        z = gates[k]
+        np.matmul(h_prev, w_h_t, out=recurrent)
+        z += recurrent
+        np.tanh(gg[k], out=candidate)
+        ad._sigmoid(z, out=z)
+        gg[k] = candidate
+        np.multiply(f[k], c_prev, out=cells[k])
+        np.multiply(i[k], candidate, out=new_cell)
+        cells[k] += new_cell
+        np.tanh(cells[k], out=tanh_c[k])
+        np.multiply(o[k], tanh_c[k], out=hs[k])
+        h_prev, c_prev = hs[k], cells[k]
+    out = np.empty((steps, batch, 2 * h), dtype=dtype)
+    out[..., :h] = hs[:, 0]
+    out[..., h:] = hs[::-1, 1]
+
+    def incoming(a: np.ndarray) -> np.ndarray:
+        """Each loop step's incoming state: `a` shifted one step on."""
+        shifted = np.zeros_like(a)
+        shifted[1:] = a[:-1]
+        return shifted
+
+    def back(g):
+        g = g.reshape(steps, batch, 2 * h)
+        g_loop = np.empty_like(hs)
+        g_loop[:, 0] = g[..., :h]
+        g_loop[:, 1] = g[::-1, :, h:]
+        c_in = incoming(cells)
+        # the factors that do not depend on the carried gradients, for all steps at once
+        di, df, dgg, do = 1.0 - i, 1.0 - f, 1.0 - gg * gg, 1.0 - o
+        dtanh = 1.0 - tanh_c * tanh_c
+        dz = np.empty_like(gates)
+        dz_i, dz_f, dz_g, dz_o = (dz[..., k * h:(k + 1) * h] for k in range(4))
+        w_h = np.stack([fwd.w_h.data, bwd.w_h.data])
+        dh = np.zeros((2, batch, h), dtype=dtype)
+        dc = np.zeros_like(dh)
+        term = np.empty_like(dh)
+        for k in range(steps - 1, -1, -1):
+            dh += g_loop[k]
+            np.multiply(dh, o[k], out=term)
+            term *= dtanh[k]
+            dc += term
+            np.multiply(dc, gg[k], out=dz_i[k])
+            dz_i[k] *= i[k]
+            dz_i[k] *= di[k]
+            np.multiply(dc, c_in[k], out=dz_f[k])
+            dz_f[k] *= f[k]
+            dz_f[k] *= df[k]
+            np.multiply(dc, i[k], out=dz_g[k])
+            dz_g[k] *= dgg[k]
+            np.multiply(dh, tanh_c[k], out=dz_o[k])
+            dz_o[k] *= o[k]
+            dz_o[k] *= do[k]
+            dc *= f[k]
+            np.matmul(dz[k], w_h, out=dh)
+        h_in = incoming(hs)
+        for side, w in enumerate((fwd, bwd)):
+            time = slice(None, None, 1 - 2 * side)  # the backward side's loop order reversed
+            flat = np.ascontiguousarray(dz[time, side]).reshape(-1, 4 * h)
+            ad._accumulate(w.w_x, flat.T @ xs.reshape(-1, d_in))
+            ad._accumulate(w.w_h, flat.T @ np.ascontiguousarray(h_in[time, side]).reshape(-1, h))
+            ad._accumulate(w.b, flat.sum(axis=0))
+            if x.requires_grad:
+                ad._accumulate(x, (flat @ w.w_x.data).reshape(x.shape))
+
+    return ad._node(out.reshape(x.shape[:-1] + (2 * h,)),
+                 (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b), "bilstm", back)
 
 
 # ---------------------------------------------------------------------------

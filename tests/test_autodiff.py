@@ -178,8 +178,10 @@ class TestSigmoid:
 
 
 class TestBilstm:
-    """`ad.bilstm` against the two-call oracle `helpers.two_call_bilstm`,
-    which joins one `helpers.lstm_sequence` node per direction."""
+    """`helpers.reference_bilstm`, the oracle for `ad.bilstm`, against the
+    two-call oracle `helpers.two_call_bilstm`, which joins one
+    `helpers.lstm_sequence` node per direction; and `ad.bilstm`'s checks
+    and finite differences."""
 
     @staticmethod
     def run(bilstm, x, fwd, bwd, probe):
@@ -204,7 +206,7 @@ class TestBilstm:
                 w.b.data = rng.normal(size=w.b.shape).astype(w.b.data.dtype)
             x = (ad.parameter if trainable else ad.constant)(rng.normal(size=shape))
             probe = ad.constant(rng.normal(size=shape[:-1] + (8,)))
-            out, grads = self.run(ad.bilstm, x, fwd, bwd, probe)
+            out, grads = self.run(helpers.reference_bilstm, x, fwd, bwd, probe)
             want, want_grads = self.run(helpers.two_call_bilstm, x, fwd, bwd, probe)
         assert out.shape == shape[:-1] + (8,) and out.dtype == want.dtype
         assert np.array_equal(out, want)
@@ -217,7 +219,7 @@ class TestBilstm:
         w = ad.init_lstm(3, 2, rng)
         x = ad.parameter(rng.normal(size=(4, 2, 3)))
         probe = ad.constant(rng.normal(size=(4, 2, 4)))
-        out, grads = self.run(ad.bilstm, x, w, w, probe)
+        out, grads = self.run(helpers.reference_bilstm, x, w, w, probe)
         want, want_grads = self.run(helpers.two_call_bilstm, x, w, w, probe)
         assert np.array_equal(out, want)
         for got, expected in zip(grads, want_grads):
@@ -249,35 +251,176 @@ class TestBilstm:
                 assert err <= 1e-6, f"{p.op} {shape}: {err}"
 
 
-class TestPart:
+def _assert_close(got, want, precision, outputs=1):
+    """The first `outputs` arrays are outputs, within 1e-9 in float64, the
+    rest gradients, within 1e-6 of their larger magnitude; all within 1e-5
+    in float32."""
+    for k, (a, b) in enumerate(zip(got, want)):
+        if a is None or b is None:
+            assert a is None and b is None
+            continue
+        assert a.shape == b.shape and a.dtype == b.dtype
+        err = np.abs(a - b)
+        if precision == "float32":
+            assert err.max() <= 1e-5
+        elif k < outputs:
+            assert err.max() <= 1e-9
+        else:
+            assert (err / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)).max() <= 1e-6
+
+
+class TestGateMajorBilstm:
+    """`ad.bilstm` against `helpers.reference_bilstm`, on TestBilstm's cases."""
+
+    @pytest.mark.parametrize("trainable", [True, False])
+    @pytest.mark.parametrize("shape", [(5, 3), (6, 2, 3), (1, 3), (1, 4, 3), (4, 1, 3)])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_matches_reference(self, precision, shape, trainable):
+        rng = np.random.default_rng(6)
+        with ad.precision(precision):
+            fwd, bwd = ad.init_lstm(3, 4, rng), ad.init_lstm(3, 4, rng)
+            for w in (fwd, bwd):
+                w.b.data = rng.normal(size=w.b.shape).astype(w.b.data.dtype)
+            x = (ad.parameter if trainable else ad.constant)(rng.normal(size=shape))
+            probe = ad.constant(rng.normal(size=shape[:-1] + (8,)))
+            out, grads = TestBilstm.run(ad.bilstm, x, fwd, bwd, probe)
+            want, want_grads = TestBilstm.run(helpers.reference_bilstm, x, fwd, bwd, probe)
+        assert (grads[0] is None) == (not trainable)
+        _assert_close([out] + grads, [want] + want_grads, precision)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_shared_weights_match_reference(self, precision):
+        rng = np.random.default_rng(7)
+        with ad.precision(precision):
+            w = ad.init_lstm(3, 2, rng)
+            x = ad.parameter(rng.normal(size=(4, 2, 3)))
+            probe = ad.constant(rng.normal(size=(4, 2, 4)))
+            out, grads = TestBilstm.run(ad.bilstm, x, w, w, probe)
+            want, want_grads = TestBilstm.run(helpers.reference_bilstm, x, w, w, probe)
+        _assert_close([out] + grads, [want] + want_grads, precision)
+
+    def test_weights_are_read_afresh_in_every_call(self):
+        rng = np.random.default_rng(8)
+        fwd, bwd = ad.init_lstm(3, 2, rng), ad.init_lstm(3, 2, rng)
+        x = ad.constant(rng.normal(size=(5, 3)))
+        before = ad.bilstm(x, fwd, bwd).data
+        for t in (fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b):
+            t.data += 0.25  # in place, as Adam updates them
+            assert not np.array_equal(ad.bilstm(x, fwd, bwd).data, before)
+            before = ad.bilstm(x, fwd, bwd).data
+        want = helpers.reference_bilstm(x, fwd, bwd).data
+        assert np.abs(before - want).max() <= 1e-5
+
+
+class TestPackedBilstm:
+    """`ad.bilstm` with `lengths`: each sequence of a right-padded batch
+    against its own unpadded call."""
+
+    @staticmethod
+    def case(lengths, d=3, h=4, seed=9):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = ad.init_lstm(d, h, rng), ad.init_lstm(d, h, rng)
+        for w in (fwd, bwd):
+            w.b.data = rng.normal(size=w.b.shape).astype(w.b.data.dtype)
+        shape = (max(lengths), len(lengths))
+        x = ad.parameter(rng.normal(size=shape + (d,)))
+        probe = ad.constant(rng.normal(size=shape + (2 * h,)))
+        return x, fwd, bwd, probe
+
+    @pytest.mark.parametrize("lengths", [[1, 6, 3, 3, 6, 2, 4, 5],  # 1 to T, with ties
+                                         [9, 1, 2, 1, 2],  # one long outlier
+                                         [1], [2, 1]])
+    def test_each_sequence_matches_its_own_call(self, lengths):
+        with ad.precision("float64"):
+            x, fwd, bwd, probe = self.case(lengths)
+            out, grads = TestBilstm.run(
+                lambda *a: ad.bilstm(*a, lengths=np.array(lengths)), x, fwd, bwd, probe)
+            steps = np.arange(x.shape[0])[:, None]
+            padding = steps >= np.array(lengths)
+            assert out.shape == probe.shape
+            assert not out[padding].any()
+            # the padding rows of x get only the gradient of the tanh term
+            assert np.array_equal(grads[0][padding], 1.0 - np.tanh(x.data[padding]) ** 2)
+            weight_grads = [np.zeros_like(g) for g in grads[1:]]
+            for b, n in enumerate(lengths):
+                xb = ad.parameter(x.data[:n, b])
+                own, own_grads = TestBilstm.run(ad.bilstm, xb, fwd, bwd,
+                                                ad.constant(probe.data[:n, b]))
+                _assert_close([out[:n, b], grads[0][:n, b]], [own, own_grads[0]], "float64")
+                for total, g in zip(weight_grads, own_grads[1:]):
+                    total += g
+            _assert_close(grads[1:], weight_grads, "float64", outputs=0)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_equal_lengths_equal_the_unpadded_batch(self, precision):
+        with ad.precision(precision):
+            x, fwd, bwd, probe = self.case([5, 5, 5])
+            out, grads = TestBilstm.run(ad.bilstm, x, fwd, bwd, probe)
+            packed, packed_grads = TestBilstm.run(
+                lambda *a: ad.bilstm(*a, lengths=[5, 5, 5]), x, fwd, bwd, probe)
+        assert np.array_equal(packed, out)
+        for got, want in zip(packed_grads, grads):
+            assert np.array_equal(got, want)
+
+    def test_gradients_match_finite_differences(self):
+        with ad.precision("float64"):
+            x, fwd, bwd, probe = self.case([3, 1, 4, 3], h=2)
+
+            def loss():
+                return _total(ad.mul(ad.bilstm(x, fwd, bwd, lengths=[3, 1, 4, 3]), probe))
+
+            for p in (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b):
+                err = ad.grad_check(loss, p)
+                assert err <= 1e-6, f"{p.op}: {err}"
+
+    def test_bad_lengths_rejected(self):
+        x, fwd, bwd, _ = self.case([3, 2])
+        for lengths, problem in [([3], r"shape \(1,\) for a batch of 2"),
+                                 ([3, 2, 1], r"shape \(3,\) for a batch of 2"),
+                                 ([[3, 2]], r"shape \(1, 2\) for a batch of 2"),
+                                 ([0, 2], r"in \[1, 3\], got 0\.\.2"),
+                                 ([3, 4], r"in \[1, 3\], got 3\.\.4"),
+                                 ([3, -1], r"in \[1, 3\]"),
+                                 ([3.0, 2.0], "integers, got float64"),
+                                 ([True, True], "integers, got bool")]:
+            with pytest.raises(ValueError, match=f"bilstm: .*{problem}"):
+                ad.bilstm(x, fwd, bwd, lengths=lengths)
+        with pytest.raises(ValueError, match=r"bilstm: lengths need a \(T, B, d\) input"):
+            ad.bilstm(ad.constant(np.ones((3, 3))), fwd, bwd, lengths=[3])
+
+
+class TestTakeRowsByTuple:
+    """`take_rows` with a tuple of index arrays over the leading axes."""
+
     def test_picks_and_scatters_back(self):
         m = ad.parameter(np.arange(24.0).reshape(2, 3, 4))
-        p = ad.part(m, np.s_[1, :, 2:])
-        assert np.array_equal(p.data, m.data[1, :, 2:])
-        p.data[0, 0] = -1.0  # a copy, not a view
-        assert m.data[1, 0, 2] == 14.0
+        steps = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]])
+        p = ad.take_rows(m, (steps, np.array([[0], [1], [0]]), np.arange(4)))
+        assert np.array_equal(p.data, [[12, 13, 2, 3], [4, 5, 18, 19], [12, 13, 2, 3]])
         ad.backward(_total(p))
         want = np.zeros((2, 3, 4))
-        want[1, :, 2:] = 1.0
+        want[1, 0, :2] = want[0, 0, 2:] = 2.0  # picked twice, added up
+        want[0, 1, :2] = want[1, 1, 2:] = 1.0
         assert np.array_equal(m.grad, want)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         with ad.precision("float64"):
             m = ad.parameter(rng.normal(size=(3, 2, 4)))
-            probe = ad.constant(rng.normal(size=(2, 4)))
+            probe = ad.constant(rng.normal(size=(5, 4)))
+            rows = (np.array([2, 0, 2, 1, 0]), np.array([1, 0, 1, 1, 0]))
 
             def loss():
-                both = ad.concat([ad.part(m, np.s_[2, :, :2]), ad.part(m, np.s_[0, :, 2:])])
-                return _total(ad.mul(ad.tanh(both), probe))
+                return _total(ad.mul(ad.tanh(ad.take_rows(m, rows)), probe))
 
             assert ad.grad_check(loss, m) <= 1e-6
 
-    def test_bad_keys_rejected(self):
+    def test_bad_indices_rejected(self):
         m = ad.constant(np.zeros((2, 3)))
-        for key in (np.s_[2, :], np.s_[0, 0, 0], (np.array([0]),), np.s_[:, 3]):
-            with pytest.raises(ValueError, match="part"):
-                ad.part(m, key)
+        for idx in ((np.array([2]), np.array([0])), (np.array([0]), np.array([3])),
+                    (np.array([0]), np.array([0]), np.array([0]))):
+            with pytest.raises(ValueError, match="take_rows"):
+                ad.take_rows(m, idx)
 
 
 def _total(t):

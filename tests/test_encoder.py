@@ -81,7 +81,7 @@ class TestCharEmbed:
 
     def test_final_states_gradients_match_finite_differences(self):
         # each word's row is its last forward and first backward state, picked
-        # from one bilstm node per length
+        # from one packed bilstm node
         with ad.precision("float64"):
             words, chars, params = make_model(seed=6)
             probe = ad.constant(np.random.default_rng(6).normal(size=(4, 2 * TOY.char_hidden)))

@@ -1,7 +1,8 @@
 """Guards on the shape of the hot paths: they fail if a per-span loop comes
 back into the attention ranking, a scatter loop (`np.add.at`) into the
-training step's gradient gathers, or a whole-document rematch per
-threshold into the threshold sweep."""
+training step's gradient gathers, a whole-document rematch per threshold
+into the threshold sweep, or a `bilstm` call per word length into the
+encoder."""
 
 import sys
 
@@ -10,9 +11,10 @@ import pytest
 
 import helpers
 from e2el import autodiff as ad
-from e2el import inference, scoring, training
+from e2el import encoder, inference, scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
+from e2el.embeddings import CharTable
 from e2el.encoder import EncodedDocument
 from e2el.scoring import ScoredPair
 
@@ -118,3 +120,25 @@ def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monke
         assert matched == [kept]  # `evaluate`'s one call for the document
     else:
         assert sum(matched) <= 2 * kept
+
+
+def test_encoding_makes_one_char_and_one_context_bilstm_call(monkeypatch):
+    calls = []
+
+    def counting(*args, _fn=ad.bilstm, **kwargs):
+        calls.append(args[0].shape)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "bilstm", counting)
+    rng = np.random.default_rng(4)
+    dims = helpers.toy_dims()
+    tokens = ["a", "to", "the", "over", "alpha", "lambda", "epsilon"]
+    words = helpers.word_store(tokens, seed=4)
+    chars = CharTable.build(tokens, dims.char_dim, rng)
+    params = encoder.init_encoder_params(dims, rng)
+    for n_words in (1, 3, 7):  # 2, 4 and 7 distinct word lengths, with "unseen"
+        doc = Document("d", tokens[:n_words] * 3 + ["unseen"])
+        calls.clear()
+        encoder.encode_document(doc, words, chars, params, dims)
+        assert len(calls) == 2, n_words
+        assert calls[1] == (len(doc.tokens), dims.v_dim)  # the context bi-LSTM
