@@ -70,7 +70,10 @@ def cycle_gc_paused() -> Iterator[None]:
     with the collector on, a step's tens of thousands of nodes survive
     into the oldest generation and set off full collections that walk
     every live object and find nothing. Drop the graph inside the block:
-    one still alive when the collector resumes is walked again.
+    one still alive when the collector resumes is walked again. Each
+    training step (`training.train`) and each scored corpus
+    (`inference.score_corpus`: annotate, select-threshold and the dev
+    evaluation) runs in such a block, as does the index decode.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -603,22 +606,6 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights) -> tupl
 _KERNEL_GATES = [0, 1, 3, 2]
 
 
-def _check_lengths(lengths, x: Tensor) -> np.ndarray:
-    """`lengths` as an integer array, one length in [1, T] per sequence."""
-    if x.data.ndim != 3:
-        raise ValueError(f"bilstm: lengths need a (T, B, d) input, got {x.shape}")
-    steps, batch = x.shape[:2]
-    lens = np.asarray(lengths)
-    if not np.issubdtype(lens.dtype, np.integer):
-        raise ValueError(f"bilstm: lengths must be integers, got {lens.dtype}")
-    if lens.shape != (batch,):
-        raise ValueError(f"bilstm: lengths of shape {lens.shape} for a batch of {batch}")
-    if lens.min() < 1 or lens.max() > steps:
-        raise ValueError(
-            f"bilstm: lengths must lie in [1, {steps}], got {lens.min()}..{lens.max()}")
-    return lens.astype(np.intp)
-
-
 def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tensor:
     """Hidden states of a bidirectional LSTM over whole sequences, as one node.
 
@@ -630,7 +617,8 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
     has seen the whole sequence. With `lengths` (one per sequence, each in
     [1, T]) `x` is a right-padded batch: sequence b is its first L_b rows,
     its backward direction starts at t = L_b − 1, and its result rows from
-    L_b on are zero and pass no gradient back.
+    L_b on are zero and pass no gradient back. Without it every sequence
+    is T long: a lone sequence and a batch take the same path.
 
     Both directions step in one loop. Loop step k runs the forward
     direction at t = k and the backward one at t = L_b − 1 − k: the input
@@ -660,8 +648,7 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
     The rounding differs from the separate sigmoid and the per-direction
     products of `reference_bilstm` in `tests/helpers.py`, the kernel this
     one replaced, which the tests hold it to: outputs within 1e-9 and
-    gradients within 1e-6 (relative) in float64, 1e-5 in float32. A batch
-    whose lengths all equal T gives exactly the result without `lengths`.
+    gradients within 1e-6 (relative) in float64, 1e-5 in float32.
     """
     h = fwd.hidden
     if x.data.ndim not in (2, 3) or x.shape[0] < 1:
@@ -675,21 +662,28 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
     xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
     steps, batch = xs.shape[:2]
     if lengths is None:
-        padding = None
-
-        def backward_order(a: np.ndarray) -> np.ndarray:
-            return a[::-1]
+        lens = np.full(batch, steps)
     else:
-        lens = _check_lengths(lengths, x)
-        loop_step = np.arange(steps)[:, None]
-        padding = loop_step >= lens  # (T, B), the same in loop and in time order
-        # the row of each loop step of the backward direction: an involution per sequence
-        rows = np.where(padding, loop_step, lens - 1 - loop_step)
-        cols = np.arange(batch)
+        if x.data.ndim != 3:
+            raise ValueError(f"bilstm: lengths need a (T, B, d) input, got {x.shape}")
+        lens = np.asarray(lengths)
+        if not np.issubdtype(lens.dtype, np.integer):
+            raise ValueError(f"bilstm: lengths must be integers, got {lens.dtype}")
+        if lens.shape != (batch,):
+            raise ValueError(f"bilstm: lengths of shape {lens.shape} for a batch of {batch}")
+        if lens.min() < 1 or lens.max() > steps:
+            raise ValueError(
+                f"bilstm: lengths must lie in [1, {steps}], got {lens.min()}..{lens.max()}")
+        lens = lens.astype(np.intp)  # an unsigned length less a signed step is a float
+    loop_step = np.arange(steps)[:, None]
+    padding = loop_step >= lens  # (T, B), the same in loop and in time order
+    # the row of each loop step of the backward direction: an involution per sequence
+    rows = np.where(padding, loop_step, lens - 1 - loop_step)
+    cols = np.arange(batch)
 
-        def backward_order(a: np.ndarray) -> np.ndarray:
-            """Time order to the backward direction's loop order, and back."""
-            return a[rows, cols]
+    def backward_order(a: np.ndarray) -> np.ndarray:
+        """Time order to the backward direction's loop order, and back."""
+        return a[rows, cols]
 
     # both directions' weights, (2, 4, h, ·) in the stored gate order, and
     # the kernel's copies, in its gate order with the sigmoid gates halved
@@ -738,16 +732,14 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
     out = np.empty((steps, batch, 2 * h), dtype=dtype)
     out[..., :h] = hs[:, 0]
     out[..., h:] = backward_order(hs[:, 1])
-    if padding is not None:
-        out[padding] = 0.0
+    out[padding] = 0.0
 
     def back(g_out):
         g_out = g_out.reshape(steps, batch, 2 * h)
         g_loop = np.empty_like(hs)
         g_loop[:, 0] = g_out[..., :h]
         g_loop[:, 1] = backward_order(g_out[..., h:])
-        if padding is not None:
-            g_loop *= ~padding[:, None, :, None]
+        g_loop *= ~padding[:, None, :, None]
         i, f, o, g = (gates[:, k] for k in range(4))
         # per step and stored gate, the factor of the carried cell gradient
         # (i, f, g) or hidden gradient (o) in the pre-activation gradient

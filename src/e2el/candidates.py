@@ -13,7 +13,10 @@ surface, u32 entry count, and per entry a u16-length-prefixed entity id
 plus an f64 prior. The string, length and error rules are those of
 ``binfile``. Both formats reject a prior outside (0, 1], nan included, and
 an entity listed twice for one surface; the cache also rejects a surface
-record that repeats an earlier one.
+record that repeats an earlier one. Both text formats (counts and a
+prebuilt ``surface<TAB>entity_id<TAB>prior`` file) read their lines
+through one row reader, which rejects a surface that is blank after
+normalization.
 
 An index holds millions of entries at the paper's scale, so the cache is
 decoded in one loop over its records. Each entity id is decoded once and
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import autodiff as ad
 from . import binfile
@@ -87,37 +90,39 @@ def build_index(count_files: Sequence[str], s: int = 30,
     """Sum counts across files per (surface, entity) and derive priors."""
     counts: dict[str, dict[str, int]] = {}
     for path in count_files:
-        for lineno, line in text_lines(path):
-            if not line.strip():
-                continue
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            surface = normalize_surface(cols[0])
-            if not surface:
-                raise ValueError(f"{path}:{lineno}: empty surface")
-            try:
-                count = int(cols[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: count {cols[2]!r} is not an integer") \
-                    from None
+        for lineno, surface, entity_id, count in _text_rows(path, int, "count", "an integer"):
             if count <= 0:
                 raise ValueError(f"{path}:{lineno}: count must be positive, got {count}")
-            counts.setdefault(surface, {})
-            counts[surface][cols[1]] = counts[surface].get(cols[1], 0) + count
-    entries: dict[str, list[CandidateEntry]] = {}
+            by_entity = counts.setdefault(surface, {})
+            by_entity[entity_id] = by_entity.get(entity_id, 0) + count
+    entries = {}
     for surface, by_entity in counts.items():
         total = float(sum(by_entity.values()))
-        ranked = sorted(
-            (CandidateEntry(eid, c / total) for eid, c in by_entity.items()),
-            key=lambda e: (-e.prior, e.entity_id))
-        entries[surface] = ranked[:s]
+        entries[surface] = _ranked({e: c / total for e, c in by_entity.items()}, s)
     return AliasIndex(entries, s=s, max_span_length=max_span_length)
 
 
 def load_prior_index(path: str, s: int = 30, max_span_length: int = 6) -> AliasIndex:
     """Load a prebuilt ``surface<TAB>entity_id<TAB>prior`` file."""
     raw: dict[str, dict[str, float]] = {}
+    for lineno, surface, entity_id, prior in _text_rows(path, float, "prior", "a number"):
+        if not 0.0 < prior <= MAX_PRIOR:
+            raise ValueError(f"{path}:{lineno}: prior {prior} outside (0, 1]")
+        by_entity = raw.setdefault(surface, {})
+        if entity_id in by_entity:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for "
+                             f"({surface!r}, {entity_id!r})")
+        by_entity[entity_id] = prior
+    entries = {surface: _ranked(by_entity, s) for surface, by_entity in raw.items()}
+    return AliasIndex(entries, s=s, max_span_length=max_span_length)
+
+
+def _text_rows(path: str, parse: Callable[[str], float], name: str,
+               kind: str) -> Iterator[tuple[int, str, str, float]]:
+    """(line number, normalized surface, entity id, value) per non-blank
+    line of a ``surface<TAB>entity_id<TAB>value`` file. A blank surface
+    is rejected, and so is a value that `parse` rejects, reported as
+    "`name` 'value' is not `kind`"."""
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -125,23 +130,19 @@ def load_prior_index(path: str, s: int = 30, max_span_length: int = 6) -> AliasI
         if len(cols) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
         surface = normalize_surface(cols[0])
+        if not surface:
+            raise ValueError(f"{path}:{lineno}: empty surface")
         try:
-            prior = float(cols[2])
+            value = parse(cols[2])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: prior {cols[2]!r} is not a number") from None
-        if not 0.0 < prior <= MAX_PRIOR:
-            raise ValueError(f"{path}:{lineno}: prior {prior} outside (0, 1]")
-        raw.setdefault(surface, {})
-        if cols[1] in raw[surface]:
-            raise ValueError(f"{path}:{lineno}: duplicate entry for "
-                             f"({surface!r}, {cols[1]!r})")
-        raw[surface][cols[1]] = prior
-    entries = {
-        surface: sorted((CandidateEntry(e, p) for e, p in by_entity.items()),
-                        key=lambda c: (-c.prior, c.entity_id))[:s]
-        for surface, by_entity in raw.items()
-    }
-    return AliasIndex(entries, s=s, max_span_length=max_span_length)
+            raise ValueError(f"{path}:{lineno}: {name} {cols[2]!r} is not {kind}") from None
+        yield lineno, surface, cols[1], value
+
+
+def _ranked(priors: dict[str, float], s: int) -> list[CandidateEntry]:
+    """The `s` likeliest candidates, ties by entity id."""
+    return sorted((CandidateEntry(e, p) for e, p in priors.items()),
+                  key=lambda c: (-c.prior, c.entity_id))[:s]
 
 
 def save_index(index: AliasIndex, path: str) -> None:

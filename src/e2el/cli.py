@@ -144,16 +144,13 @@ def cmd_annotate(args) -> int:
     index = candidates.load_any_index(cfg.require("paths.candidate_index"))
     docs = load_corpus(args.infile)
 
-    annotations: list[inference.Annotation] = []
     if args.task == "ED":
-        for doc in docs:
-            spans = candidates.spans_for_gold(doc, index)
-            annotations.extend(inference.decode_ed(model, doc, spans))
+        annotations = inference.decode_ed(
+            model, docs, [candidates.spans_for_gold(doc, index) for doc in docs])
     else:
         coref = cfg["coref.enabled"]
-        pairs = [p for doc in docs
-                 for p in model.score_pairs(doc, training.el_spans(doc, index, coref))]
-        annotations = inference.greedy_decode(pairs, delta)
+        spans = [training.el_spans(doc, index, coref) for doc in docs]
+        annotations = inference.greedy_decode(inference.score_corpus(model, docs, spans), delta)
     inference.write_annotations(annotations, args.out)
     print(json.dumps({"documents": len(docs), "annotations": len(annotations),
                       "delta": None if math.isinf(delta) else delta}))
@@ -175,18 +172,19 @@ def cmd_select_threshold(args) -> int:
     index = candidates.load_any_index(cfg.require("paths.candidate_index"))
     docs = load_corpus(args.dev)
     coref = cfg["coref.enabled"]
-    pairs = [p for doc in docs
-             for p in model.score_pairs(doc, training.el_spans(doc, index, coref))]
+    pairs = inference.score_corpus(model, docs,
+                                   [training.el_spans(doc, index, coref) for doc in docs])
     if not pairs:
         raise ValueError(f"{args.dev}: no scored pairs to tune the threshold on")
     gold = {doc.doc_id: list(doc.gold) for doc in docs}
     delta = inference.select_threshold(pairs, gold, mode=args.mode)
-    annotations = inference.greedy_decode(pairs, delta)
+    best = inference.best_per_span(pairs)  # decoding them gives the same annotations as all pairs
+    annotations = inference.greedy_decode(best, delta)
     report = inference.evaluate(annotations, gold, mode=args.mode)
     print(json.dumps({"delta": None if math.isinf(delta) else delta,
                       "micro_f1": report.micro_f1, "documents": len(docs),
                       "pairs": len(pairs),
-                      "thresholds": len(inference.threshold_candidates(pairs)),
+                      "thresholds": len({p.score for p in best}) + 1,  # and -inf
                       "annotations": len(annotations)}))
     return 0
 

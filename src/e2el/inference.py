@@ -1,4 +1,6 @@
-"""Threshold tuning, greedy decoding and strong/weak matching F1.
+"""Corpus scoring, threshold tuning, greedy decoding and strong/weak
+matching F1. Every corpus (annotate, select-threshold, the dev
+evaluation, ED decoding) is scored by `score_corpus`.
 
 Decoding keeps each span's best candidate, drops spans at or below the
 threshold, and sweeps the survivors by descending score, emitting a span
@@ -29,7 +31,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import text_lines
+from . import autodiff as ad
+from .candidates import MentionSpan
+from .corpus import Document, text_lines
 from .scoring import ScoredPair
 
 
@@ -135,16 +139,6 @@ def greedy_decode(pairs: Sequence[ScoredPair], delta: float) -> list[Annotation]
     return out
 
 
-def threshold_candidates(pairs: Sequence[ScoredPair]) -> list[float]:
-    """Every behaviorally distinct threshold, high to low: each observed
-    best-per-span score, then -inf."""
-    return _descending_thresholds(best_per_span(pairs))
-
-
-def _descending_thresholds(best: Sequence[ScoredPair]) -> list[float]:
-    return sorted({p.score for p in best} | {float("-inf")}, reverse=True)
-
-
 def select_threshold(pairs: Sequence[ScoredPair],
                      gold: Mapping[str, Sequence[tuple[int, int, str]]],
                      mode: str = "strong") -> float:
@@ -194,7 +188,7 @@ def select_threshold(pairs: Sequence[ScoredPair],
     best_delta = float("-inf")
     best_f1 = -1.0
     i = 0
-    for delta in _descending_thresholds(best):
+    for delta in sorted({p.score for p in best} | {float("-inf")}, reverse=True):
         while i < len(kept) and kept[i].score > delta:
             a = kept[i]
             i += 1
@@ -216,21 +210,37 @@ def select_threshold(pairs: Sequence[ScoredPair],
     return best_delta
 
 
-def decode_ed(model, doc, spans) -> list[Annotation]:
-    """Disambiguate given spans: every span gets its argmax candidate.
+def score_corpus(model, docs: Sequence[Document],
+                 spans: Sequence[Sequence[MentionSpan]]) -> list[ScoredPair]:
+    """`model.score_pairs` of every document with its spans (`spans[i]` for
+    `docs[i]`), in corpus order, with the cyclic garbage collector paused
+    (`autodiff.cycle_gc_paused`): each document's graph is freed before
+    the next is built."""
+    pairs: list[ScoredPair] = []
+    with ad.cycle_gc_paused():
+        for doc, doc_spans in zip(docs, spans, strict=True):
+            pairs.extend(model.score_pairs(doc, doc_spans))
+    return pairs
+
+
+def decode_ed(model, docs: Sequence[Document],
+              spans: Sequence[Sequence[MentionSpan]]) -> list[Annotation]:
+    """Disambiguate given spans (`spans[i]` for `docs[i]`): every span gets
+    its argmax candidate.
 
     The threshold plays no role; spans without candidates are emitted
-    unlinked (entity None) so recall accounting can see them.
+    unlinked (entity None) so recall accounting can see them. A document
+    none of whose spans has a candidate is not scored.
     """
-    scorable = [s for s in spans if s.candidates]
-    pairs = model.score_pairs(doc, scorable) if scorable else []
+    scorable = [(doc, kept) for doc, doc_spans in zip(docs, spans, strict=True)
+                if (kept := [s for s in doc_spans if s.candidates])]
+    pairs = score_corpus(model, [doc for doc, _ in scorable], [kept for _, kept in scorable])
     out = [Annotation(doc_id=p.span.doc_id, start=p.span.start, end=p.span.end,
                       entity_id=p.entity_id, score=p.score)
            for p in best_per_span(pairs)]
-    for s in spans:
-        if not s.candidates:
-            out.append(Annotation(doc_id=s.doc_id, start=s.start, end=s.end,
-                                  entity_id=None, score=float("-inf")))
+    out += [Annotation(doc_id=s.doc_id, start=s.start, end=s.end, entity_id=None,
+                       score=float("-inf"))
+            for doc_spans in spans for s in doc_spans if not s.candidates]
     out.sort(key=lambda a: (a.doc_id, a.start, a.end))
     return out
 
@@ -331,6 +341,10 @@ def read_annotations(path: str) -> list[Annotation]:
             for key in ("start", "end"):
                 if type(rec[key]) is not int:
                     raise ValueError(f"{key} {rec[key]!r} is not an integer")
+            if type(rec["doc_id"]) is not str:
+                raise ValueError(f"doc_id {rec['doc_id']!r} is not a string")
+            if rec["entity"] is not None and type(rec["entity"]) is not str:
+                raise ValueError(f"entity {rec['entity']!r} is neither a string nor null")
             out.append(Annotation(doc_id=rec["doc_id"], start=rec["start"],
                                   end=rec["end"], entity_id=rec["entity"],
                                   score=float("-inf") if rec.get("score") is None

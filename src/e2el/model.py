@@ -110,22 +110,19 @@ class LinkingModel:
         if use_attention:
             self.params.add("att.a", self.scorer.att_a)
             self.params.add("att.b", self.scorer.att_b)
-        if not entities.frozen:
-            self._entity_rows = ad.parameter(entities.matrix.astype(ad.default_dtype()))
-            self.params.add("entities", self._entity_rows)
+        if entities.frozen:
+            self._entity_rows = ad.constant(entities.matrix)
         else:
-            self._entity_rows = None
+            self._entity_rows = self.params.add("entities", ad.parameter(entities.matrix))
 
     def candidate_rows(self, spans: list[MentionSpan]) -> ad.Tensor:
         """The candidate vectors of every pair of `spans`, in pair order, as
-        the rows of one (pairs × d) table: gathered from the trainable
-        entity matrix, or from the frozen one as constants. An entity
-        without a vector has a zero row."""
+        the rows of one (pairs × d) table gathered from the entity matrix, a
+        parameter or, when frozen, a constant. An entity without a vector
+        has a zero row."""
         ids = [c.entity_id for span in spans for c in span.candidates]
         rows = [self.entities.index(e) for e in ids]
-        idx = [r or 0 for r in rows]
-        y = (ad.constant(self.entities.matrix[idx]) if self._entity_rows is None
-             else ad.take_rows(self._entity_rows, idx))
+        y = ad.take_rows(self._entity_rows, [r or 0 for r in rows])
         if None not in rows:
             return y
         for e in {e for e, r in zip(ids, rows) if r is None}:

@@ -152,14 +152,10 @@ def _dev_eval(model, dev_corpus: Sequence[Document],
     spans under the training regime are `dev_spans`, in corpus order."""
     gold = {doc.doc_id: list(doc.gold) for doc in dev_corpus}
     if cfg.regime == "gold_spans":
-        annotations = []
-        for doc, spans in zip(dev_corpus, dev_spans):
-            annotations.extend(inference.decode_ed(model, doc, spans))
+        annotations = inference.decode_ed(model, dev_corpus, dev_spans)
         report = inference.evaluate(annotations, gold, mode="strong", task="ED")
         return float("-inf"), report.macro_f1
-    pairs = []
-    for doc, spans in zip(dev_corpus, dev_spans):
-        pairs.extend(model.score_pairs(doc, spans))
+    pairs = inference.score_corpus(model, dev_corpus, dev_spans)
     delta = inference.select_threshold(pairs, gold, mode="strong")
     report = inference.evaluate(inference.greedy_decode(pairs, delta), gold,
                                 mode="strong", task="EL")
@@ -187,9 +183,10 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
     seed. Every `eval_every` steps the dev threshold is re-tuned and the
     best parameter snapshot kept; training stops after `patience`
     evaluations without improvement (or at `max_steps`). The best snapshot
-    is restored into the model before returning. Each step and each dev
-    evaluation runs with the cyclic garbage collector paused
-    (`autodiff.cycle_gc_paused`), and its graph is freed before it resumes.
+    is restored into the model before returning. Each step runs with the
+    cyclic garbage collector paused (`autodiff.cycle_gc_paused`), and its
+    graph is freed before it resumes; a dev evaluation scores the dev
+    corpus through `inference.score_corpus`, which pauses it the same way.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -209,8 +206,7 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
 
     def run_eval(loss_value: float) -> None:
         nonlocal best_f1, best_delta, best_state, stale, stop
-        with ad.cycle_gc_paused():
-            delta, macro_f1 = _dev_eval(model, dev_corpus, dev_spans, cfg)
+        delta, macro_f1 = _dev_eval(model, dev_corpus, dev_spans, cfg)
         record = {"step": step, "loss": loss_value, "dev_macro_f1": macro_f1,
                   "delta": None if math.isinf(delta) else delta}
         history.append(record)

@@ -10,7 +10,7 @@ import numpy as np
 from e2el import autodiff as ad
 from e2el import binfile, inference, scoring, training
 from e2el.candidates import (INDEX_HEADER, INDEX_MAGIC, MAX_PRIOR, AliasIndex, build_index,
-                             CandidateEntry, MentionSpan)
+                             CandidateEntry, MentionSpan, normalize_surface)
 from e2el.corpus import Document, text_lines, write_corpus_jsonl
 from e2el.embeddings import (CharTable, EntityVectors, WordVectors, _non_finite_rows,
                              save_text_embeddings)
@@ -698,6 +698,71 @@ def reference_load_text_embeddings(path: str) -> tuple[dict[str, int], np.ndarra
     if bad.size:
         raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
     return vocab, matrix
+
+
+# ---------------------------------------------------------------------------
+# one loop per text format: the oracles for `candidates.build_index` and
+# `candidates.load_prior_index` (which, unlike them, accepts a blank surface
+# in a prior file)
+
+
+def reference_build_index(count_files, s=30, max_span_length=6) -> AliasIndex:
+    counts: dict[str, dict[str, int]] = {}
+    for path in count_files:
+        for lineno, line in text_lines(path):
+            if not line.strip():
+                continue
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            surface = normalize_surface(cols[0])
+            if not surface:
+                raise ValueError(f"{path}:{lineno}: empty surface")
+            try:
+                count = int(cols[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: count {cols[2]!r} is not an integer") \
+                    from None
+            if count <= 0:
+                raise ValueError(f"{path}:{lineno}: count must be positive, got {count}")
+            counts.setdefault(surface, {})
+            counts[surface][cols[1]] = counts[surface].get(cols[1], 0) + count
+    entries: dict[str, list[CandidateEntry]] = {}
+    for surface, by_entity in counts.items():
+        total = float(sum(by_entity.values()))
+        ranked = sorted(
+            (CandidateEntry(eid, c / total) for eid, c in by_entity.items()),
+            key=lambda e: (-e.prior, e.entity_id))
+        entries[surface] = ranked[:s]
+    return AliasIndex(entries, s=s, max_span_length=max_span_length)
+
+
+def reference_load_prior_index(path, s=30, max_span_length=6) -> AliasIndex:
+    raw: dict[str, dict[str, float]] = {}
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        surface = normalize_surface(cols[0])
+        try:
+            prior = float(cols[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: prior {cols[2]!r} is not a number") from None
+        if not 0.0 < prior <= MAX_PRIOR:
+            raise ValueError(f"{path}:{lineno}: prior {prior} outside (0, 1]")
+        raw.setdefault(surface, {})
+        if cols[1] in raw[surface]:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for "
+                             f"({surface!r}, {cols[1]!r})")
+        raw[surface][cols[1]] = prior
+    entries = {
+        surface: sorted((CandidateEntry(e, p) for e, p in by_entity.items()),
+                        key=lambda c: (-c.prior, c.entity_id))[:s]
+        for surface, by_entity in raw.items()
+    }
+    return AliasIndex(entries, s=s, max_span_length=max_span_length)
 
 
 # ---------------------------------------------------------------------------

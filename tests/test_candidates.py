@@ -66,6 +66,76 @@ class TestBuildIndex:
             cand.build_index([path])
 
 
+class TestTextFormats:
+    """Count and prior files read through one row reader: on random files,
+    with a bad line now and then, each loader gives the entries, or the
+    error, of the loader it replaced."""
+
+    SURFACES = ["Paris", " Paris", "New York", "New  York ", "été", "a\u00a0b", "x"]
+
+    @staticmethod
+    def value(rng, kind):
+        bad = {"counts": ["0", "-2", "1.5", "x", ""], "priors": ["0", "1.5", "nan", "x", ""]}
+        if rng.random() < 0.03:
+            return str(rng.choice(bad[kind]))
+        return str(int(rng.integers(1, 60))) if kind == "counts" else repr(float(rng.random()))
+
+    def random_file(self, rng, path, kind):
+        lines = []
+        for _ in range(int(rng.integers(1, 20))):
+            if rng.random() < 0.02:
+                lines.append("two\tfields")
+            elif rng.random() < 0.05:
+                lines.append("  ")
+            else:
+                lines.append(f"{rng.choice(self.SURFACES)}\tE{int(rng.integers(0, 40))}"
+                             f"\t{self.value(rng, kind)}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def outcome(load):
+        try:
+            index = load()
+        except ValueError as exc:
+            return str(exc)
+        return index.entries, index.s, index.max_span_length
+
+    def test_counts_match_reference(self, tmp_path):
+        rng = np.random.default_rng(21)
+        errors = 0
+        for _ in range(80):
+            paths = [self.random_file(rng, tmp_path / f"c{i}.tsv", "counts")
+                     for i in range(int(rng.integers(1, 4)))]
+            s = int(rng.integers(1, 6))
+            got = self.outcome(lambda: cand.build_index(paths, s=s, max_span_length=3))
+            want = self.outcome(lambda: helpers.reference_build_index(paths, s=s,
+                                                                      max_span_length=3))
+            assert got == want
+            errors += isinstance(got, str)
+        assert 0 < errors < 80  # both outcomes are exercised
+
+    def test_priors_match_reference(self, tmp_path):
+        rng = np.random.default_rng(22)
+        errors = 0
+        for _ in range(150):
+            path = self.random_file(rng, tmp_path / "p.tsv", "priors")
+            s = int(rng.integers(1, 6))
+            got = self.outcome(lambda: cand.load_prior_index(path, s=s))
+            want = self.outcome(lambda: helpers.reference_load_prior_index(path, s=s))
+            assert got == want
+            errors += isinstance(got, str)
+        assert 0 < errors < 150
+
+    @pytest.mark.parametrize("load, value", [(lambda p: cand.build_index([p]), "3"),
+                                             (cand.load_prior_index, "0.5")])
+    def test_blank_surface_rejected(self, tmp_path, load, value):
+        p = tmp_path / "rows.tsv"
+        p.write_text(f"Paris\tE1\t{value}\n \tE2\t{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{p}:2: empty surface$"):
+            load(str(p))
+
+
 class TestLookup:
     @pytest.fixture
     def index(self, tmp_path):

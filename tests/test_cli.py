@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import helpers
 from e2el import candidates, cli
 from e2el.corpus import write_corpus_jsonl, Document
 from e2el.inference import Annotation, read_annotations, write_annotations
+from e2el.model import LinkingModel
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,55 @@ class TestPipeline:
         assert rec["recall"]["30"] == 1.0 and rec["recall"]["10"] == 1.0
 
 
+class TestCorpusScoring:
+    """annotate (EL and ED) and select-threshold score each document with
+    the cyclic collector paused, and turn it back on when they are done,
+    also when scoring raises."""
+
+    COMMANDS = {
+        "annotate-EL": lambda paths, out: ["annotate", "--config", paths["config"],
+                                           "--in", paths["corpus"], "--out", out],
+        "annotate-ED": lambda paths, out: ["annotate", "--config", paths["config"],
+                                           "--in", paths["corpus"], "--out", out,
+                                           "--task", "ED"],
+        "select-threshold": lambda paths, out: ["select-threshold", "--config",
+                                                paths["config"], "--dev", paths["corpus"]],
+    }
+
+    @staticmethod
+    def spy(monkeypatch, fail_at=None):
+        seen = []
+        score_pairs = LinkingModel.score_pairs
+
+        def wrapped(model, doc, spans):
+            seen.append((doc.doc_id, gc.isenabled()))
+            if len(seen) == fail_at:
+                raise RuntimeError("scoring failed")
+            return score_pairs(model, doc, spans)
+
+        monkeypatch.setattr(LinkingModel, "score_pairs", wrapped)
+        return seen
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_document_scored_with_the_collector_paused(self, pipeline, tmp_path,
+                                                             monkeypatch, command):
+        paths, docs = pipeline
+        seen = self.spy(monkeypatch)
+        assert cli.run_command(self.COMMANDS[command](paths, str(tmp_path / "a.jsonl"))) == 0
+        assert seen == [(doc.doc_id, False) for doc in docs]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_collector_resumes_when_scoring_raises(self, pipeline, tmp_path, monkeypatch,
+                                                   capfd, command):
+        paths, docs = pipeline
+        seen = self.spy(monkeypatch, fail_at=2)
+        assert cli.run_command(self.COMMANDS[command](paths, str(tmp_path / "a.jsonl"))) == 2
+        assert "runtime error: scoring failed" in capfd.readouterr().err
+        assert seen == [(doc.doc_id, False) for doc in docs[:2]]
+        assert gc.isenabled()
+
+
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, tmp_path):
         rc = cli.run_command(["train", "--config", str(tmp_path / "nope.json")])
@@ -219,6 +270,27 @@ class TestExitCodes:
                               "--out", str(out), flag, value])
         assert rc == 1 and not out.exists()
         assert "must both be at least 1" in capfd.readouterr().err
+
+    def test_blank_prior_surface(self, tmp_path, capfd):
+        priors = tmp_path / "priors.tsv"
+        priors.write_text("Paris\tParis_city\t0.9\n  \tParis_Hilton\t0.1\n", encoding="utf-8")
+        out = tmp_path / "i.bin"
+        rc = cli.run_command(["build-candidates", "--priors", str(priors), "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"error: {priors}:2: empty surface" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("doc_id", ["d1"]), ("entity", ["E1"]),
+                                              ("entity", 7)])
+    def test_evaluate_bad_field_type(self, tmp_path, capfd, field, value):
+        gold = tmp_path / "gold.jsonl"
+        write_corpus_jsonl([Document("d1", ["a"], [(0, 0, "E1")])], str(gold))
+        record = {"doc_id": "d1", "start": 0, "end": 0, "entity": "E1", "score": 1.0}
+        record[field] = value
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        rc = cli.run_command(["evaluate", "--pred", str(pred), "--gold", str(gold)])
+        assert rc == 1
+        assert f"error: {pred}:1: bad annotation record: {field}" in capfd.readouterr().err
 
     def test_evaluate_on_unknown_doc(self, tmp_path):
         gold = tmp_path / "gold.jsonl"

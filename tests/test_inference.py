@@ -1,9 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 
 import helpers
 from e2el import inference
 from e2el.candidates import CandidateEntry, MentionSpan
+from e2el.corpus import Document
 from e2el.scoring import ScoredPair
 
 
@@ -312,12 +315,19 @@ def long_dev_set(rng):
 
 
 class FakeModel:
-    """score_pairs stub: psi comes from a fixed (entity -> score) table."""
+    """score_pairs stub: psi comes from a fixed (entity -> score) table. It
+    records each call's document and whether the collector was on, and
+    raises on document `fail_on`."""
 
-    def __init__(self, table):
+    def __init__(self, table, fail_on=None):
         self.table = table
+        self.fail_on = fail_on
+        self.calls = []
 
     def score_pairs(self, doc, spans):
+        self.calls.append((doc.doc_id, gc.isenabled()))
+        if doc.doc_id == self.fail_on:
+            raise RuntimeError(f"scoring {doc.doc_id} failed")
         out = []
         for s in spans:
             for c in s.candidates:
@@ -326,27 +336,75 @@ class FakeModel:
         return out
 
 
+def ed_span(start, end, cands, doc_id="d"):
+    return MentionSpan(doc_id=doc_id, start=start, end=end, surface="s",
+                       candidates=[CandidateEntry(e, p) for e, p in cands])
+
+
+def ed_corpus(rng, n_docs, table):
+    """Documents d0, d1, ... with random one-token spans, some without
+    candidates; every third document has no scorable span."""
+    docs, spans = [], []
+    for i in range(n_docs):
+        doc_id = f"d{i}"
+        docs.append(Document(doc_id, ["t"] * 12))
+        doc_spans = []
+        for k in range(int(rng.integers(1, 5))):
+            ids = [] if i % 3 == 2 or rng.random() < 0.2 else \
+                [f"E{int(j)}" for j in rng.choice(len(table), size=3, replace=False)]
+            doc_spans.append(ed_span(2 * k, 2 * k, [(e, 0.5) for e in ids], doc_id))
+        spans.append(doc_spans)
+    return docs, spans
+
+
+class TestScoreCorpus:
+    def test_pairs_in_corpus_order_with_the_collector_paused(self):
+        table = {f"E{i}": float(i) for i in range(6)}
+        docs, spans = ed_corpus(np.random.default_rng(4), 7, table)
+        model = FakeModel(table)
+        pairs = inference.score_corpus(model, docs, spans)
+        assert pairs == [p for doc, doc_spans in zip(docs, spans)
+                         for p in FakeModel(table).score_pairs(doc, doc_spans)]
+        assert model.calls == [(doc.doc_id, False) for doc in docs]
+        assert gc.isenabled()
+
+    def test_collector_resumes_when_scoring_raises(self):
+        table = {f"E{i}": float(i) for i in range(6)}
+        docs, spans = ed_corpus(np.random.default_rng(4), 4, table)
+        model = FakeModel(table, fail_on="d1")
+        with pytest.raises(RuntimeError, match="scoring d1 failed"):
+            inference.score_corpus(model, docs, spans)
+        assert model.calls == [("d0", False), ("d1", False)]
+        assert gc.isenabled()
+
+    def test_spans_of_every_document_required(self):
+        table = {f"E{i}": 0.0 for i in range(6)}
+        docs, spans = ed_corpus(np.random.default_rng(4), 3, table)
+        with pytest.raises(ValueError):
+            inference.score_corpus(FakeModel(table), docs, spans[:2])
+        assert gc.isenabled()
+
+
 class TestDecodeEd:
-    def span(self, start, end, cands):
-        return MentionSpan(doc_id="d", start=start, end=end, surface="s",
-                           candidates=[CandidateEntry(e, p) for e, p in cands])
+    DOC = Document("d", ["t"] * 12)
 
     def test_argmax_candidate(self):
         model = FakeModel({"E1": 0.2, "E2": 0.7})
-        spans = [self.span(0, 0, [("E1", 0.9), ("E2", 0.1)])]
-        out = inference.decode_ed(model, None, spans)
+        spans = [ed_span(0, 0, [("E1", 0.9), ("E2", 0.1)])]
+        out = inference.decode_ed(model, [self.DOC], [spans])
         assert [a.entity_id for a in out] == ["E2"]
 
     def test_single_candidate(self):
         model = FakeModel({"E1": -5.0})
-        out = inference.decode_ed(model, None, [self.span(0, 0, [("E1", 1.0)])])
+        out = inference.decode_ed(model, [self.DOC], [[ed_span(0, 0, [("E1", 1.0)])]])
         # threshold plays no role in ED
         assert [a.entity_id for a in out] == ["E1"]
 
     def test_empty_candidates_emitted_unlinked(self):
         model = FakeModel({})
-        out = inference.decode_ed(model, None, [self.span(1, 2, [])])
+        out = inference.decode_ed(model, [self.DOC], [[ed_span(1, 2, [])]])
         assert len(out) == 1 and out[0].entity_id is None
+        assert model.calls == []  # a document with no scorable span is not scored
 
     def test_matches_exhaustive_max(self):
         rng = np.random.default_rng(3)
@@ -355,11 +413,25 @@ class TestDecodeEd:
         spans = []
         for i in range(5):
             ids = [f"E{int(j)}" for j in rng.choice(12, size=3, replace=False)]
-            spans.append(self.span(2 * i, 2 * i, [(e, 0.5) for e in ids]))
-        out = inference.decode_ed(model, None, spans)
+            spans.append(ed_span(2 * i, 2 * i, [(e, 0.5) for e in ids]))
+        out = inference.decode_ed(model, [self.DOC], [spans])
         for a, s in zip(out, spans):
             assert a.entity_id == max((c.entity_id for c in s.candidates),
                                       key=lambda e: table[e])
+
+    def test_corpus_equals_each_document_alone(self):
+        rng = np.random.default_rng(5)
+        table = {f"E{i}": float(rng.normal()) for i in range(8)}
+        docs, spans = ed_corpus(rng, 9, table)
+        model = FakeModel(table)
+        out = inference.decode_ed(model, docs, spans)
+        assert out == [a for doc, doc_spans in zip(docs, spans)
+                       for a in inference.decode_ed(FakeModel(table), [doc], [doc_spans])]
+        assert any(a.entity_id is None for a in out)
+        scorable = [doc.doc_id for doc, doc_spans in zip(docs, spans)
+                    if any(s.candidates for s in doc_spans)]
+        assert model.calls == [(doc_id, False) for doc_id in scorable] != []
+        assert len(scorable) < len(docs)
 
 
 class TestEvaluate:
@@ -470,7 +542,9 @@ class TestAnnotationIo:
             inference.read_annotations(str(p))
 
     @pytest.mark.parametrize("field, value", [("start", "1.7"), ("end", "true"),
-                                              ("start", '"1"'), ("end", "null")])
+                                              ("start", '"1"'), ("end", "null"),
+                                              ("doc_id", '["d1"]'), ("doc_id", "7"),
+                                              ("entity", '["E1"]'), ("entity", "7")])
     def test_non_integer_offset_rejected(self, tmp_path, field, value):
         rec = {"doc_id": '"d"', "start": "0", "end": "1", "entity": '"E"', "score": "0.5"}
         rec[field] = value

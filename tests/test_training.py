@@ -8,7 +8,7 @@ from e2el import autodiff as ad
 from e2el import scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
-from e2el.model import PairScore
+from e2el.model import LinkingModel, PairScore
 
 
 class TestViolation:
@@ -301,8 +301,8 @@ class TestTrain:
 
     def test_steps_and_evaluations_run_with_the_collector_paused(self, monkeypatch):
         docs, index, model = build_toy(seed=11, use_global=True, use_attention=True)
-        seen = {"backward": [], "dev_eval": []}
-        backward, dev_eval = ad.backward, training._dev_eval
+        seen = {"backward": [], "score_pairs": []}
+        backward, score_pairs = ad.backward, LinkingModel.score_pairs
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
@@ -311,11 +311,12 @@ class TestTrain:
             return wrapped
 
         monkeypatch.setattr(ad, "backward", spy("backward", backward))
-        monkeypatch.setattr(training, "_dev_eval", spy("dev_eval", dev_eval))
+        monkeypatch.setattr(LinkingModel, "score_pairs", spy("score_pairs", score_pairs))
         cfg = training.TrainConfig(seed=11, eval_every=4, max_steps=8)
         result = training.train(docs, docs, model, index, cfg)
         assert result.steps == 8
-        assert seen == {"backward": [False] * 8, "dev_eval": [False] * 2}
+        # two dev evaluations, each scoring every dev document
+        assert seen == {"backward": [False] * 8, "score_pairs": [False] * (2 * len(docs))}
         assert gc.isenabled()
         # and a run leaves nothing behind that only the collector could free
         gc.disable()
