@@ -63,17 +63,15 @@ def precision(name: str) -> Iterator[None]:
 
 @contextmanager
 def cycle_gc_paused() -> Iterator[None]:
-    """Pause Python's cyclic garbage collector for the block.
-
-    A node refers only to its parents, so a graph holds no reference cycle
-    and reference counting frees it once its last node is dropped. Built
-    with the collector on, a step's tens of thousands of nodes survive
-    into the oldest generation and set off full collections that walk
-    every live object and find nothing. Drop the graph inside the block:
-    one still alive when the collector resumes is walked again. Each
-    training step (`training.train`) and each scored corpus
-    (`inference.score_corpus`: annotate, select-threshold and the dev
-    evaluation) runs in such a block, as does the index decode.
+    """Pause Python's cyclic garbage collector for the block, and leave it
+    as it was found. `cli.run_command` runs each command whole in one such
+    block; the index decode (`candidates.load_index`) is the one library
+    routine with its own. Left on, the collector walks all that a command
+    keeps alive (a corpus's pair records, an index's entries) in full
+    collections that find nothing. The pause is safe: a node refers only to
+    its parents, so reference counting frees a graph once its last node is
+    dropped, and no command leaves cyclic garbage that grows with its steps
+    or documents (a long `train` leaves as little as an `evaluate`).
     """
     was_enabled = gc.isenabled()
     gc.disable()

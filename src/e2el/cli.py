@@ -5,6 +5,12 @@ All file-system writes happen here; library modules only expose load/save
 functions that the commands invoke. Exit status is 0 on success, 1 on a
 validation problem (bad input, missing file, malformed config) and 2 on a
 runtime failure. ``E2EL_LOG`` (error|warn|info|debug) controls verbosity.
+
+`run_command` runs each command whole, first load to last write, with the
+cyclic garbage collector paused (`autodiff.cycle_gc_paused` says why that
+is safe): a command keeps per-pair records or index entries alive, which
+the collector would walk again and again and find no garbage in. A harness
+that wants the commands' behaviour and speed goes through `run_command`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -68,16 +75,26 @@ def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, floa
         raise ValueError(f"{path}: checkpoint lacks the character inventory")
     if "meta.delta" not in state:
         raise ValueError(f"{path}: checkpoint lacks meta.delta")
-    if np.isnan(state["meta.delta"]).any():
+    if state["meta.delta"].size != 1:
+        raise ValueError(f"{path}: meta.delta must be one value, got {state['meta.delta'].size}")
+    delta = float(state["meta.delta"].item())
+    if math.isnan(delta):
         raise ValueError(f"{path}: meta.delta is nan")
-    rows = ad.parameter(state["char_table"])
-    chars = CharTable.from_codepoints(state["meta.char_vocab"].astype(np.int64), rows)
+    cps, table = state["meta.char_vocab"], state["char_table"]
+    if cps.ndim != 1 or len(np.unique(cps)) != len(cps) \
+            or not np.all((cps >= 0) & (cps <= 0x10FFFF) & (cps == np.floor(cps))):
+        raise ValueError(f"{path}: meta.char_vocab must hold distinct integer code points "
+                         f"in [0, 0x10FFFF]")
+    if table.ndim != 2 or len(table) != len(cps) + 1:
+        raise ValueError(f"{path}: char_table has shape {table.shape}, not one row per "
+                         f"code point plus the unknown row ({len(cps) + 1})")
+    chars = CharTable.from_codepoints(cps.astype(np.int64), ad.parameter(table))
     model = build_model(cfg, chars)
     try:
         model.load_state_arrays(state)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return model, float(state["meta.delta"])
+    return model, delta
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +131,10 @@ def cmd_train(args) -> int:
     model = build_model(cfg, chars)
     tcfg = train_config_from(cfg)
 
-    log_fh = None
-    log_fn = None
-    if cfg["paths.train_log"]:
-        log_fh = open(cfg["paths.train_log"], "w", encoding="utf-8")
-        log_fn = training.jsonl_log_writer(log_fh)
-    try:
+    log_path = cfg["paths.train_log"]
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
+        log_fn = training.jsonl_log_writer(log_fh) if log_path else None
         result = training.train(train_docs, dev_docs, model, index, tcfg, log_fn=log_fn)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
 
     state = model.state_arrays()
     state["meta.delta"] = np.asarray(result.delta, dtype=np.float32)
@@ -360,7 +371,8 @@ def run_command(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with ad.cycle_gc_paused():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

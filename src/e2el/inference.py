@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from . import autodiff as ad
 from .candidates import MentionSpan
 from .corpus import Document, text_lines
 from .scoring import ScoredPair
@@ -213,14 +212,9 @@ def select_threshold(pairs: Sequence[ScoredPair],
 def score_corpus(model, docs: Sequence[Document],
                  spans: Sequence[Sequence[MentionSpan]]) -> list[ScoredPair]:
     """`model.score_pairs` of every document with its spans (`spans[i]` for
-    `docs[i]`), in corpus order, with the cyclic garbage collector paused
-    (`autodiff.cycle_gc_paused`): each document's graph is freed before
-    the next is built."""
-    pairs: list[ScoredPair] = []
-    with ad.cycle_gc_paused():
-        for doc, doc_spans in zip(docs, spans, strict=True):
-            pairs.extend(model.score_pairs(doc, doc_spans))
-    return pairs
+    `docs[i]`), in corpus order."""
+    return [p for doc, doc_spans in zip(docs, spans, strict=True)
+            for p in model.score_pairs(doc, doc_spans)]
 
 
 def decode_ed(model, docs: Sequence[Document],
@@ -296,26 +290,15 @@ def evaluate(pred: Sequence[Annotation],
         seen.add(key)
         by_doc[a.doc_id].append(a)
 
-    per_doc: dict[str, tuple[int, int, int]] = {}
-    macro_p = macro_r = macro_f = 0.0
-    total_tp = total_fp = total_fn = 0
-    for doc_id in gold:
-        tp, fp, fn = _match_doc(by_doc[doc_id], list(gold[doc_id]), mode)
-        per_doc[doc_id] = (tp, fp, fn)
-        total_tp += tp
-        total_fp += fp
-        total_fn += fn
-        p, r, f = _prf(tp, fp, fn)
-        macro_p += p
-        macro_r += r
-        macro_f += f
+    per_doc = {doc_id: _match_doc(by_doc[doc_id], list(gold[doc_id]), mode) for doc_id in gold}
+    micro_p, micro_r, micro_f = _prf(*(sum(c[k] for c in per_doc.values()) for k in range(3)))
+    doc_prf = [_prf(*counts) for counts in per_doc.values()]
     n_docs = max(len(per_doc), 1)
-    micro_p, micro_r, micro_f = _prf(total_tp, total_fp, total_fn)
+    macro_p, macro_r, macro_f = (sum(prf[k] for prf in doc_prf) / n_docs for k in range(3))
     return EvalReport(
         mode=mode, task=task,
         micro_precision=micro_p, micro_recall=micro_r, micro_f1=micro_f,
-        macro_precision=macro_p / n_docs, macro_recall=macro_r / n_docs,
-        macro_f1=macro_f / n_docs, per_doc=per_doc)
+        macro_precision=macro_p, macro_recall=macro_r, macro_f1=macro_f, per_doc=per_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +324,9 @@ def read_annotations(path: str) -> list[Annotation]:
             for key in ("start", "end"):
                 if type(rec[key]) is not int:
                     raise ValueError(f"{key} {rec[key]!r} is not an integer")
+            if not 0 <= rec["start"] <= rec["end"]:
+                raise ValueError(f"start {rec['start']} and end {rec['end']} break "
+                                 f"0 <= start <= end")
             if type(rec["doc_id"]) is not str:
                 raise ValueError(f"doc_id {rec['doc_id']!r} is not a string")
             if rec["entity"] is not None and type(rec["entity"]) is not str:

@@ -53,6 +53,8 @@ class TrainConfig:
     use_coref: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.learning_rate > 0:
@@ -183,10 +185,8 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
     seed. Every `eval_every` steps the dev threshold is re-tuned and the
     best parameter snapshot kept; training stops after `patience`
     evaluations without improvement (or at `max_steps`). The best snapshot
-    is restored into the model before returning. Each step runs with the
-    cyclic garbage collector paused (`autodiff.cycle_gc_paused`), and its
-    graph is freed before it resumes; a dev evaluation scores the dev
-    corpus through `inference.score_corpus`, which pauses it the same way.
+    is restored into the model before returning. A dev evaluation scores
+    the dev corpus through `inference.score_corpus`.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -231,9 +231,8 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
         for i in order:
             doc = corpus[i]
             try:
-                with ad.cycle_gc_paused():
-                    last_loss = _train_step(doc, spans_cache[doc.doc_id], model, adam,
-                                            cfg, dropout_rng)
+                last_loss = _train_step(doc, spans_cache[doc.doc_id], model, adam,
+                                        cfg, dropout_rng)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"non-finite loss on document {doc.doc_id!r}: {exc}") from exc

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import helpers
-from e2el import candidates, cli
+from e2el import autodiff as ad
+from e2el import candidates, cli, inference
 from e2el.corpus import write_corpus_jsonl, Document
 from e2el.inference import Annotation, read_annotations, write_annotations
 from e2el.model import LinkingModel
@@ -125,6 +126,32 @@ class TestPipeline:
         assert f"{bad}: meta.delta is nan" in capfd.readouterr().err
         assert not (tmp_path / "a.jsonl").exists()
 
+    CODEPOINTS = "meta.char_vocab must hold distinct integer code points in [0, 0x10FFFF]"
+
+    @pytest.mark.parametrize("key, change, reported", [
+        ("meta.delta", lambda a: [0.1, 0.2], "meta.delta must be one value, got 2"),
+        ("meta.delta", lambda a: [], "meta.delta must be one value, got 0"),
+        ("meta.char_vocab", lambda a: np.r_[a[:1], a[:1], a[2:]], CODEPOINTS),  # repeated
+        ("meta.char_vocab", lambda a: np.r_[97.5, a[1:]], CODEPOINTS),
+        ("meta.char_vocab", lambda a: np.r_[-1, a[1:]], CODEPOINTS),
+        ("meta.char_vocab", lambda a: np.r_[0x110000, a[1:]], CODEPOINTS),
+        ("char_table", lambda a: a[:-1], "char_table has shape"),
+    ], ids=["delta-2", "delta-0", "repeated", "fractional", "negative", "beyond", "short-table"])
+    def test_checkpoint_bad_metadata(self, pipeline, tmp_path, capfd, key, change, reported):
+        from e2el.training import load_checkpoint, save_checkpoint
+        paths, _ = pipeline
+        state = load_checkpoint(paths["checkpoint"])
+        state[key] = np.asarray(change(state[key]), dtype=np.float32)
+        bad = str(tmp_path / "bad.ckpt")
+        save_checkpoint(state, bad)
+        capfd.readouterr()
+        rc = cli.run_command(["annotate", "--config", paths["config"],
+                              "--in", paths["corpus"], "--out", str(tmp_path / "a.jsonl"),
+                              "--set", f"paths.checkpoint={bad}"])
+        assert rc == 1
+        assert f"{bad}: {reported}" in capfd.readouterr().err
+        assert not (tmp_path / "a.jsonl").exists()
+
     def test_annotate_bad_index_prior(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline
         bad = str(tmp_path / "bad-index.bin")
@@ -189,9 +216,10 @@ class TestPipeline:
 
 
 class TestCorpusScoring:
-    """annotate (EL and ED) and select-threshold score each document with
-    the cyclic collector paused, and turn it back on when they are done,
-    also when scoring raises."""
+    """Each command runs whole with the cyclic collector paused: every
+    training step, every scored document, and the sweep, decode,
+    evaluation and write that read the scores run with the collector off.
+    It is back on after the command, also when scoring raises."""
 
     COMMANDS = {
         "annotate-EL": lambda paths, out: ["annotate", "--config", paths["config"],
@@ -201,11 +229,24 @@ class TestCorpusScoring:
                                            "--task", "ED"],
         "select-threshold": lambda paths, out: ["select-threshold", "--config",
                                                 paths["config"], "--dev", paths["corpus"]],
+        "train": lambda paths, out: ["train", "--config", paths["config"],
+                                     "--set", f"paths.checkpoint={out}.ckpt",
+                                     "--set", f"paths.train_log={out}.log",
+                                     "--set", "train.max_steps=2",
+                                     "--set", "train.eval_every=1"],
     }
+    # the spied functions each command reaches besides `score_pairs`
+    REACHED = {"annotate-EL": {"greedy_decode", "write_annotations"},
+               "annotate-ED": {"write_annotations"},
+               "select-threshold": {"select_threshold", "greedy_decode", "evaluate"},
+               "train": {"backward", "select_threshold", "greedy_decode", "evaluate"}}
+    PASSES = {"train": 2}  # its two dev evaluations each score the corpus
 
     @staticmethod
     def spy(monkeypatch, fail_at=None):
-        seen = []
+        """Records (document, collector on?) per scored document and (name,
+        collector on?) per call of the other spied functions."""
+        seen, calls = [], []
         score_pairs = LinkingModel.score_pairs
 
         def wrapped(model, doc, spans):
@@ -214,26 +255,57 @@ class TestCorpusScoring:
                 raise RuntimeError("scoring failed")
             return score_pairs(model, doc, spans)
 
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                calls.append((name, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return call
+
         monkeypatch.setattr(LinkingModel, "score_pairs", wrapped)
-        return seen
+        for name in ("select_threshold", "greedy_decode", "evaluate", "write_annotations"):
+            monkeypatch.setattr(inference, name, recorded(name, getattr(inference, name)))
+        monkeypatch.setattr(ad, "backward", recorded("backward", ad.backward))
+        return seen, calls
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_document_scored_with_the_collector_paused(self, pipeline, tmp_path,
                                                              monkeypatch, command):
         paths, docs = pipeline
-        seen = self.spy(monkeypatch)
+        seen, calls = self.spy(monkeypatch)
         assert cli.run_command(self.COMMANDS[command](paths, str(tmp_path / "a.jsonl"))) == 0
-        assert seen == [(doc.doc_id, False) for doc in docs]
+        assert seen == [(doc.doc_id, False) for doc in docs] * self.PASSES.get(command, 1)
+        assert {name for name, _ in calls} == self.REACHED[command]
+        assert not any(enabled for _, enabled in calls)
         assert gc.isenabled()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_collector_resumes_when_scoring_raises(self, pipeline, tmp_path, monkeypatch,
                                                    capfd, command):
         paths, docs = pipeline
-        seen = self.spy(monkeypatch, fail_at=2)
+        seen, calls = self.spy(monkeypatch, fail_at=2)
         assert cli.run_command(self.COMMANDS[command](paths, str(tmp_path / "a.jsonl"))) == 2
         assert "runtime error: scoring failed" in capfd.readouterr().err
         assert seen == [(doc.doc_id, False) for doc in docs[:2]]
+        assert not any(enabled for _, enabled in calls)
+        assert gc.isenabled()
+
+    ARGV = {"build-candidates": ["--out", "i.bin"], "train": ["--config", "c.json"],
+            "annotate": ["--config", "c.json", "--in", "d.jsonl", "--out", "a.jsonl"],
+            "evaluate": ["--pred", "a.jsonl", "--gold", "d.jsonl"],
+            "select-threshold": ["--config", "c.json", "--dev", "d.jsonl"], "grad-check": []}
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_every_command_runs_paused(self, monkeypatch, command):
+        # the whole command, up to a validation error, and the collector on after
+        seen = []
+
+        def stand_in(args):
+            seen.append(gc.isenabled())
+            raise ValueError("stand-in")
+
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), stand_in)
+        assert cli.run_command([command] + self.ARGV[command]) == 1
+        assert seen == [False]
         assert gc.isenabled()
 
 
@@ -280,7 +352,7 @@ class TestExitCodes:
         assert f"error: {priors}:2: empty surface" in capfd.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("doc_id", ["d1"]), ("entity", ["E1"]),
-                                              ("entity", 7)])
+                                              ("entity", 7), ("start", -1), ("start", 1)])
     def test_evaluate_bad_field_type(self, tmp_path, capfd, field, value):
         gold = tmp_path / "gold.jsonl"
         write_corpus_jsonl([Document("d1", ["a"], [(0, 0, "E1")])], str(gold))
@@ -321,7 +393,8 @@ class TestConfigErrorsBeforeInputs:
         ('model.use_global="no"', "'model.use_global' takes true or false"),
         ("train.improvement=NaN", "improvement must be finite and at least 0"),
         ("attention.keep=0", "'attention.keep' must be between 1 and 'attention.window'"),
-        ("attention.window=5", "'attention.keep' must be between 1 and 'attention.window'")])
+        ("attention.window=5", "'attention.keep' must be between 1 and 'attention.window'"),
+        ("seed=-1", "seed must be at least 0, got -1")])
     @pytest.mark.parametrize("command", ["train", "annotate", "select-threshold"])
     def test_exit_1_naming_the_setting(self, unreadable_inputs, capfd, command,
                                        override, reported):

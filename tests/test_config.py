@@ -132,7 +132,7 @@ class TestValueTypes:
         ("encoder.dropout_keep=1.5", "dropout_keep"), ("encoder.max_tokens=0", "max_tokens"),
         ("global.gamma_prime=Infinity", "gamma_prime"),
         ("train.improvement=NaN", "improvement"), ("train.improvement=Infinity", "improvement"),
-        ("train.improvement=-0.1", "improvement")])
+        ("train.improvement=-0.1", "improvement"), ("seed=-1", "seed must be at least 0")])
     def test_out_of_range_rejected_at_load(self, tmp_path, override, field):
         p = tmp_path / "c.json"
         p.write_text("{}", encoding="utf-8")

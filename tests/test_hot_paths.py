@@ -1,9 +1,11 @@
 """Guards on the shape of the hot paths: they fail if a per-span loop comes
 back into the attention ranking, a scatter loop (`np.add.at`) into the
 training step's gradient gathers, a whole-document rematch per threshold
-into the threshold sweep, or a `bilstm` call per word length into the
-encoder."""
+into the threshold sweep, a `bilstm` call per word length into the
+encoder, or a collector pause into the library's training and corpus
+paths."""
 
+import gc
 import sys
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import helpers
 from e2el import autodiff as ad
-from e2el import encoder, inference, scoring, training
+from e2el import candidates, encoder, inference, scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
 from e2el.embeddings import CharTable
@@ -142,3 +144,33 @@ def test_encoding_makes_one_char_and_one_context_bilstm_call(monkeypatch):
         encoder.encode_document(doc, words, chars, params, dims)
         assert len(calls) == 2, n_words
         assert calls[1] == (len(doc.tokens), dims.v_dim)  # the context bi-LSTM
+
+
+def test_library_corpus_paths_never_pause_the_collector(monkeypatch, tmp_path):
+    # the CLI pauses the collector per command; the library makes no pause of
+    # its own, but for the index decode
+    disabled = []
+
+    def counting(_fn=gc.disable):
+        disabled.append(1)
+        _fn()
+
+    monkeypatch.setattr(gc, "disable", counting)
+    doc, index, tokens, entity_ids = long_document(4)
+    model = helpers.build_model(helpers.word_store(tokens, seed=5),
+                                helpers.entity_store(entity_ids, seed=6),
+                                corpus_tokens=tokens, seed=7, use_attention=True,
+                                use_global=True, attention_window=12, attention_keep=3)
+    docs = [doc, Document("other", doc.tokens[:40])]
+    cfg = training.TrainConfig(seed=7, eval_every=2, max_steps=3)
+    assert training.train(docs, docs, model, index, cfg).steps == 3
+    for regime in ("all_spans", "gold_spans"):
+        spans = [training.spans_for_regime(d, index, training.TrainConfig(regime=regime))
+                 for d in docs]
+        pairs = inference.score_corpus(model, docs, spans)
+        assert inference.decode_ed(model, docs, spans)
+        inference.select_threshold(pairs, {d.doc_id: list(d.gold) for d in docs})
+    assert disabled == []
+    candidates.save_index(index, str(tmp_path / "index.bin"))
+    candidates.load_index(str(tmp_path / "index.bin"))
+    assert disabled == [1]  # the spy sees a pause

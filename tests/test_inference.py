@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -314,6 +316,17 @@ def long_dev_set(rng):
     return pairs, gold
 
 
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector on or off for the block, then as it was."""
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 class FakeModel:
     """score_pairs stub: psi comes from a fixed (entity -> score) table. It
     records each call's document and whether the collector was on, and
@@ -358,23 +371,26 @@ def ed_corpus(rng, n_docs, table):
 
 
 class TestScoreCorpus:
-    def test_pairs_in_corpus_order_with_the_collector_paused(self):
+    # the library leaves the collector as found: the CLI pauses it, per command
+    def test_pairs_in_corpus_order_with_the_collector_as_found(self):
         table = {f"E{i}": float(i) for i in range(6)}
         docs, spans = ed_corpus(np.random.default_rng(4), 7, table)
-        model = FakeModel(table)
-        pairs = inference.score_corpus(model, docs, spans)
-        assert pairs == [p for doc, doc_spans in zip(docs, spans)
-                         for p in FakeModel(table).score_pairs(doc, doc_spans)]
-        assert model.calls == [(doc.doc_id, False) for doc in docs]
-        assert gc.isenabled()
+        for enabled in (True, False):
+            model = FakeModel(table)
+            with collector(enabled):
+                pairs = inference.score_corpus(model, docs, spans)
+                assert gc.isenabled() == enabled
+            assert pairs == [p for doc, doc_spans in zip(docs, spans)
+                             for p in FakeModel(table).score_pairs(doc, doc_spans)]
+            assert model.calls == [(doc.doc_id, enabled) for doc in docs]
 
-    def test_collector_resumes_when_scoring_raises(self):
+    def test_collector_left_as_found_when_scoring_raises(self):
         table = {f"E{i}": float(i) for i in range(6)}
         docs, spans = ed_corpus(np.random.default_rng(4), 4, table)
         model = FakeModel(table, fail_on="d1")
         with pytest.raises(RuntimeError, match="scoring d1 failed"):
             inference.score_corpus(model, docs, spans)
-        assert model.calls == [("d0", False), ("d1", False)]
+        assert model.calls == [("d0", True), ("d1", True)]
         assert gc.isenabled()
 
     def test_spans_of_every_document_required(self):
@@ -430,7 +446,7 @@ class TestDecodeEd:
         assert any(a.entity_id is None for a in out)
         scorable = [doc.doc_id for doc, doc_spans in zip(docs, spans)
                     if any(s.candidates for s in doc_spans)]
-        assert model.calls == [(doc_id, False) for doc_id in scorable] != []
+        assert model.calls == [(doc_id, True) for doc_id in scorable] != []  # collector as found
         assert len(scorable) < len(docs)
 
 
@@ -552,4 +568,13 @@ class TestAnnotationIo:
         p.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n",
                      encoding="utf-8")
         with pytest.raises(ValueError, match=f":1: bad annotation record: {field}"):
+            inference.read_annotations(str(p))
+
+    @pytest.mark.parametrize("start, end", [(-1, 1), (-2, -1), (3, 2), (0, -1)])
+    def test_offsets_out_of_order_rejected(self, tmp_path, start, end):
+        p = tmp_path / "ann.jsonl"
+        p.write_text(json.dumps({"doc_id": "d", "start": start, "end": end, "entity": "E",
+                                 "score": 0.5}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":1: bad annotation record: start {start} "
+                                             f"and end {end} break 0 <= start <= end"):
             inference.read_annotations(str(p))

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from e2el import autodiff as ad
-from e2el import scoring, training
+from e2el import inference, scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
 from e2el.model import LinkingModel, PairScore
@@ -299,7 +299,8 @@ class TestTrain:
         assert len(result.history) == 3
         assert sorted(found) == sorted(doc.doc_id for doc in docs[:12])
 
-    def test_steps_and_evaluations_run_with_the_collector_paused(self, monkeypatch):
+    def test_steps_and_evaluations_leave_the_collector_as_found(self, monkeypatch):
+        # the CLI pauses the collector per command; the library leaves it be
         docs, index, model = build_toy(seed=11, use_global=True, use_attention=True)
         seen = {"backward": [], "score_pairs": []}
         backward, score_pairs = ad.backward, LinkingModel.score_pairs
@@ -316,13 +317,29 @@ class TestTrain:
         result = training.train(docs, docs, model, index, cfg)
         assert result.steps == 8
         # two dev evaluations, each scoring every dev document
-        assert seen == {"backward": [False] * 8, "score_pairs": [False] * (2 * len(docs))}
+        assert seen == {"backward": [True] * 8, "score_pairs": [True] * (2 * len(docs))}
         assert gc.isenabled()
         # and a run leaves nothing behind that only the collector could free
         gc.disable()
         try:
             gc.collect()
             training.train(docs, docs, model, index, cfg)
+            assert not gc.isenabled()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_corpus_pass_leaves_nothing_for_the_collector(self):
+        # one score -> sweep -> decode pass, as annotate and select-threshold run it
+        docs, index, model = build_toy(seed=12, use_global=True, use_attention=True)
+        spans = [training.el_spans(doc, index, True) for doc in docs]
+        gold = {doc.doc_id: list(doc.gold) for doc in docs}
+        gc.disable()
+        try:
+            gc.collect()
+            pairs = inference.score_corpus(model, docs, spans)
+            delta = inference.select_threshold(pairs, gold)
+            assert inference.greedy_decode(pairs, delta)
             assert gc.collect() == 0
         finally:
             gc.enable()
