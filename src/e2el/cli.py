@@ -88,6 +88,9 @@ def model_from_checkpoint(cfg: RunConfig, path: str) -> tuple[LinkingModel, floa
     if table.ndim != 2 or len(table) != len(cps) + 1:
         raise ValueError(f"{path}: char_table has shape {table.shape}, not one row per "
                          f"code point plus the unknown row ({len(cps) + 1})")
+    if table.shape[1] != cfg["dims.char"]:
+        raise ValueError(f"{path}: char_table is {table.shape[1]}-d, config says "
+                         f"{cfg['dims.char']}")
     chars = CharTable.from_codepoints(cps.astype(np.int64), ad.parameter(table))
     model = build_model(cfg, chars)
     try:

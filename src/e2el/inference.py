@@ -13,12 +13,23 @@ distinct candidate value (ties go to the larger delta); by that prefix
 property one decode and one evaluation serve every candidate.
 
 Lowering delta then adds one annotation at a time, and the counts follow
-without a rematch of the document. The decoded annotations share no
-token, so under strong (exact span) matching each one matches its own
-(start, end, entity) gold or nothing: TP or FP grows by exactly one. Weak
-(overlap) matching pairs an annotation only with golds of its entity, so
-only the (document, entity) group that gained the annotation is matched
-again.
+without a rematch of the document. What each step of a sweep over P
+pairs, S spans, A kept annotations and G golds costs:
+
+- one best-per-span pass, O(P), reading each pair's score once;
+- one decode, O(S log S): one sort of plain tuples and a bytearray of
+  taken tokens per document;
+- strong counts, O(A + G): the decoded annotations share no token, so
+  each one matches the gold with its own exact (document, start, end,
+  entity) key or nothing, one set lookup;
+- weak counts: an annotation pairs only with golds of its entity, so each
+  (document, entity) group matches alone. A newcomer takes its first free
+  overlapping gold and displaces the later annotation holding it, which
+  picks again down a chain (`_take_gold`). The chain is at most as long
+  as the group's annotations after the newcomer in document order, and
+  all its picks together scan the group's golds once;
+- one evaluation, whose `_match_doc` finds golds by exact key (strong) or
+  among those of the prediction's entity (weak).
 
 Annotation files are JSON lines ``{doc_id, start, end, entity, score}``
 sorted by (doc_id, start).
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -84,24 +96,29 @@ class EvalReport:
 def best_per_span(pairs: Sequence[ScoredPair]) -> list[ScoredPair]:
     """Argmax candidate per span, in (doc_id, start, end) order; ties go to
     higher prior, then entity id, then the earlier pair."""
-    return _best_by_span(pairs)[0]
+    return [p for _, p in _best_by_span(pairs)[0]]
 
 
-def _best_by_span(pairs: Sequence[ScoredPair]) -> tuple[list[ScoredPair], ScoredPair | None]:
-    """`best_per_span`'s list, and the first pair scoring NaN if any.
+def _best_by_span(pairs: Sequence[ScoredPair]
+                  ) -> tuple[list[tuple[float, ScoredPair]], ScoredPair | None]:
+    """Each span's (score, best pair) in `best_per_span`'s order, and the
+    first pair scoring NaN if any.
 
     One pass keeps each span's best so far and replaces it only when the
     pair's key (-score, -prior, entity_id) is strictly smaller, which is
     what `min` over the span's pairs picks. The key is compared score
     first: a NaN score is neither greater nor equal, just as a tuple with
     it never compares smaller. Pairs of one span usually come together,
-    so the span's dict entry is looked up once per run of them.
+    so the span's dict entry is looked up once per run of them. Each
+    pair's score is read from `phi`/`psi` once, as `ScoredPair.score` does.
     """
     best: dict[tuple[str, int, int], tuple[float, ScoredPair]] = {}
     nan = None
     span = cur = key = None
     for p in pairs:
-        score = p.score
+        score = p.phi
+        if score is None:
+            score = p.psi
         if score != score and nan is None:
             nan = p
         if p.span is not span:
@@ -111,31 +128,35 @@ def _best_by_span(pairs: Sequence[ScoredPair]) -> tuple[list[ScoredPair], Scored
         if cur is None or score > cur[0] or (
                 score == cur[0] and (-p.prior, p.entity_id) < (-cur[1].prior, cur[1].entity_id)):
             cur = best[key] = (score, p)
-    return [best[key][1] for key in sorted(best)], nan
+    return [best[key] for key in sorted(best)], nan
 
 
 def greedy_decode(pairs: Sequence[ScoredPair], delta: float) -> list[Annotation]:
     """Non-overlapping annotations with score above the threshold.
 
     The per-span best candidates above `delta` are swept in descending
-    score order (ties: earlier start, shorter span, entity id); a span is
-    emitted only when none of its tokens are already taken.
+    score order (ties: earlier start, shorter span, entity id, then
+    document order); a span is emitted only when none of its tokens are
+    already taken. Token offsets are non-negative.
     """
-    survivors = [p for p in best_per_span(pairs) if p.score > delta]
-    survivors.sort(key=lambda p: (-p.score, p.span.start,
-                                  p.span.end - p.span.start, p.entity_id))
-    taken: dict[str, set[int]] = {}
-    out = []
-    for p in survivors:
-        tokens = set(range(p.span.start, p.span.end + 1))
-        used = taken.setdefault(p.span.doc_id, set())
-        if tokens & used:
-            continue
-        used |= tokens
-        out.append(Annotation(doc_id=p.span.doc_id, start=p.span.start, end=p.span.end,
-                              entity_id=p.entity_id, score=p.score))
-    out.sort(key=lambda a: (a.doc_id, a.start, a.end))
-    return out
+    best = _best_by_span(pairs)[0]
+    ranked = sorted((-score, p.span.start, p.span.end - p.span.start, p.entity_id, i)
+                    for i, (score, p) in enumerate(best) if score > delta)
+    taken: dict[str, bytearray] = {}  # per document, 1 at each taken token
+    kept = bytearray(len(best))
+    for _, start, length, _, i in ranked:
+        doc_id = best[i][1].span.doc_id
+        used = taken.get(doc_id)
+        if used is None:
+            used = taken[doc_id] = bytearray()
+        stop = start + length + 1
+        if len(used) < stop:
+            used.extend(bytes(stop - len(used)))
+        if used.find(1, start, stop) < 0:
+            used[start:stop] = b"\x01" * (stop - start)
+            kept[i] = 1
+    return [Annotation(p.span.doc_id, p.span.start, p.span.end, p.entity_id, score)
+            for (score, p), k in zip(best, kept) if k]
 
 
 def select_threshold(pairs: Sequence[ScoredPair],
@@ -148,19 +169,9 @@ def select_threshold(pairs: Sequence[ScoredPair],
     break toward the larger threshold, i.e. fewer annotations. The decode
     at delta keeps exactly the -inf decode's annotations scoring above
     delta, so each span's best pair is found once, decoded and evaluated
-    once, and the candidates are swept from high to low, adding those
-    annotations to running counts:
-
-    - Strong matching is additive. The decode's annotations share no
-      token, so no two of them can claim the same exact-span gold: each
-      one matches a gold with its own (start, end, entity) or nothing,
-      and adding it adds 1 to TP or to FP.
-    - Weak matching splits by entity. `_match_doc` pairs an annotation
-      only with golds of its own entity, so a document's TP is the sum of
-      its (document, entity) groups' TPs. Adding an annotation rematches
-      only its own group, and the change in that group's TP updates the
-      running count. (It can be 0 when the newcomer, earlier in document
-      order, takes the gold that an annotation of the group already held.)
+    once, and the annotations are added from high to low score, each
+    adding 0 or 1 to TP (`_tp_gains`); the candidates are swept over the
+    running count.
 
     Micro F1 comes from the same integer counts as `evaluate`'s, so the pick
     equals that of decoding and evaluating at every candidate. A NaN score
@@ -169,44 +180,88 @@ def select_threshold(pairs: Sequence[ScoredPair],
     """
     if not pairs:
         raise ValueError("empty dev set")
-    best, nan = _best_by_span(pairs)  # decoding them gives the same annotations as all pairs
+    best, nan = _best_by_span(pairs)
     if nan is not None:
         raise ValueError(f"document {nan.span.doc_id!r}: span {nan.span.start}-{nan.span.end} "
                          f"scores NaN for entity {nan.entity_id!r}")
-    kept = greedy_decode(best, float("-inf"))
+    # decoding the best pairs gives the same annotations as decoding all pairs
+    kept = greedy_decode([p for _, p in best], float("-inf"))
     evaluate(kept, gold, mode=mode)  # validates the mode and the documents
     kept.sort(key=lambda a: -a.score)
-    golds: dict[tuple[str, str], list[tuple[int, int, str]]] = {}
-    for doc_id, doc_gold in gold.items():
-        for g in doc_gold:
-            golds.setdefault((doc_id, g[2]), []).append(g)
-    preds: dict[tuple[str, str], list[Annotation]] = {}
-    group_tp: dict[tuple[str, str], int] = {}
+    gains = _tp_gains(kept, gold, mode)
     n_gold = sum(len(g) for g in gold.values())
     tp = 0
     best_delta = float("-inf")
     best_f1 = -1.0
     i = 0
-    for delta in sorted({p.score for p in best} | {float("-inf")}, reverse=True):
+    for delta in sorted({score for score, _ in best} | {float("-inf")}, reverse=True):
         while i < len(kept) and kept[i].score > delta:
-            a = kept[i]
+            tp += gains[i]
             i += 1
-            group = (a.doc_id, a.entity_id)
-            if group not in golds:
-                continue
-            if mode == "strong":
-                tp += any((gs, ge) == (a.start, a.end) for gs, ge, _ in golds[group])
-            else:
-                members = preds.setdefault(group, [])
-                members.append(a)
-                group_new = _match_doc(members, golds[group], mode)[0]
-                tp += group_new - group_tp.get(group, 0)
-                group_tp[group] = group_new
         f1 = _prf(tp, i - tp, n_gold - tp)[2]
         if f1 > best_f1:
             best_f1 = f1
             best_delta = delta
     return best_delta
+
+
+def _tp_gains(kept: list[Annotation], gold: Mapping[str, Sequence[tuple[int, int, str]]],
+              mode: str) -> list[int]:
+    """What each of `kept` adds to `evaluate`'s TP when the annotations are
+    added in the given order: `sum(gains[:i])` is the TP of `kept[:i]`.
+
+    The annotations come from one decode, so they share no token.
+
+    - Strong matching: no two of them can claim the same exact-span gold,
+      so each one matches the gold with its own (document, start, end,
+      entity) key or nothing.
+    - Weak matching: `_match_doc` pairs an annotation only with golds of
+      its own entity, so each (document, entity) group matches alone, in
+      document order. A newcomer takes the first overlapping gold (in
+      gold-list order) that no annotation before it in document order
+      holds. If a later annotation held that gold, that one picks again by
+      the same rule, and so on down the chain (`_take_gold`); every pick
+      but the last moves a gold, so TP grows by 1 only when the chain ends
+      on a gold nobody held.
+    """
+    if mode == "strong":
+        keys = {(doc_id, gs, ge, ent) for doc_id, doc_gold in gold.items()
+                for gs, ge, ent in doc_gold}
+        return [(a.doc_id, a.start, a.end, a.entity_id) in keys for a in kept]
+    golds: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for doc_id, doc_gold in gold.items():
+        for gs, ge, ent in doc_gold:
+            golds.setdefault((doc_id, ent), []).append((gs, ge))
+    holders = {group: [None] * len(spans) for group, spans in golds.items()}
+    return [_take_gold(golds[group], holders[group], a.start, a.end)
+            if (group := (a.doc_id, a.entity_id)) in golds else 0 for a in kept]
+
+
+def _take_gold(golds: list[tuple[int, int]], holders: list[tuple[int, int] | None],
+               start: int, end: int) -> int:
+    """Add the annotation (start, end) to one weak-matching group and return
+    its TP gain, 0 or 1.
+
+    `holders[j]` is the (start, end) of the annotation holding `golds[j]`,
+    or None. The group's annotations share no token, so their starts order
+    them in document order. A displaced annotation picks again from just
+    after the gold it lost: every gold before that one that it overlaps was
+    held by an annotation before it, and still is.
+    """
+    j = 0
+    while True:
+        for j in range(j, len(golds)):
+            gs, ge = golds[j]
+            holder = holders[j]
+            if start <= ge and gs <= end and (holder is None or holder[0] > start):
+                break
+        else:
+            return 0
+        holders[j] = (start, end)
+        if holder is None:
+            return 1
+        start, end = holder
+        j += 1
 
 
 def score_corpus(model, docs: Sequence[Document],
@@ -248,24 +303,33 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 def _match_doc(preds: list[Annotation], golds: list[tuple[int, int, str]],
                mode: str) -> tuple[int, int, int]:
-    """Greedy pairing in document order; each gold matches at most once."""
-    consumed = [False] * len(golds)
+    """Greedy pairing in document order; each gold matches at most once.
+
+    A prediction matches only a gold of its own entity. Under strong
+    matching it takes a gold with its own (start, end, entity) key, so the
+    order does not matter. Under weak matching it takes the first
+    unconsumed overlapping gold of its entity, in gold-list order.
+    """
     tp = 0
-    for a in sorted(preds, key=lambda a: (a.start, a.end, a.entity_id or "")):
-        for i, (gs, ge, gent) in enumerate(golds):
-            if consumed[i] or gent != a.entity_id:
-                continue
-            if mode == "strong":
-                hit = (gs, ge) == (a.start, a.end)
-            else:
-                hit = a.start <= ge and gs <= a.end
-            if hit:
-                consumed[i] = True
+    if mode == "strong":
+        left = Counter((gs, ge, ent) for gs, ge, ent in golds)
+        for a in preds:
+            key = (a.start, a.end, a.entity_id)
+            if left[key] > 0:
+                left[key] -= 1
                 tp += 1
-                break
-    fp = len(preds) - tp
-    fn = len(golds) - tp
-    return tp, fp, fn
+    else:
+        by_entity: dict[str | None, list[tuple[int, int]]] = {}
+        for gs, ge, ent in golds:
+            by_entity.setdefault(ent, []).append((gs, ge))
+        for a in sorted(preds, key=lambda a: (a.start, a.end)):
+            free = by_entity.get(a.entity_id, ())
+            for j, (gs, ge) in enumerate(free):
+                if a.start <= ge and gs <= a.end:
+                    del free[j]
+                    tp += 1
+                    break
+    return tp, len(preds) - tp, len(golds) - tp
 
 
 def evaluate(pred: Sequence[Annotation],
@@ -331,10 +395,12 @@ def read_annotations(path: str) -> list[Annotation]:
                 raise ValueError(f"doc_id {rec['doc_id']!r} is not a string")
             if rec["entity"] is not None and type(rec["entity"]) is not str:
                 raise ValueError(f"entity {rec['entity']!r} is neither a string nor null")
+            score = rec.get("score")
+            if score is not None and (type(score) not in (int, float) or score != score):
+                raise ValueError(f"score {score!r} must be null or a number other than NaN")
             out.append(Annotation(doc_id=rec["doc_id"], start=rec["start"],
                                   end=rec["end"], entity_id=rec["entity"],
-                                  score=float("-inf") if rec.get("score") is None
-                                  else float(rec["score"])))
+                                  score=float("-inf") if score is None else float(score)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{lineno}: bad annotation record: {exc}") from None
     return out

@@ -560,9 +560,10 @@ def brute_select_threshold(pairs, gold, mode="strong"):
 
 
 # ---------------------------------------------------------------------------
-# `min` per span and a sweep that rematches every document that gained an
-# annotation: the oracles for `inference.best_per_span` and
-# `inference.select_threshold`
+# `min` per span, a set-based decode, a gold scan per prediction and a sweep
+# that rematches every document that gained an annotation: the oracles for
+# `inference.best_per_span`, `greedy_decode`, `_match_doc` and
+# `select_threshold`
 
 
 def reference_best_per_span(pairs):
@@ -572,6 +573,48 @@ def reference_best_per_span(pairs):
         by_span.setdefault((p.span.doc_id, p.span.start, p.span.end), []).append(p)
     return [min(by_span[key], key=lambda p: (-p.score, -p.prior, p.entity_id))
             for key in sorted(by_span)]
+
+
+def reference_greedy_decode(pairs, delta):
+    """Best pairs above `delta` by descending score (ties: earlier start,
+    shorter span, entity id, then document order), each kept when none of
+    its tokens is in its document's set of taken tokens."""
+    survivors = [p for p in reference_best_per_span(pairs) if p.score > delta]
+    survivors.sort(key=lambda p: (-p.score, p.span.start,
+                                  p.span.end - p.span.start, p.entity_id))
+    taken = {}
+    out = []
+    for p in survivors:
+        tokens = set(range(p.span.start, p.span.end + 1))
+        used = taken.setdefault(p.span.doc_id, set())
+        if tokens & used:
+            continue
+        used |= tokens
+        out.append(inference.Annotation(doc_id=p.span.doc_id, start=p.span.start,
+                                        end=p.span.end, entity_id=p.entity_id, score=p.score))
+    out.sort(key=lambda a: (a.doc_id, a.start, a.end))
+    return out
+
+
+def reference_match_doc(preds, golds, mode):
+    """Greedy pairing in document order; each gold matches at most once."""
+    consumed = [False] * len(golds)
+    tp = 0
+    for a in sorted(preds, key=lambda a: (a.start, a.end, a.entity_id or "")):
+        for i, (gs, ge, gent) in enumerate(golds):
+            if consumed[i] or gent != a.entity_id:
+                continue
+            if mode == "strong":
+                hit = (gs, ge) == (a.start, a.end)
+            else:
+                hit = a.start <= ge and gs <= a.end
+            if hit:
+                consumed[i] = True
+                tp += 1
+                break
+    fp = len(preds) - tp
+    fn = len(golds) - tp
+    return tp, fp, fn
 
 
 def reference_select_threshold(pairs, gold, mode="strong"):
@@ -584,7 +627,7 @@ def reference_select_threshold(pairs, gold, mode="strong"):
             raise ValueError(f"document {p.span.doc_id!r}: span {p.span.start}-{p.span.end} "
                              f"scores NaN for entity {p.entity_id!r}")
     best = reference_best_per_span(pairs)  # decoding them gives the same annotations as all pairs
-    kept = inference.greedy_decode(best, float("-inf"))
+    kept = reference_greedy_decode(best, float("-inf"))
     inference.evaluate(kept, gold, mode=mode)  # validates the mode and the documents
     kept.sort(key=lambda a: -a.score)
     golds = {doc_id: list(gold[doc_id]) for doc_id in gold}
@@ -601,8 +644,8 @@ def reference_select_threshold(pairs, gold, mode="strong"):
             changed.add(kept[i].doc_id)
             i += 1
         for doc_id in changed:
-            old, counts[doc_id] = counts[doc_id], inference._match_doc(preds[doc_id],
-                                                                       golds[doc_id], mode)
+            old, counts[doc_id] = counts[doc_id], reference_match_doc(preds[doc_id],
+                                                                      golds[doc_id], mode)
             tp += counts[doc_id][0] - old[0]
             fp += counts[doc_id][1] - old[1]
             fn += counts[doc_id][2] - old[2]
@@ -611,6 +654,24 @@ def reference_select_threshold(pairs, gold, mode="strong"):
             best_f1 = f1
             best_delta = delta
     return best_delta
+
+
+def shared_entity_document(seed=17, n_spans=400, n_entities=3):
+    """One scored document ("d") of `n_spans` spans of 1-2 tokens at distinct
+    starts among 2.5 `n_spans` positions, every span drawing its candidates
+    from the same `n_entities` entities, and gold on about half the spans.
+    Many annotations of one entity then compete for its overlapping golds
+    under weak matching. Returns (pairs, gold)."""
+    rng = np.random.default_rng(seed)
+    pairs, gold = [], []
+    for start in sorted(rng.choice(n_spans * 5 // 2, size=n_spans, replace=False)):
+        span = MentionSpan("d", int(start), int(start) + int(rng.integers(0, 2)), "s",
+                           [CandidateEntry(f"E{j}", 0.5) for j in range(n_entities)])
+        pairs += [scoring.ScoredPair(span=span, entity_id=c.entity_id, prior=c.prior,
+                                     psi=float(rng.normal())) for c in span.candidates]
+        if rng.random() < 0.5:
+            gold.append((span.start, span.end, f"E{int(rng.integers(0, n_entities))}"))
+    return pairs, {"d": gold}
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,9 @@ class TestPipeline:
         ("meta.char_vocab", lambda a: np.r_[-1, a[1:]], CODEPOINTS),
         ("meta.char_vocab", lambda a: np.r_[0x110000, a[1:]], CODEPOINTS),
         ("char_table", lambda a: a[:-1], "char_table has shape"),
-    ], ids=["delta-2", "delta-0", "repeated", "fractional", "negative", "beyond", "short-table"])
+        ("char_table", lambda a: a[:, :-1], "char_table is 3-d, config says 4"),
+    ], ids=["delta-2", "delta-0", "repeated", "fractional", "negative", "beyond", "short-table",
+            "narrow-table"])
     def test_checkpoint_bad_metadata(self, pipeline, tmp_path, capfd, key, change, reported):
         from e2el.training import load_checkpoint, save_checkpoint
         paths, _ = pipeline

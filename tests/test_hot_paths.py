@@ -1,7 +1,7 @@
 """Guards on the shape of the hot paths: they fail if a per-span loop comes
 back into the attention ranking, a scatter loop (`np.add.at`) into the
-training step's gradient gathers, a whole-document rematch per threshold
-into the threshold sweep, a `bilstm` call per word length into the
+training step's gradient gathers, a rematch or a second decode or
+evaluation into the threshold sweep, a `bilstm` call per word length into the
 encoder, or a collector pause into the library's training and corpus
 paths."""
 
@@ -97,8 +97,11 @@ def test_training_step_never_scatters_with_add_at(monkeypatch):
 @pytest.mark.parametrize("mode", ["strong", "weak"])
 def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monkeypatch,
                                                                            mode):
-    # one document of 400 spans of 1-2 tokens, three candidates each; about
-    # half the kept annotations have a weak-matching gold
+    # one decode and one evaluation per sweep, and `_match_doc` only inside
+    # that evaluation, once per document: the sweep itself rematches nothing.
+    # Two documents of 400 spans of 1-2 tokens and three candidates each,
+    # about half with a gold: one whose spans have entities of their own,
+    # and one whose spans all share the same 3 entities
     rng = np.random.default_rng(17)
     pairs, gold = [], []
     for k, start in enumerate(sorted(rng.choice(1000, size=400, replace=False))):
@@ -108,20 +111,30 @@ def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monke
                              psi=float(rng.normal())) for c in span.candidates]
         if rng.random() < 0.5:
             gold.append((span.start, span.end, f"E{k}.{int(rng.integers(0, 3))}"))
-    kept = len(inference.greedy_decode(pairs, float("-inf")))
-    assert kept > 300
-    matched = []
+    calls = []
+    in_evaluate = []
 
-    def spy(preds, golds, mode, _fn=inference._match_doc):
-        matched.append(len(preds))
-        return _fn(preds, golds, mode)
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append((name, len(args[0]), bool(in_evaluate)))
+            in_evaluate.append(name == "evaluate")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_evaluate.pop()
+        return counted
 
-    monkeypatch.setattr(inference, "_match_doc", spy)
-    inference.select_threshold(pairs, {"d": gold}, mode=mode)
-    if mode == "strong":
-        assert matched == [kept]  # `evaluate`'s one call for the document
-    else:
-        assert sum(matched) <= 2 * kept
+    for pairs, gold in ((pairs, {"d": gold}), helpers.shared_entity_document()):
+        kept = len(inference.greedy_decode(pairs, float("-inf")))
+        assert kept > 300
+        gold = {**gold, "no-pairs": [(0, 1, "E0")]}
+        with monkeypatch.context() as patch:
+            for name in ("greedy_decode", "evaluate", "_match_doc"):
+                patch.setattr(inference, name, spy(name, getattr(inference, name)))
+            calls.clear()
+            inference.select_threshold(pairs, gold, mode=mode)
+        assert calls[0][0] == "greedy_decode" and calls[1:] == [
+            ("evaluate", kept, False), ("_match_doc", kept, True), ("_match_doc", 0, True)]
 
 
 def test_encoding_makes_one_char_and_one_context_bilstm_call(monkeypatch):

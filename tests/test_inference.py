@@ -108,6 +108,17 @@ class TestGreedyDecode:
             expect = sorted((p.span.start, p.span.end, p.entity_id) for p in chosen)
             assert [(a.start, a.end, a.entity_id) for a in got] == expect
 
+    def test_matches_set_based_oracle_across_documents(self):
+        # tied scores across documents, -inf scores, overlapping spans
+        rng = np.random.default_rng(12)
+        compared = 0
+        while compared < 300:
+            pairs, _ = random_dev_set(rng)
+            for delta in (float("-inf"), -0.5, 0.0, 0.25):
+                assert (inference.greedy_decode(pairs, delta)
+                        == helpers.reference_greedy_decode(pairs, delta))
+            compared += bool(pairs)
+
     def test_output_never_overlaps_and_monotone_in_delta(self):
         rng = np.random.default_rng(1)
         pairs = [pair("d", int(rng.integers(0, 12)), 0, f"E{i}",
@@ -174,6 +185,37 @@ class TestSelectThreshold:
             pairs, gold = long_dev_set(rng)
             assert (inference.select_threshold(pairs, gold, mode=mode)
                     == helpers.reference_select_threshold(pairs, gold, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_matches_document_rematch_on_shared_entity_documents(self, mode):
+        # 400 spans whose candidates all come from the same 3 entities: long
+        # displacement chains under weak matching
+        for seed in [17] + list(range(100, 120)):
+            pairs, gold = helpers.shared_entity_document(seed=seed)
+            assert (inference.select_threshold(pairs, gold, mode=mode)
+                    == helpers.reference_select_threshold(pairs, gold, mode=mode)), seed
+
+    def test_weak_displacement_chain(self):
+        # sweep order A, B, C; document order C, B, A. C takes g1 from B, B
+        # takes g2 from A, and A moves on to g3: TP 2 -> 3
+        pairs = [pair("d", 6, 7, "E", 0.9), pair("d", 3, 4, "E", 0.8),
+                 pair("d", 0, 1, "E", 0.7)]
+        kept = inference.greedy_decode(pairs, 0.5)[::-1]
+        golds = [(1, 3, "E"), (4, 6, "E"), (7, 9, "E")]
+        # with g3 gone, A has nowhere to go: TP stays 2
+        for gold, gains in (({"d": golds}, [1, 1, 1]), ({"d": golds[:2]}, [1, 1, 0])):
+            assert inference._tp_gains(kept, gold, "weak") == gains
+            assert (inference.select_threshold(pairs, gold, mode="weak")
+                    == helpers.brute_select_threshold(pairs, gold, mode="weak"))
+        # every gold overlaps every annotation, and the sweep meets them in
+        # reverse document order: each newcomer displaces along the whole chain
+        pairs = [pair("d", 2 * k, 2 * k, "E", float(k)) for k in range(30)]
+        kept = sorted(inference.greedy_decode(pairs, float("-inf")), key=lambda a: -a.score)
+        for n_gold in (10, 30, 40):
+            gold = {"d": [(0, 60 + j, "E") for j in range(n_gold)]}
+            assert inference._tp_gains(kept, gold, "weak") == [k < n_gold for k in range(30)]
+            assert (inference.select_threshold(pairs, gold, mode="weak")
+                    == helpers.reference_select_threshold(pairs, gold, mode="weak"))
 
     def test_weak_newcomer_takes_a_held_gold(self):
         # A (3-4) is added first and holds the gold (2-4); B (0-2) comes later
@@ -540,6 +582,55 @@ class TestEvaluate:
             assert inference.evaluate(gold_as_pred, gold, mode="strong").micro_f1 == 1.0
 
 
+def random_match_set(rng):
+    """Predictions and gold of one document over few positions and
+    entities, with repeated golds, and predictions that repeat, overlap or
+    have entity None."""
+    def span():
+        start = int(rng.integers(0, 8))
+        return start, start + int(rng.integers(0, 3))
+
+    entities = ["E0", "E1", "E2"]
+    golds = [(*span(), str(rng.choice(entities))) for _ in range(int(rng.integers(0, 8)))]
+    golds += [golds[int(j)] for j in rng.integers(0, len(golds), size=len(golds) // 3)] \
+        if golds else []
+    preds = []
+    for _ in range(int(rng.integers(0, 8))):
+        if golds and rng.random() < 0.4:
+            start, end, ent = golds[int(rng.integers(0, len(golds)))]
+        else:
+            (start, end), ent = span(), str(rng.choice(entities))
+        preds.append(inference.Annotation("d", start, end,
+                                          None if rng.random() < 0.15 else ent, 0.5))
+    return preds, golds
+
+
+class TestMatchDoc:
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_matches_gold_scan_oracle(self, mode):
+        rng = np.random.default_rng(21 if mode == "strong" else 22)
+        for _ in range(400):
+            preds, golds = random_match_set(rng)
+            preds += preds[:int(rng.integers(0, 2))]  # a repeated prediction
+            assert (inference._match_doc(preds, golds, mode)
+                    == helpers.reference_match_doc(preds, golds, mode))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_evaluate_counts_match_gold_scan_oracle(self, mode):
+        rng = np.random.default_rng(23 if mode == "strong" else 24)
+        for _ in range(300):
+            gold, pred = {}, []
+            for d in range(int(rng.integers(1, 4))):
+                preds, gold[f"d{d}"] = random_match_set(rng)
+                pred += list({(a.start, a.end, a.entity_id): inference.Annotation(
+                    f"d{d}", a.start, a.end, a.entity_id, a.score) for a in preds}.values())
+            report = inference.evaluate(pred, gold, mode=mode)
+            for doc_id, golds in gold.items():
+                linked = [a for a in pred if a.doc_id == doc_id and a.entity_id is not None]
+                assert report.per_doc[doc_id] == helpers.reference_match_doc(linked, golds,
+                                                                              mode)
+
+
 class TestAnnotationIo:
     def test_round_trip_sorted(self, tmp_path):
         anns = [inference.Annotation("b", 3, 4, "E2", 0.25),
@@ -560,7 +651,10 @@ class TestAnnotationIo:
     @pytest.mark.parametrize("field, value", [("start", "1.7"), ("end", "true"),
                                               ("start", '"1"'), ("end", "null"),
                                               ("doc_id", '["d1"]'), ("doc_id", "7"),
-                                              ("entity", '["E1"]'), ("entity", "7")])
+                                              ("entity", '["E1"]'), ("entity", "7"),
+                                              ("score", '"nan"'), ("score", "true"),
+                                              ("score", '"0.5"'), ("score", "NaN"),
+                                              ("score", "[0.5]")])
     def test_non_integer_offset_rejected(self, tmp_path, field, value):
         rec = {"doc_id": '"d"', "start": "0", "end": "1", "entity": '"E"', "score": "0.5"}
         rec[field] = value
@@ -569,6 +663,16 @@ class TestAnnotationIo:
                      encoding="utf-8")
         with pytest.raises(ValueError, match=f":1: bad annotation record: {field}"):
             inference.read_annotations(str(p))
+
+    def test_score_null_missing_or_number(self, tmp_path):
+        p = tmp_path / "ann.jsonl"
+        records = [{"score": None}, {}, {"score": 2}, {"score": -0.25}, {"score": 1e300}]
+        p.write_text("".join(json.dumps({"doc_id": "d", "start": i, "end": i, "entity": "E",
+                                         **rec}) + "\n" for i, rec in enumerate(records)),
+                     encoding="utf-8")
+        scores = [a.score for a in inference.read_annotations(str(p))]
+        assert scores == [float("-inf"), float("-inf"), 2.0, -0.25, 1e300]
+        assert all(type(score) is float for score in scores)
 
     @pytest.mark.parametrize("start, end", [(-1, 1), (-2, -1), (3, 2), (0, -1)])
     def test_offsets_out_of_order_rejected(self, tmp_path, start, end):
