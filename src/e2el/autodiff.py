@@ -83,7 +83,9 @@ def cycle_gc_paused() -> Iterator[None]:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # the method, not `np.all`: it skips numpy's Python-level dispatch, about
+    # 2 µs of the 4–5 µs check of a small array, and every node runs it
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values in {what}")
 
 
@@ -629,13 +631,15 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
     The gates of a step lie gate-major in one (4 × 2 × B × h) block,
     ordered i, f, o, g, so the three sigmoid gates are one contiguous
     slab. One `tanh` covers the whole block, as σ(z) = ½·tanh(z/2) + ½:
-    the i, f and o rows of w_x, w_h and b are halved when the call starts,
-    and as halving is exact (barring underflow), the tanh sees z/2 exactly.
-    The step's incoming cell state c follows the block, so the cell update
-    f·c + i·g takes one product of [i, f] with [g, c] and one sum. The
-    recurrent product is one (2 × B × h) @ (2 × h × 4h) product on
-    contiguous weights. These weights are derived from the parameters in
-    every call, since optimizers and `grad_check` change them in place.
+    the input projection of every step is one product with the stored
+    w_x plus b, whose i, f and o parts are halved as they are copied into
+    the blocks, and the i, f and o rows of w_h are halved when the call
+    starts; as halving is exact (barring underflow), the tanh sees z/2
+    exactly. The step's incoming cell state c follows the block, so the
+    cell update f·c + i·g takes one product of [i, f] with [g, c] and one
+    sum. The recurrent product is one (2 × B × h) @ (2 × h × 4h) product on
+    contiguous weights. These are derived from the parameters in every
+    call, since optimizers and `grad_check` change them in place.
 
     The backward is hand-written BPTT over the kept gates and cell states,
     with the gate gradients of a step in the stored order i, f, g, o, whose
@@ -683,26 +687,31 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
         """Time order to the backward direction's loop order, and back."""
         return a[rows, cols]
 
-    # both directions' weights, (2, 4, h, ·) in the stored gate order, and
-    # the kernel's copies, in its gate order with the sigmoid gates halved
-    w_x = np.concatenate([fwd.w_x.data, bwd.w_x.data]).reshape(2, 4, h, d_in)
+    # both directions' weights in the stored gate order, as the input
+    # projection and dX take them, and the recurrent weights in the
+    # kernel's gate order with the sigmoid gates halved
+    w_x = np.concatenate([fwd.w_x.data, bwd.w_x.data])  # (8h, d_in)
     w_h = np.concatenate([fwd.w_h.data, bwd.w_h.data]).reshape(2, 4, h, h)
-    b = np.concatenate([fwd.b.data, bwd.b.data]).reshape(2, 4, h)
     scale = np.array([0.5, 0.5, 0.5, 1.0], dtype=w_h.dtype)[:, None]  # per kernel gate
-    b_k = b[:, _KERNEL_GATES] * scale
-    w_x_k = w_x[:, _KERNEL_GATES] * scale[..., None]
     w_h_k = np.ascontiguousarray(  # (2, h_in, 4 × h_out)
         (w_h[:, _KERNEL_GATES] * scale[..., None]).transpose(0, 3, 1, 2)).reshape(2, h, 4 * h)
-    proj = (xs.reshape(-1, d_in) @ w_x_k.reshape(8 * h, d_in).T + b_k.reshape(8 * h))
+    proj = xs.reshape(-1, d_in) @ w_x.T
+    proj += np.concatenate([fwd.b.data, bwd.b.data])
     proj = proj.reshape(steps, batch, 2, 4, h)
     dtype = proj.dtype
     # loop order, one (5 × 2 × B × h) block per step, gate-major: the half
     # pre-activations of i, f, o and the pre-activation of g, overwritten
     # with the gate values, then the step's incoming cell state, so that
-    # [i, f] · [g, c] is one product; block k + 1 receives step k's cell
+    # [i, f] · [g, c] is one product; block k + 1 receives step k's cell.
+    # Halving the projection is exact, so the blocks hold what a product
+    # with halved weights and bias would give, bit for bit.
     blocks = np.empty((steps + 1, 5, 2, batch, h), dtype=dtype)
-    blocks[:-1, :4, 0] = proj[:, :, 0].transpose(0, 2, 1, 3)
-    blocks[:-1, :4, 1] = backward_order(proj[:, :, 1]).transpose(0, 2, 1, 3)
+    half = np.array(0.5, dtype=dtype)  # an array: a Python float costs a conversion per call
+    for side, rows_in in enumerate((proj[:, :, 0], backward_order(proj[:, :, 1]))):
+        gates_in = rows_in.transpose(0, 2, 1, 3)  # (T, stored gate, B, h)
+        np.multiply(gates_in[:, :2], half, out=blocks[:-1, :2, side])  # i, f
+        np.multiply(gates_in[:, 3], half, out=blocks[:-1, 2, side])  # o
+        blocks[:-1, 3, side] = gates_in[:, 2]  # g
     blocks[0, 4] = 0.0
     gates, c_in, cells = blocks[:-1, :4], blocks[:-1, 4], blocks[1:, 4]
     states = np.zeros((steps + 1, 2, batch, h), dtype=dtype)  # entry k + 1 after step k
@@ -712,7 +721,6 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
     recurrent_k = recurrent.reshape(2, batch, 4, h).transpose(2, 0, 1, 3)
     products = np.empty((2, 2, batch, h), dtype=dtype)
     i_g, f_c = products
-    half = np.array(0.5, dtype=dtype)  # an array: a Python float costs a conversion per call
     # per step, views of the gates, their sigmoid slab, [i, f], [g, c_in],
     # o and the states
     for h_prev, z, sig, i_f, g_c, o, c, tc, hk in zip(
@@ -782,7 +790,7 @@ def bilstm(x: Tensor, fwd: LstmWeights, bwd: LstmWeights, lengths=None) -> Tenso
             _accumulate(w.w_h, g_w_h[side])
             _accumulate(w.b, g_b[side])
         if x.requires_grad:
-            _accumulate(x, (flat @ w_x.reshape(8 * h, d_in)).reshape(x.shape))
+            _accumulate(x, (flat @ w_x).reshape(x.shape))
 
     return _node(out.reshape(x.shape[:-1] + (2 * h,)),
                  (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b), "bilstm", back)

@@ -171,7 +171,9 @@ def select_threshold(pairs: Sequence[ScoredPair],
     delta, so each span's best pair is found once, decoded and evaluated
     once, and the annotations are added from high to low score, each
     adding 0 or 1 to TP (`_tp_gains`); the candidates are swept over the
-    running count.
+    running count. A candidate that adds no annotation has the counts, so
+    the F1, of the larger one before it, which wins the tie: F1 is computed
+    only where an annotation was added.
 
     Micro F1 comes from the same integer counts as `evaluate`'s, so the pick
     equals that of decoding and evaluating at every candidate. A NaN score
@@ -194,10 +196,14 @@ def select_threshold(pairs: Sequence[ScoredPair],
     best_delta = float("-inf")
     best_f1 = -1.0
     i = 0
+    scored = -1  # the kept count whose F1 was last computed
     for delta in sorted({score for score, _ in best} | {float("-inf")}, reverse=True):
         while i < len(kept) and kept[i].score > delta:
             tp += gains[i]
             i += 1
+        if i == scored:
+            continue
+        scored = i
         f1 = _prf(tp, i - tp, n_gold - tp)[2]
         if f1 > best_f1:
             best_f1 = f1

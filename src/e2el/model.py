@@ -119,13 +119,30 @@ class LinkingModel:
         """The candidate vectors of every pair of `spans`, in pair order, as
         the rows of one (pairs × d) table gathered from the entity matrix, a
         parameter or, when frozen, a constant. An entity without a vector
-        has a zero row."""
-        ids = [c.entity_id for span in spans for c in span.candidates]
-        rows = [self.entities.index(e) for e in ids]
+        has a zero row, and the first time it is seen it logs a warning.
+
+        Spans share candidate lists (a coreferent span takes its root's,
+        and a repeated surface the index's), so each distinct list is
+        resolved to entity rows once, keyed by its identity: the lookups
+        follow the distinct lists of the document, not its pairs.
+        """
+        index = self.entities.index
+        resolved: dict[int, list[int | None]] = {}  # id(candidate list) -> its rows
+        rows: list[int | None] = []
+        missing: set[str] = set()
+        for span in spans:
+            found = resolved.get(id(span.candidates))
+            if found is None:
+                found = resolved[id(span.candidates)] = [index(c.entity_id)
+                                                         for c in span.candidates]
+                if None in found:
+                    missing.update(c.entity_id for c, r in zip(span.candidates, found)
+                                   if r is None)
+            rows += found
+        if not missing:
+            return ad.take_rows(self._entity_rows, rows)
         y = ad.take_rows(self._entity_rows, [r or 0 for r in rows])
-        if None not in rows:
-            return y
-        for e in {e for e, r in zip(ids, rows) if r is None}:
+        for e in missing:
             self.entities.vector(e)  # logs the missing vector once
         return ad.mul(y, ad.constant(np.outer([r is not None for r in rows], np.ones(y.shape[1]))))
 
@@ -163,8 +180,8 @@ class LinkingModel:
         table = self.pair_scores(doc, spans, mode="eval")
         psi, g, phi = ([None] * len(table) if v is None else v.data.tolist()
                        for v in (table.psi, table.g, table.phi))
-        return [scoring.ScoredPair(span=span, entity_id=entity_id, prior=prior,
-                                   psi=a, g=b, phi=c)
+        pair = scoring.ScoredPair  # positional: keywords cost a parse per pair
+        return [pair(span, entity_id, prior, a, b, c)
                 for (span, entity_id, prior), a, b, c in zip(table.rows, psi, g, phi)]
 
     # ------------------------------------------------------------------

@@ -92,12 +92,17 @@ def _pair_spans(spans: list[MentionSpan]) -> np.ndarray:
 def local_score(x_m: ad.Tensor, spans: list[MentionSpan], y: ad.Tensor,
                 ctx_feature: ad.Tensor | None, params: ScorerParams) -> ad.Tensor:
     """One score per pair (row of `y`): an affine map of [log prior,
-    <x_m of its span, y_e>] and the optional context feature."""
-    for entry in (entry for span in spans for entry in span.candidates):
-        if entry.prior <= 0.0:
-            raise ValueError(f"candidate {entry.entity_id!r} has non-positive prior {entry.prior}")
-    log_prior = np.log([entry.prior for span in spans for entry in span.candidates])
-    feats = [ad.constant(log_prior), ad.dot(ad.take_rows(x_m, _pair_spans(spans)), y)]
+    <x_m of its span, y_e>] and the optional context feature.
+
+    The priors of every pair are read into one array, which is checked and
+    whose log is taken whole; a prior at or below 0 raises, naming the
+    first such pair's entity."""
+    priors = np.array([entry.prior for span in spans for entry in span.candidates])
+    bad = priors <= 0.0
+    if bad.any():
+        entry = [entry for span in spans for entry in span.candidates][int(bad.argmax())]
+        raise ValueError(f"candidate {entry.entity_id!r} has non-positive prior {entry.prior}")
+    feats = [ad.constant(np.log(priors)), ad.dot(ad.take_rows(x_m, _pair_spans(spans)), y)]
     if params.psi_w.shape == (3,):
         if ctx_feature is None:
             raise ValueError("attention enabled but no context feature given")

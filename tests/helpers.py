@@ -66,7 +66,8 @@ def build_model(words, entities, dims=None, corpus_tokens=None, seed=0, **kw):
 
 # ---------------------------------------------------------------------------
 # the oracles for `autodiff.bilstm`: the kernel before its gate-major
-# rewrite, and one node per LSTM direction, its own oracle
+# rewrite, and one node per LSTM direction, its own oracle; and the
+# gate-major kernel as it was while it derived halved input weights per call
 
 
 def reference_sigmoid(d):
@@ -279,6 +280,151 @@ def reference_bilstm(x, fwd, bwd):
 
     return ad._node(out.reshape(x.shape[:-1] + (2 * h,)),
                  (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b), "bilstm", back)
+
+
+def derived_weights_bilstm(x, fwd, bwd, lengths=None):
+    """`autodiff.bilstm` before its input projection took the stored
+    weights, unchanged but for the `ad.` prefixes: each call derives halved,
+    reordered copies of w_x and b and projects with those. The oracle that
+    holds the kernel to the same values, gradients included, bit for bit."""
+    h = fwd.hidden
+    if x.data.ndim not in (2, 3) or x.shape[0] < 1:
+        raise ValueError(f"bilstm: (T, d) or (T, B, d) input expected, got {x.shape}")
+    d_in = x.shape[-1]
+    for w in (fwd, bwd):
+        if w.w_x.shape != (4 * h, d_in) or w.w_h.shape != (4 * h, h) or w.b.shape != (4 * h,):
+            raise ValueError(
+                f"bilstm: weight dims {w.w_x.shape}/{w.w_h.shape}/{w.b.shape} "
+                f"inconsistent with input {x.shape} and hidden {h}")
+    xs = x.data.reshape(x.shape[0], -1, d_in)  # (T, B, d_in)
+    steps, batch = xs.shape[:2]
+    if lengths is None:
+        lens = np.full(batch, steps)
+    else:
+        if x.data.ndim != 3:
+            raise ValueError(f"bilstm: lengths need a (T, B, d) input, got {x.shape}")
+        lens = np.asarray(lengths)
+        if not np.issubdtype(lens.dtype, np.integer):
+            raise ValueError(f"bilstm: lengths must be integers, got {lens.dtype}")
+        if lens.shape != (batch,):
+            raise ValueError(f"bilstm: lengths of shape {lens.shape} for a batch of {batch}")
+        if lens.min() < 1 or lens.max() > steps:
+            raise ValueError(
+                f"bilstm: lengths must lie in [1, {steps}], got {lens.min()}..{lens.max()}")
+        lens = lens.astype(np.intp)  # an unsigned length less a signed step is a float
+    loop_step = np.arange(steps)[:, None]
+    padding = loop_step >= lens  # (T, B), the same in loop and in time order
+    # the row of each loop step of the backward direction: an involution per sequence
+    rows = np.where(padding, loop_step, lens - 1 - loop_step)
+    cols = np.arange(batch)
+
+    def backward_order(a):
+        """Time order to the backward direction's loop order, and back."""
+        return a[rows, cols]
+
+    # both directions' weights, (2, 4, h, ·) in the stored gate order, and
+    # the kernel's copies, in its gate order with the sigmoid gates halved
+    w_x = np.concatenate([fwd.w_x.data, bwd.w_x.data]).reshape(2, 4, h, d_in)
+    w_h = np.concatenate([fwd.w_h.data, bwd.w_h.data]).reshape(2, 4, h, h)
+    b = np.concatenate([fwd.b.data, bwd.b.data]).reshape(2, 4, h)
+    scale = np.array([0.5, 0.5, 0.5, 1.0], dtype=w_h.dtype)[:, None]  # per kernel gate
+    b_k = b[:, ad._KERNEL_GATES] * scale
+    w_x_k = w_x[:, ad._KERNEL_GATES] * scale[..., None]
+    w_h_k = np.ascontiguousarray(  # (2, h_in, 4 × h_out)
+        (w_h[:, ad._KERNEL_GATES] * scale[..., None]).transpose(0, 3, 1, 2)).reshape(2, h, 4 * h)
+    proj = (xs.reshape(-1, d_in) @ w_x_k.reshape(8 * h, d_in).T + b_k.reshape(8 * h))
+    proj = proj.reshape(steps, batch, 2, 4, h)
+    dtype = proj.dtype
+    # loop order, one (5 × 2 × B × h) block per step, gate-major: the half
+    # pre-activations of i, f, o and the pre-activation of g, overwritten
+    # with the gate values, then the step's incoming cell state, so that
+    # [i, f] · [g, c] is one product; block k + 1 receives step k's cell
+    blocks = np.empty((steps + 1, 5, 2, batch, h), dtype=dtype)
+    blocks[:-1, :4, 0] = proj[:, :, 0].transpose(0, 2, 1, 3)
+    blocks[:-1, :4, 1] = backward_order(proj[:, :, 1]).transpose(0, 2, 1, 3)
+    blocks[0, 4] = 0.0
+    gates, c_in, cells = blocks[:-1, :4], blocks[:-1, 4], blocks[1:, 4]
+    states = np.zeros((steps + 1, 2, batch, h), dtype=dtype)  # entry k + 1 after step k
+    hs = states[1:]
+    tanh_c = np.empty_like(hs)
+    recurrent = np.empty((2, batch, 4 * h), dtype=dtype)
+    recurrent_k = recurrent.reshape(2, batch, 4, h).transpose(2, 0, 1, 3)
+    products = np.empty((2, 2, batch, h), dtype=dtype)
+    i_g, f_c = products
+    half = np.array(0.5, dtype=dtype)  # an array: a Python float costs a conversion per call
+    # per step, views of the gates, their sigmoid slab, [i, f], [g, c_in],
+    # o and the states
+    for h_prev, z, sig, i_f, g_c, o, c, tc, hk in zip(
+            states, gates, gates[:, :3], blocks[:-1, :2], blocks[:-1, 3:], gates[:, 2], cells,
+            tanh_c, hs):
+        np.matmul(h_prev, w_h_k, out=recurrent)
+        z += recurrent_k
+        np.tanh(z, out=z)
+        np.multiply(sig, half, out=sig)
+        np.add(sig, half, out=sig)
+        np.multiply(i_f, g_c, out=products)
+        np.add(i_g, f_c, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=hk)
+    out = np.empty((steps, batch, 2 * h), dtype=dtype)
+    out[..., :h] = hs[:, 0]
+    out[..., h:] = backward_order(hs[:, 1])
+    out[padding] = 0.0
+
+    def back(g_out):
+        g_out = g_out.reshape(steps, batch, 2 * h)
+        g_loop = np.empty_like(hs)
+        g_loop[:, 0] = g_out[..., :h]
+        g_loop[:, 1] = backward_order(g_out[..., h:])
+        g_loop *= ~padding[:, None, :, None]
+        i, f, o, g = (gates[:, k] for k in range(4))
+        # per step and stored gate, the factor of the carried cell gradient
+        # (i, f, g) or hidden gradient (o) in the pre-activation gradient
+        factor = np.empty_like(gates)
+        np.multiply(i, 1.0 - i, out=factor[:, 0])
+        factor[:, 0] *= g
+        np.multiply(f, 1.0 - f, out=factor[:, 1])
+        factor[:, 1] *= c_in
+        np.multiply(g, g, out=factor[:, 2])
+        np.subtract(1.0, factor[:, 2], out=factor[:, 2])
+        factor[:, 2] *= i
+        np.multiply(o, 1.0 - o, out=factor[:, 3])
+        factor[:, 3] *= tanh_c
+        o_dtanh = o * (1.0 - tanh_c * tanh_c)
+        # direction-major, so that each step's product with w_h is contiguous
+        dz = np.empty((steps, 2, batch, 4 * h), dtype=dtype)
+        dz_gates = dz.reshape(steps, 2, batch, 4, h).transpose(0, 3, 1, 2, 4)
+        w_h_back = w_h.reshape(2, 4 * h, h)
+        dh = np.zeros((2, batch, h), dtype=dtype)
+        dc = np.zeros_like(dh)
+        term = np.empty_like(dh)
+        steps_back = (a[::-1] for a in (g_loop, o_dtanh, factor[:, :3], factor[:, 3],
+                                        dz_gates[:, :3], dz_gates[:, 3], f, dz))
+        for g_k, o_dtanh_k, cell_factor, o_factor, dz_cell, dz_o, f_k, dz_k in zip(*steps_back):
+            dh += g_k
+            np.multiply(dh, o_dtanh_k, out=term)
+            dc += term
+            np.multiply(dc, cell_factor, out=dz_cell)
+            np.multiply(dh, o_factor, out=dz_o)
+            dc *= f_k
+            np.matmul(dz_k, w_h_back, out=dh)
+        g_w_h = np.matmul(dz.transpose(1, 3, 0, 2).reshape(2, 4 * h, -1),
+                          states[:-1].transpose(1, 0, 2, 3).reshape(2, -1, h))
+        dz_time = np.empty((steps, batch, 2, 4 * h), dtype=dtype)
+        dz_time[:, :, 0] = dz[:, 0]
+        dz_time[:, :, 1] = backward_order(dz[:, 1])
+        flat = dz_time.reshape(-1, 8 * h)
+        g_w_x = (flat.T @ xs.reshape(-1, d_in)).reshape(2, 4 * h, d_in)
+        g_b = flat.sum(axis=0).reshape(2, 4 * h)
+        for side, w in enumerate((fwd, bwd)):
+            ad._accumulate(w.w_x, g_w_x[side])
+            ad._accumulate(w.w_h, g_w_h[side])
+            ad._accumulate(w.b, g_b[side])
+        if x.requires_grad:
+            ad._accumulate(x, (flat @ w_x.reshape(8 * h, d_in)).reshape(x.shape))
+
+    return ad._node(out.reshape(x.shape[:-1] + (2 * h,)),
+                    (x, fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b), "bilstm", back)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +644,19 @@ def reference_adam_step(state, params, grads):
 # ---------------------------------------------------------------------------
 # per-pair views: the oracle for the pair table reaching the loss and the
 # decoder whole
+
+
+def reference_candidate_rows(model, spans):
+    """`LinkingModel.candidate_rows` with one entity lookup per pair, as it
+    was before it resolved each distinct candidate list once: its oracle."""
+    ids = [c.entity_id for span in spans for c in span.candidates]
+    rows = [model.entities.index(e) for e in ids]
+    y = ad.take_rows(model._entity_rows, [r or 0 for r in rows])
+    if None not in rows:
+        return y
+    for e in {e for e, r in zip(ids, rows) if r is None}:
+        model.entities.vector(e)  # logs the missing vector once
+    return ad.mul(y, ad.constant(np.outer([r is not None for r in rows], np.ones(y.shape[1]))))
 
 
 def view_pair_scores(model, doc, spans, mode="eval", rng=None):

@@ -299,6 +299,32 @@ class TestGateMajorBilstm:
             want, want_grads = TestBilstm.run(helpers.reference_bilstm, x, w, w, probe)
         _assert_close([out] + grads, [want] + want_grads, precision)
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_equals_derived_weights_kernel(self, precision):
+        # halving the projection in place of the weights is exact: the
+        # outputs and every gradient are those of the kernel that derived
+        # halved, reordered weights per call, bit for bit
+        rng = np.random.default_rng(61)
+        with ad.precision(precision):
+            for case in range(60):
+                d, h, steps = (int(v) for v in rng.integers(1, [13, 11, 9]))
+                kind = ("lone", "batch", "packed")[case % 3]
+                batch = int(rng.integers(1, 6))
+                shape = (steps, d) if kind == "lone" else (steps, batch, d)
+                lengths = rng.integers(1, steps + 1, size=batch) if kind == "packed" else None
+                fwd, bwd = ad.init_lstm(d, h, rng), ad.init_lstm(d, h, rng)
+                for w in (fwd, bwd):
+                    w.b.data = rng.normal(size=w.b.shape).astype(w.b.data.dtype)
+                x = ad.parameter(rng.normal(size=shape))
+                probe = ad.constant(rng.normal(size=shape[:-1] + (2 * h,)))
+                runs = [TestBilstm.run(lambda *a, fn=fn: fn(*a, lengths=lengths), x, fwd, bwd,
+                                       probe)
+                        for fn in (ad.bilstm, helpers.derived_weights_bilstm)]
+                (out, grads), (want, want_grads) = runs
+                assert out.dtype == want.dtype and np.array_equal(out, want)
+                for got, expected in zip(grads, want_grads):
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
     def test_weights_are_read_afresh_in_every_call(self):
         rng = np.random.default_rng(8)
         fwd, bwd = ad.init_lstm(3, 2, rng), ad.init_lstm(3, 2, rng)

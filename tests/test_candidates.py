@@ -227,6 +227,77 @@ class TestEnumerateSpans:
         assert all(count > 0 for count in reached.values()), reached
 
 
+class TestSpanPrefixes:
+    """`AliasIndex.prefixes` and the dead-prefix stop of `enumerate_spans`."""
+
+    @staticmethod
+    def brute_prefixes(surfaces):
+        """Each surface cut before each of its spaces."""
+        return {surface[:i] for surface in surfaces for i, ch in enumerate(surface) if ch == " "}
+
+    def test_prefixes_match_brute_force_from_every_loader(self, tmp_path):
+        rng = np.random.default_rng(23)
+        words = ["a", "b", "New", "York", "été", "x"]
+        for case in range(20):
+            surfaces = {" ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+                        for _ in range(int(rng.integers(1, 25)))}
+            rows = [(surface, f"E{k}", int(rng.integers(1, 9)))
+                    for surface in sorted(surfaces) for k in range(int(rng.integers(1, 3)))]
+            counts = write_counts(tmp_path, rows, f"c{case}.tsv")
+            priors = write_counts(tmp_path, [(s, e, 1.0 / c) for s, e, c in rows],
+                                  f"p{case}.tsv")
+            built = cand.build_index([counts], s=2)
+            cand.save_index(built, str(tmp_path / "index.bin"))
+            direct = dict.fromkeys(surfaces | {"", " a", "a  b", "a\tb c"}, [])
+            for index in (built, cand.load_prior_index(priors),
+                          cand.load_index(str(tmp_path / "index.bin")),
+                          cand.AliasIndex(direct)):
+                assert index.prefixes == self.brute_prefixes(index.entries), case
+
+    def test_blank_token_after_a_surface_extends_it(self):
+        doc = Document("d", ["b", " "])
+        entry = [cand.CandidateEntry("E", 1.0)]
+        index = cand.AliasIndex({"": entry, "b": entry})
+        got = cand.enumerate_spans(doc, index)
+        assert [(s.start, s.end) for s in got] == [(0, 0), (0, 1), (1, 1)]
+        assert got == helpers.reference_enumerate_spans(doc, index)
+
+    def test_matches_lookup_oracle_on_prefix_chains(self):
+        # surfaces that are prefixes of longer ones, surfaces absent from the
+        # document that keep a key alive, blank tokens after a dead key, and
+        # tokens with inner whitespace
+        pieces = ["a", "b", "cd", "a b", "b\tcd", " a ", " ", "\t"]
+        rng = np.random.default_rng(29)
+        reached = {"prefix surface": 0, "blank after dead key": 0, "inner whitespace": 0}
+        for k in range(400):
+            n = int(rng.integers(1, 14))
+            doc = Document(f"d{k}", [pieces[i] for i in rng.integers(0, len(pieces), size=n)])
+            l_max = int(rng.integers(1, 6))
+            entries = {}
+            for _ in range(int(rng.integers(0, 8))):
+                q = int(rng.integers(0, n))
+                r = min(n - 1, q + int(rng.integers(0, l_max + 1)))
+                words = cand.normalize_surface(doc.surface(q, r)).split()
+                if rng.random() < 0.3:
+                    words.append(str(rng.choice(["a", "zz"])))  # may not occur in the doc
+                lengths = range(1, len(words) + 1) if rng.random() < 0.5 else [len(words)]
+                for m in lengths:
+                    entries[" ".join(words[:m])] = [cand.CandidateEntry(f"E{q}_{m}", 1.0)]
+            index = cand.AliasIndex(entries, s=30, max_span_length=l_max)
+            got = cand.enumerate_spans(doc, index)
+            want = helpers.reference_enumerate_spans(doc, index)
+            assert got == want
+            assert all(g.candidates is w.candidates for g, w in zip(got, want))
+            for span in got:
+                key = cand.normalize_surface(span.surface)
+                tokens = doc.tokens[span.start:span.end + 1]
+                reached["prefix surface"] += key in index.prefixes
+                reached["blank after dead key"] += (bool(key) and key not in index.prefixes
+                                                    and not tokens[-1].strip())
+                reached["inner whitespace"] += any(len(t.split()) > 1 for t in tokens)
+        assert all(count >= 20 for count in reached.values()), reached
+
+
 class TestCoreferenceHeuristic:
     def span(self, doc, start, end, cands):
         return cand.MentionSpan(doc_id=doc.doc_id, start=start, end=end,

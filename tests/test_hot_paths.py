@@ -1,9 +1,11 @@
 """Guards on the shape of the hot paths: they fail if a per-span loop comes
 back into the attention ranking, a scatter loop (`np.add.at`) into the
-training step's gradient gathers, a rematch or a second decode or
-evaluation into the threshold sweep, a `bilstm` call per word length into the
-encoder, or a collector pause into the library's training and corpus
-paths."""
+training step's gradient gathers, a rematch, a second decode or
+evaluation, or an F1 for a threshold that keeps nothing new into the
+threshold sweep, a `bilstm` call per word length into the
+encoder, a collector pause into the library's training and corpus
+paths, a probe past a dead prefix into span enumeration, or an entity
+lookup per pair into the candidate rows."""
 
 import gc
 import sys
@@ -16,7 +18,7 @@ from e2el import autodiff as ad
 from e2el import candidates, encoder, inference, scoring, training
 from e2el.candidates import CandidateEntry, MentionSpan
 from e2el.corpus import Document
-from e2el.embeddings import CharTable
+from e2el.embeddings import CharTable, EntityVectors
 from e2el.encoder import EncodedDocument
 from e2el.scoring import ScoredPair
 
@@ -137,6 +139,28 @@ def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monke
             ("evaluate", kept, False), ("_match_doc", kept, True), ("_match_doc", 0, True)]
 
 
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_threshold_sweep_scores_f1_once_per_kept_count(monkeypatch, mode):
+    # a candidate threshold that adds no kept annotation (the span lost an
+    # overlap) leaves the counts, so F1, as they were: no `_prf` call for it
+    pairs, gold = helpers.shared_entity_document()
+    kept = [a.score for a in inference.greedy_decode(pairs, float("-inf"))]
+    deltas = {p.score for p in inference.best_per_span(pairs)}
+    kept_counts = {sum(score > delta for score in kept) for delta in deltas | {float("-inf")}}
+    assert len(kept_counts) < len(deltas)
+    callers = []
+
+    def counting(*args, _fn=inference._prf):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _fn(*args)
+
+    monkeypatch.setattr(inference, "_prf", counting)
+    delta = inference.select_threshold(pairs, gold, mode=mode)
+    assert callers.count("select_threshold") == len(kept_counts)
+    monkeypatch.undo()
+    assert delta == helpers.reference_select_threshold(pairs, gold, mode=mode)
+
+
 def test_encoding_makes_one_char_and_one_context_bilstm_call(monkeypatch):
     calls = []
 
@@ -187,3 +211,64 @@ def test_library_corpus_paths_never_pause_the_collector(monkeypatch, tmp_path):
     candidates.save_index(index, str(tmp_path / "index.bin"))
     candidates.load_index(str(tmp_path / "index.bin"))
     assert disabled == [1]  # the spy sees a pause
+
+
+class _CountingEntries(dict):
+    """An alias map that counts its `get` probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_span_enumeration_probes_each_start_and_each_live_extension():
+    # the probes of [start, end] for end > start: a non-blank token after a
+    # key that is empty or a proper word-prefix of a surface
+    rng = np.random.default_rng(31)
+    vocab = ["a", "b", "c", "d", "e", "f", " "]
+    extended = extensions = 0
+    for case in range(30):
+        tokens = [vocab[i] for i in rng.integers(0, len(vocab), size=int(rng.integers(1, 80)))]
+        doc = Document(f"d{case}", tokens)
+        surfaces = {" ".join(rng.choice(vocab[:-1], size=int(rng.integers(1, 4))))
+                    for _ in range(12)}
+        entries = _CountingEntries((s, [CandidateEntry("E", 1.0)]) for s in surfaces)
+        index = candidates.AliasIndex(entries, max_span_length=int(rng.integers(1, 7)))
+        spans = candidates.enumerate_spans(doc, index)
+        probes = entries.probes
+        assert spans == helpers.reference_enumerate_spans(doc, index)
+        n, l_max = len(tokens), index.max_span_length
+        intervals = [(q, r) for q in range(n) for r in range(q + 1, min(q + l_max, n))]
+        live = [(q, r) for q, r in intervals if tokens[r].strip() and (
+            (key := candidates.normalize_surface(doc.surface(q, r - 1))) == ""
+            or key in index.prefixes)]
+        assert probes == n + len(live), case
+        extended += len(live)
+        extensions += len(intervals)
+    assert extended < extensions / 2, (extended, extensions)
+
+
+def test_candidate_rows_look_up_each_distinct_list_once(monkeypatch):
+    doc, index, tokens, entity_ids = long_document(10)
+    model = helpers.build_model(helpers.word_store(tokens, seed=5),
+                                helpers.entity_store(entity_ids[2:], seed=6),  # two without
+                                corpus_tokens=tokens, seed=7)
+    spans = candidates.apply_coreference_heuristic(candidates.enumerate_spans(doc, index), doc)
+    distinct = {id(span.candidates): span.candidates for span in spans}
+    assert len(distinct) < len(spans) / 2
+    looked_up = []
+
+    def counting(self, entity_id, _fn=EntityVectors.index):
+        looked_up.append(entity_id)
+        return _fn(self, entity_id)
+
+    monkeypatch.setattr(EntityVectors, "index", counting)
+    want = [c.entity_id for cands in distinct.values() for c in cands]
+    assert any(model.entities.ids.get(e) is None for e in want)
+    model.candidate_rows(spans)
+    assert looked_up == want
+    looked_up.clear()
+    model.score_pairs(doc, spans)
+    assert looked_up == want

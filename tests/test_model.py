@@ -5,7 +5,8 @@ import helpers
 from e2el import autodiff as ad
 from e2el import model as model_module
 from e2el import scoring, training
-from e2el.candidates import CandidateEntry, MentionSpan, enumerate_spans
+from e2el.candidates import (CandidateEntry, MentionSpan, apply_coreference_heuristic,
+                             enumerate_spans)
 from e2el.corpus import Document
 from e2el.encoder import EncodedDocument
 from e2el.scoring import GlobalConfig
@@ -70,6 +71,44 @@ class TestScoring:
             assert np.array_equal(y.data, [ents.vector("E1"), np.zeros(16),
                                            ents.vector("E0")])
             assert y.requires_grad is not frozen
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_candidate_rows_match_per_pair_oracle(self, frozen, caplog):
+        # repeated surfaces share the index's lists, coreferent spans their
+        # root's, and one entity, in three lists, has no vector
+        table = {"Alan Shearer": [("E0", 0.9), ("NOVEC", 0.1)],
+                 "Alan": [("E1", 0.6), ("NOVEC", 0.3), ("E0", 0.1)],
+                 "Shearer": [("E2", 0.5), ("E0", 0.5)], "goal": [("E3", 1.0), ("NOVEC", 0.2)]}
+        doc = Document("d", "Alan Shearer scored a goal , then Alan , Shearer and a goal "
+                            "Alan".split())
+        index = helpers.alias_index(table)
+        raw = enumerate_spans(doc, index)
+        coref = apply_coreference_heuristic(raw, doc)
+        assert len({id(s.candidates) for s in raw}) == 4 < len(raw)
+        assert len({id(s.candidates) for s in coref}) == 2
+        ents = helpers.entity_store(["E0", "E1", "E2", "E3"], seed=2)
+        ents.frozen = frozen
+        model = helpers.build_model(helpers.word_store(doc.tokens, seed=1), ents)
+        rng = np.random.default_rng(5)
+        for spans in (raw, coref, coref + raw, raw[1:2]):
+            probe = ad.constant(rng.standard_normal((sum(len(s.candidates) for s in spans),
+                                                     ents.dim)))
+            outputs = []
+            for rows_of in (model.candidate_rows,
+                            lambda spans: helpers.reference_candidate_rows(model, spans)):
+                model._entity_rows.grad = None
+                with caplog.at_level("WARNING"):
+                    y = rows_of(spans)
+                grad = None
+                if not frozen:
+                    ad.backward(ad.sum1d(ad.dot(y, probe)))
+                    grad = model._entity_rows.grad
+                outputs.append((y.data, y.requires_grad, grad))
+            (y, tracked, grad), (want, want_tracked, want_grad) = outputs
+            assert y.dtype == want.dtype and np.array_equal(y, want)
+            assert tracked == want_tracked == (not frozen)
+            assert frozen or np.array_equal(grad, want_grad)
+        assert caplog.text.count("entity 'NOVEC' has no embedding") == 1
 
     def test_eval_scoring_is_repeatable(self):
         from e2el.candidates import enumerate_spans

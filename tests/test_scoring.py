@@ -61,6 +61,11 @@ class TestLocalScore:
         with pytest.raises(ValueError, match="prior"):
             scoring.local_score(mat((1.0,)), [span(cands=(("E", 0.5), ("F", 0.0)))],
                                 mat((1.0,), (1.0,)), None, params)
+        # the first bad pair, in pair order, across spans, is named
+        spans = [span(cands=(("E", 0.5), ("F", 0.25))), span(cands=(("G", -0.5), ("H", 0.0)))]
+        with pytest.raises(ValueError,
+                           match=r"^candidate 'G' has non-positive prior -0\.5$"):
+            scoring.local_score(mat((1.0,), (1.0,)), spans, mat(*[(1.0,)] * 4), None, params)
 
     def test_attention_arity_enforced(self):
         params = scorer((1.0, 1.0), 0.0)
