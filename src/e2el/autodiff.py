@@ -853,6 +853,10 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        extra = [name for name in state if name not in self._params]
+        if extra:
+            raise ValueError(f"state holds tensors that are not parameters of the model: "
+                             f"{', '.join(map(repr, extra))}")
         for name, t in self._params.items():
             if name not in state:
                 raise ValueError(f"missing parameter {name!r} in state")

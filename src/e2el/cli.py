@@ -126,8 +126,9 @@ def cmd_build_candidates(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config, args.set)
-    train_docs = load_corpus(cfg.require("paths.train_corpus"))
-    dev_docs = load_corpus(cfg.require("paths.dev_corpus"))
+    train_path, dev_path = cfg.require("paths.train_corpus"), cfg.require("paths.dev_corpus")
+    train_docs = load_corpus(train_path)
+    dev_docs = load_corpus(dev_path)
     index = candidates.load_any_index(cfg.require("paths.candidate_index"))
     tokens = [t for doc in train_docs for t in doc.tokens]
     chars = CharTable.build(tokens, cfg["dims.char"], ad.rng_stream(cfg["seed"], "char_init"))
@@ -137,7 +138,8 @@ def cmd_train(args) -> int:
     log_path = cfg["paths.train_log"]
     with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
         log_fn = training.jsonl_log_writer(log_fh) if log_path else None
-        result = training.train(train_docs, dev_docs, model, index, tcfg, log_fn=log_fn)
+        result = training.train(train_docs, dev_docs, model, index, tcfg, log_fn=log_fn,
+                                sources=(train_path, dev_path))
 
     state = model.state_arrays()
     state["meta.delta"] = np.asarray(result.delta, dtype=np.float32)
@@ -174,7 +176,10 @@ def cmd_annotate(args) -> int:
 def cmd_evaluate(args) -> int:
     pred = inference.read_annotations(args.pred)
     gold = {doc.doc_id: list(doc.gold) for doc in load_corpus(args.gold)}
-    report = inference.evaluate(pred, gold, mode=args.mode, task=args.task)
+    try:
+        report = inference.evaluate(pred, gold, mode=args.mode, task=args.task)
+    except ValueError as exc:  # an unknown document or a duplicate prediction
+        raise ValueError(f"{args.pred}: {exc}") from None
     print(json.dumps(report.to_dict()))
     print(report.format_table(), file=sys.stderr)
     return 0

@@ -13,23 +13,24 @@ distinct candidate value (ties go to the larger delta); by that prefix
 property one decode and one evaluation serve every candidate.
 
 Lowering delta then adds one annotation at a time, and the counts follow
-without a rematch of the document. What each step of a sweep over P
-pairs, S spans, A kept annotations and G golds costs:
+without a rematch of the document. Both `evaluate` and the sweep count
+true positives with one matcher, `_tp_gains`. What each step of a sweep
+over P pairs, S spans, A kept annotations and G golds costs:
 
 - one best-per-span pass, O(P), reading each pair's score once;
 - one decode, O(S log S): one sort of plain tuples and a bytearray of
   taken tokens per document;
-- strong counts, O(A + G): the decoded annotations share no token, so
-  each one matches the gold with its own exact (document, start, end,
-  entity) key or nothing, one set lookup;
+- strong counts, O(A + G): each annotation matches the gold with its own
+  exact (document, start, end, entity) key or nothing, one set lookup;
 - weak counts: an annotation pairs only with golds of its entity, so each
-  (document, entity) group matches alone. A newcomer takes its first free
-  overlapping gold and displaces the later annotation holding it, which
-  picks again down a chain (`_take_gold`). The chain is at most as long
-  as the group's annotations after the newcomer in document order, and
-  all its picks together scan the group's golds once;
-- one evaluation, whose `_match_doc` finds golds by exact key (strong) or
-  among those of the prediction's entity (weak).
+  (document, entity) group matches alone. A newcomer takes its first
+  overlapping gold not held by an annotation before it in (start, end)
+  order, and displaces the later annotation holding it, which picks again
+  down a chain (`_take_gold`). The chain is at most as long as the
+  group's annotations after the newcomer, and all its picks together scan
+  the group's golds once;
+- one evaluation, which runs the same matcher over the annotations in
+  input order, and one more run of it in score order for the sweep.
 
 Annotation files are JSON lines ``{doc_id, start, end, entity, score}``
 sorted by (doc_id, start).
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -175,10 +175,10 @@ def select_threshold(pairs: Sequence[ScoredPair],
     the F1, of the larger one before it, which wins the tie: F1 is computed
     only where an annotation was added.
 
-    Micro F1 comes from the same integer counts as `evaluate`'s, so the pick
-    equals that of decoding and evaluating at every candidate. A NaN score
-    has no place in that order and raises ValueError, as do a bad mode and
-    a pair from a document missing from `gold`.
+    Micro F1 comes from `evaluate`'s matcher, so the pick equals that of
+    decoding and evaluating at every candidate. A NaN score has no place in
+    that order and raises ValueError, as do a bad mode and a pair from a
+    document missing from `gold`.
     """
     if not pairs:
         raise ValueError("empty dev set")
@@ -211,62 +211,67 @@ def select_threshold(pairs: Sequence[ScoredPair],
     return best_delta
 
 
-def _tp_gains(kept: list[Annotation], gold: Mapping[str, Sequence[tuple[int, int, str]]],
+def _tp_gains(kept: Sequence[Annotation], gold: Mapping[str, Sequence[tuple[int, int, str]]],
               mode: str) -> list[int]:
-    """What each of `kept` adds to `evaluate`'s TP when the annotations are
-    added in the given order: `sum(gains[:i])` is the TP of `kept[:i]`.
+    """What each of `kept` adds to TP when the annotations are added in the
+    given order: `sum(gains[:i])` is the TP of `kept[:i]`, the same for any
+    order of them. The annotations are linked, distinct and of documents in
+    `gold`.
 
-    The annotations come from one decode, so they share no token.
+    Each gold matches at most once, and only an annotation of its own
+    entity.
 
-    - Strong matching: no two of them can claim the same exact-span gold,
-      so each one matches the gold with its own (document, start, end,
-      entity) key or nothing.
-    - Weak matching: `_match_doc` pairs an annotation only with golds of
-      its own entity, so each (document, entity) group matches alone, in
-      document order. A newcomer takes the first overlapping gold (in
-      gold-list order) that no annotation before it in document order
-      holds. If a later annotation held that gold, that one picks again by
-      the same rule, and so on down the chain (`_take_gold`); every pick
-      but the last moves a gold, so TP grows by 1 only when the chain ends
-      on a gold nobody held.
+    - Strong matching: an annotation matches the gold with its own
+      (document, start, end, entity) key or nothing; no two distinct
+      annotations claim one gold.
+    - Weak matching: each (document, entity) group matches alone. Its
+      matching is the greedy one in (start, end) order: each annotation
+      takes its first overlapping gold (in gold-list order) that no
+      annotation before it holds. A newcomer changes only the holders
+      after it, so it takes that gold, and if a later annotation held it,
+      that one picks again by the same rule, and so on down the chain
+      (`_take_gold`). Every pick but the last moves a gold, so TP grows by 1
+      only when the chain ends on a gold nobody held.
     """
     if mode == "strong":
         keys = {(doc_id, gs, ge, ent) for doc_id, doc_gold in gold.items()
                 for gs, ge, ent in doc_gold}
         return [(a.doc_id, a.start, a.end, a.entity_id) in keys for a in kept]
-    golds: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    groups: dict[str, dict[str, list[list]]] = {doc_id: {} for doc_id in gold}
     for doc_id, doc_gold in gold.items():
+        by_entity = groups[doc_id]
         for gs, ge, ent in doc_gold:
-            golds.setdefault((doc_id, ent), []).append((gs, ge))
-    holders = {group: [None] * len(spans) for group, spans in golds.items()}
-    return [_take_gold(golds[group], holders[group], a.start, a.end)
-            if (group := (a.doc_id, a.entity_id)) in golds else 0 for a in kept]
+            by_entity.setdefault(ent, []).append([gs, ge, None])
+    return [0 if (golds := groups[a.doc_id].get(a.entity_id)) is None
+            else _take_gold(golds, (a.start, a.end)) for a in kept]
 
 
-def _take_gold(golds: list[tuple[int, int]], holders: list[tuple[int, int] | None],
-               start: int, end: int) -> int:
-    """Add the annotation (start, end) to one weak-matching group and return
-    its TP gain, 0 or 1.
+def _take_gold(golds: list[list], span: tuple[int, int]) -> int:
+    """Add the annotation `span` (start, end) to one weak-matching group and
+    return its TP gain, 0 or 1.
 
-    `holders[j]` is the (start, end) of the annotation holding `golds[j]`,
-    or None. The group's annotations share no token, so their starts order
-    them in document order. A displaced annotation picks again from just
-    after the gold it lost: every gold before that one that it overlaps was
-    held by an annotation before it, and still is.
+    Each entry of `golds` is a gold's [start, end, holder], where holder is
+    the (start, end) of the annotation holding it, or None. The group's
+    annotations are distinct, so their (start, end) keys order them
+    totally, and the holders are the greedy matching in that order
+    whatever order the annotations came in. A displaced annotation picks
+    again from just after the gold it lost: every gold before that one that
+    it overlaps was held by an annotation before it, and still is.
     """
+    start, end = span
     j = 0
     while True:
         for j in range(j, len(golds)):
-            gs, ge = golds[j]
-            holder = holders[j]
-            if start <= ge and gs <= end and (holder is None or holder[0] > start):
+            gs, ge, holder = golds[j]
+            if start <= ge and gs <= end and (holder is None or holder > span):
                 break
         else:
             return 0
-        holders[j] = (start, end)
+        golds[j][2] = span
         if holder is None:
             return 1
-        start, end = holder
+        span = holder
+        start, end = span
         j += 1
 
 
@@ -307,37 +312,6 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f
 
 
-def _match_doc(preds: list[Annotation], golds: list[tuple[int, int, str]],
-               mode: str) -> tuple[int, int, int]:
-    """Greedy pairing in document order; each gold matches at most once.
-
-    A prediction matches only a gold of its own entity. Under strong
-    matching it takes a gold with its own (start, end, entity) key, so the
-    order does not matter. Under weak matching it takes the first
-    unconsumed overlapping gold of its entity, in gold-list order.
-    """
-    tp = 0
-    if mode == "strong":
-        left = Counter((gs, ge, ent) for gs, ge, ent in golds)
-        for a in preds:
-            key = (a.start, a.end, a.entity_id)
-            if left[key] > 0:
-                left[key] -= 1
-                tp += 1
-    else:
-        by_entity: dict[str | None, list[tuple[int, int]]] = {}
-        for gs, ge, ent in golds:
-            by_entity.setdefault(ent, []).append((gs, ge))
-        for a in sorted(preds, key=lambda a: (a.start, a.end)):
-            free = by_entity.get(a.entity_id, ())
-            for j, (gs, ge) in enumerate(free):
-                if a.start <= ge and gs <= a.end:
-                    del free[j]
-                    tp += 1
-                    break
-    return tp, len(preds) - tp, len(golds) - tp
-
-
 def evaluate(pred: Sequence[Annotation],
              gold: Mapping[str, Sequence[tuple[int, int, str]]],
              mode: str = "strong", task: str = "EL") -> EvalReport:
@@ -347,10 +321,11 @@ def evaluate(pred: Sequence[Annotation],
     counted as predictions."""
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown matching mode {mode!r}")
-    by_doc: dict[str, list[Annotation]] = {doc: [] for doc in gold}
+    n_pred = dict.fromkeys(gold, 0)
+    linked: list[Annotation] = []
     seen: set[tuple[str, int, int, str]] = set()
     for a in pred:
-        if a.doc_id not in by_doc:
+        if a.doc_id not in n_pred:
             raise ValueError(f"annotation references unknown document {a.doc_id!r}")
         if a.entity_id is None:
             continue
@@ -358,9 +333,15 @@ def evaluate(pred: Sequence[Annotation],
         if key in seen:
             raise ValueError(f"duplicate prediction {key}")
         seen.add(key)
-        by_doc[a.doc_id].append(a)
+        n_pred[a.doc_id] += 1
+        linked.append(a)
 
-    per_doc = {doc_id: _match_doc(by_doc[doc_id], list(gold[doc_id]), mode) for doc_id in gold}
+    tp = dict.fromkeys(gold, 0)
+    for a, gain in zip(linked, _tp_gains(linked, gold, mode)):
+        if gain:
+            tp[a.doc_id] += 1
+    per_doc = {doc_id: (tp[doc_id], n_pred[doc_id] - tp[doc_id], len(gold[doc_id]) - tp[doc_id])
+               for doc_id in gold}
     micro_p, micro_r, micro_f = _prf(*(sum(c[k] for c in per_doc.values()) for k in range(3)))
     doc_prf = [_prf(*counts) for counts in per_doc.values()]
     n_docs = max(len(per_doc), 1)

@@ -178,7 +178,8 @@ def _train_step(doc: Document, spans: Sequence[MentionSpan], model, adam: ad.Ada
 
 def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
           index: AliasIndex, cfg: TrainConfig,
-          log_fn: Callable[[dict], None] | None = None) -> TrainResult:
+          log_fn: Callable[[dict], None] | None = None,
+          sources: tuple[str, str] = ("training corpus", "dev corpus")) -> TrainResult:
     """Optimize the model until dev macro F1 stops improving.
 
     One Adam step per document, documents shuffled per epoch from the run
@@ -187,9 +188,20 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
     evaluations without improvement (or at `max_steps`). The best snapshot
     is restored into the model before returning. A dev evaluation scores
     the dev corpus through `inference.score_corpus`.
+
+    An empty training corpus, an empty dev corpus and, under the all-spans
+    regime, a dev corpus without a scored pair raise ValueError before the
+    first step, naming the corpus by `sources` (training, dev).
     """
     if not corpus:
-        raise ValueError("empty training corpus")
+        raise ValueError(f"{sources[0]}: no documents to train on")
+    spans = [spans_for_regime(doc, index, cfg) for doc in corpus]
+    dev_spans = [spans_for_regime(doc, index, cfg) for doc in dev_corpus]
+    if cfg.regime == "all_spans" and not any(s.candidates for doc_spans in dev_spans
+                                             for s in doc_spans):
+        raise ValueError(f"{sources[1]}: no scored pairs to tune the threshold on")
+    if not dev_corpus:
+        raise ValueError(f"{sources[1]}: no documents to evaluate on")
     shuffle_rng = ad.rng_stream(cfg.seed, "shuffle")
     dropout_rng = ad.rng_stream(cfg.seed, "dropout")
     adam = ad.AdamState(lr=cfg.learning_rate)
@@ -200,9 +212,6 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
     stale = 0
     history: list[dict] = []
     stop = False
-
-    spans_cache = {doc.doc_id: spans_for_regime(doc, index, cfg) for doc in corpus}
-    dev_spans = [spans_for_regime(doc, index, cfg) for doc in dev_corpus]
 
     def run_eval(loss_value: float) -> None:
         nonlocal best_f1, best_delta, best_state, stale, stop
@@ -231,8 +240,7 @@ def train(corpus: Sequence[Document], dev_corpus: Sequence[Document], model,
         for i in order:
             doc = corpus[i]
             try:
-                last_loss = _train_step(doc, spans_cache[doc.doc_id], model, adam,
-                                        cfg, dropout_rng)
+                last_loss = _train_step(doc, spans[i], model, adam, cfg, dropout_rng)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"non-finite loss on document {doc.doc_id!r}: {exc}") from exc

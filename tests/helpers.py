@@ -721,7 +721,7 @@ def brute_select_threshold(pairs, gold, mode="strong"):
 # ---------------------------------------------------------------------------
 # `min` per span, a set-based decode, a gold scan per prediction and a sweep
 # that rematches every document that gained an annotation: the oracles for
-# `inference.best_per_span`, `greedy_decode`, `_match_doc` and
+# `inference.best_per_span`, `greedy_decode`, `_tp_gains` and
 # `select_threshold`
 
 

@@ -1022,5 +1022,7 @@ class TestGraphMechanics:
         a.data = a.data * 0
         store.load_state_dict(snap)
         assert np.allclose(store["a"].data, [1.0, 2.0])
+        with pytest.raises(ValueError, match="not parameters of the model: 'c'$"):
+            store.load_state_dict({**snap, "c": np.zeros(1)})
         with pytest.raises(ValueError):
             store.add("a", ad.parameter([0.0]))

@@ -154,6 +154,31 @@ class TestPipeline:
         assert f"{bad}: {reported}" in capfd.readouterr().err
         assert not (tmp_path / "a.jsonl").exists()
 
+    @pytest.mark.parametrize("extra, reported", [
+        ({"phi.w": [0.5, 0.5], "phi.b": [0.0]}, "'phi.w', 'phi.b'"),  # trained with use_global
+        ({"entities": np.zeros((3, 16))}, "'entities'")])  # trained with unfrozen entities
+    @pytest.mark.parametrize("command", ["annotate", "select-threshold"])
+    def test_checkpoint_extra_tensors(self, pipeline, tmp_path, capfd, command, extra,
+                                      reported):
+        from e2el.training import load_checkpoint, save_checkpoint
+        paths, _ = pipeline
+        state = load_checkpoint(paths["checkpoint"])
+        delta = state.pop("meta.delta")
+        state.update({name: np.asarray(a, dtype=np.float32) for name, a in extra.items()})
+        state["meta.delta"] = delta
+        bad = str(tmp_path / "extra.ckpt")
+        save_checkpoint(state, bad)
+        out = str(tmp_path / "a.jsonl")
+        argv = {"annotate": ["--in", paths["corpus"], "--out", out],
+                "select-threshold": ["--dev", paths["corpus"]]}[command]
+        capfd.readouterr()
+        rc = cli.run_command([command, "--config", paths["config"], *argv,
+                              "--set", f"paths.checkpoint={bad}"])
+        assert rc == 1
+        assert (f"{bad}: state holds tensors that are not parameters of the model: {reported}"
+                in capfd.readouterr().err)
+        assert not os.path.exists(out)
+
     def test_annotate_bad_index_prior(self, pipeline, tmp_path, capfd):
         paths, _ = pipeline
         bad = str(tmp_path / "bad-index.bin")
@@ -366,13 +391,47 @@ class TestExitCodes:
         assert rc == 1
         assert f"error: {pred}:1: bad annotation record: {field}" in capfd.readouterr().err
 
-    def test_evaluate_on_unknown_doc(self, tmp_path):
+    def test_evaluate_on_unknown_doc(self, tmp_path, capfd):
         gold = tmp_path / "gold.jsonl"
         write_corpus_jsonl([Document("d1", ["a"], [(0, 0, "E")])], str(gold))
         pred = tmp_path / "pred.jsonl"
         write_annotations([Annotation("other", 0, 0, "E", 1.0)], str(pred))
         rc = cli.run_command(["evaluate", "--pred", str(pred), "--gold", str(gold)])
         assert rc == 1
+        assert (f"error: {pred}: annotation references unknown document 'other'"
+                in capfd.readouterr().err)
+
+    def test_evaluate_duplicate_record(self, tmp_path, capfd):
+        gold = tmp_path / "gold.jsonl"
+        write_corpus_jsonl([Document("d1", ["a"], [(0, 0, "E1")])], str(gold))
+        pred = tmp_path / "pred.jsonl"
+        write_annotations([Annotation("d1", 0, 0, "E1", 1.0)] * 2, str(pred))
+        rc = cli.run_command(["evaluate", "--pred", str(pred), "--gold", str(gold)])
+        assert rc == 1
+        assert (f"error: {pred}: duplicate prediction ('d1', 0, 0, 'E1')"
+                in capfd.readouterr().err)
+
+    @pytest.mark.parametrize("corpus_key, docs, reported", [
+        ("paths.train_corpus", [], "no documents to train on"),
+        ("paths.dev_corpus", [], "no scored pairs to tune the threshold on"),
+        ("paths.dev_corpus", [Document("plain", ["no", "alias", "here"])],
+         "no scored pairs to tune the threshold on")], ids=["train-empty", "dev-empty",
+                                                            "dev-unlinkable"])
+    def test_train_unusable_corpus(self, tmp_path, capfd, monkeypatch, corpus_key, docs,
+                                   reported):
+        paths, _ = helpers.write_pipeline_fixture(tmp_path, max_steps=600, eval_every=500)
+        assert cli.run_command(["build-candidates", "--counts", paths["counts"],
+                                "--out", paths["index"]]) == 0
+        bad = str(tmp_path / "unusable.jsonl")
+        write_corpus_jsonl(docs, bad)
+        steps = []
+        monkeypatch.setattr(ad, "adam_step", lambda *args: steps.append(args))
+        capfd.readouterr()
+        rc = cli.run_command(["train", "--config", paths["config"],
+                              "--set", f"{corpus_key}={bad}"])
+        assert rc == 1
+        assert f"error: {bad}: {reported}" in capfd.readouterr().err
+        assert steps == [] and not os.path.exists(paths["checkpoint"])
 
 
 @pytest.fixture

@@ -99,8 +99,8 @@ def test_training_step_never_scatters_with_add_at(monkeypatch):
 @pytest.mark.parametrize("mode", ["strong", "weak"])
 def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monkeypatch,
                                                                            mode):
-    # one decode and one evaluation per sweep, and `_match_doc` only inside
-    # that evaluation, once per document: the sweep itself rematches nothing.
+    # one decode and one evaluation per sweep, then `_tp_gains` once inside
+    # that evaluation and once in the sweep: the sweep rematches nothing.
     # Two documents of 400 spans of 1-2 tokens and three candidates each,
     # about half with a gold: one whose spans have entities of their own,
     # and one whose spans all share the same 3 entities
@@ -131,12 +131,12 @@ def test_threshold_sweep_matches_each_annotation_a_bounded_number_of_times(monke
         assert kept > 300
         gold = {**gold, "no-pairs": [(0, 1, "E0")]}
         with monkeypatch.context() as patch:
-            for name in ("greedy_decode", "evaluate", "_match_doc"):
+            for name in ("greedy_decode", "evaluate", "_tp_gains"):
                 patch.setattr(inference, name, spy(name, getattr(inference, name)))
             calls.clear()
             inference.select_threshold(pairs, gold, mode=mode)
         assert calls[0][0] == "greedy_decode" and calls[1:] == [
-            ("evaluate", kept, False), ("_match_doc", kept, True), ("_match_doc", 0, True)]
+            ("evaluate", kept, False), ("_tp_gains", kept, True), ("_tp_gains", kept, False)]
 
 
 @pytest.mark.parametrize("mode", ["strong", "weak"])

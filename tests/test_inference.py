@@ -608,12 +608,22 @@ def random_match_set(rng):
 class TestMatchDoc:
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_matches_gold_scan_oracle(self, mode):
+        # `_tp_gains` summed per document, over distinct linked predictions
+        # of two documents in shuffled order
         rng = np.random.default_rng(21 if mode == "strong" else 22)
         for _ in range(400):
-            preds, golds = random_match_set(rng)
-            preds += preds[:int(rng.integers(0, 2))]  # a repeated prediction
-            assert (inference._match_doc(preds, golds, mode)
-                    == helpers.reference_match_doc(preds, golds, mode))
+            gold, linked = {}, []
+            for doc_id in ("d0", "d1"):
+                preds, gold[doc_id] = random_match_set(rng)
+                linked += {(a.start, a.end, a.entity_id): inference.Annotation(
+                    doc_id, a.start, a.end, a.entity_id, a.score)
+                    for a in preds if a.entity_id is not None}.values()
+            rng.shuffle(linked)
+            gains = inference._tp_gains(linked, gold, mode)
+            for doc_id, golds in gold.items():
+                preds = [a for a in linked if a.doc_id == doc_id]
+                tp = sum(gain for a, gain in zip(linked, gains) if a.doc_id == doc_id)
+                assert tp == helpers.reference_match_doc(preds, golds, mode)[0]
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_evaluate_counts_match_gold_scan_oracle(self, mode):
@@ -629,6 +639,17 @@ class TestMatchDoc:
                 linked = [a for a in pred if a.doc_id == doc_id and a.entity_id is not None]
                 assert report.per_doc[doc_id] == helpers.reference_match_doc(linked, golds,
                                                                               mode)
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_evaluate_does_not_depend_on_prediction_order(self, mode):
+        rng = np.random.default_rng(25 if mode == "strong" else 26)
+        for _ in range(300):
+            preds, golds = random_match_set(rng)
+            pred = list({(a.start, a.end, a.entity_id): a for a in preds}.values())
+            report = inference.evaluate(pred, {"d": golds}, mode=mode)
+            for _ in range(3):
+                rng.shuffle(pred)
+                assert inference.evaluate(pred, {"d": golds}, mode=mode) == report
 
 
 class TestAnnotationIo:

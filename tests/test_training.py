@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -298,6 +299,38 @@ class TestTrain:
         result = training.train(docs[:8], docs[8:12], model, index, cfg)
         assert len(result.history) == 3
         assert sorted(found) == sorted(doc.doc_id for doc in docs[:12])
+
+    def test_documents_sharing_an_id_train_on_their_own_spans(self):
+        # spans are kept by corpus position: giving two different documents
+        # one id changes nothing about what each step trains on
+        states = []
+        for ids in (["a", "b", "c"], ["same", "same", "c"]):
+            docs, index, model = build_toy(seed=14)
+            assert docs[0].tokens != docs[1].tokens
+            corpus = [dataclasses.replace(doc, doc_id=doc_id) for doc, doc_id in zip(docs, ids)]
+            cfg = training.TrainConfig(seed=14, eval_every=100, max_steps=9)
+            training.train(corpus, docs[3:6], model, index, cfg)
+            states.append(model.params.state_dict())
+        for name in states[0]:
+            assert np.array_equal(states[0][name], states[1][name]), name
+
+    @pytest.mark.parametrize("regime, corpus, dev, reported", [
+        ("all_spans", lambda docs: [], lambda docs: docs, "train.jsonl: no documents to train on"),
+        ("all_spans", lambda docs: docs, lambda docs: [],
+         "dev.jsonl: no scored pairs to tune the threshold on"),
+        ("all_spans", lambda docs: docs, lambda docs: [Document("plain", ["no", "alias", "here"])],
+         "dev.jsonl: no scored pairs to tune the threshold on"),
+        ("gold_spans", lambda docs: docs, lambda docs: [],
+         "dev.jsonl: no documents to evaluate on")])
+    def test_unusable_corpus_rejected_before_any_step(self, monkeypatch, regime, corpus, dev,
+                                                      reported):
+        docs, index, model = build_toy(seed=15)
+        monkeypatch.setattr(ad, "adam_step", None)  # a step would raise TypeError
+        cfg = training.TrainConfig(seed=15, regime=regime, eval_every=1, max_steps=2)
+        with pytest.raises(ValueError) as exc:
+            training.train(corpus(docs), dev(docs), model, index, cfg,
+                           sources=("train.jsonl", "dev.jsonl"))
+        assert str(exc.value) == reported
 
     def test_steps_and_evaluations_leave_the_collector_as_found(self, monkeypatch):
         # the CLI pauses the collector per command; the library leaves it be
